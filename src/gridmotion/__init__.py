@@ -4,115 +4,8 @@ Instances place n robots at distinct start pixels and ask for synchronous
 axis-parallel motion schedules that bring every robot to its target without
 collisions. The package bundles an instance generator, a feasibility checker
 with lower bounds, a prioritized search plus annealing solver, tournament
-style scoring, and SVG rendering.
+style scoring, and SVG rendering. Import them from their submodules, for
+example ``from gridmotion.solve import SolverConfig, solve``.
 """
 
-from .evaluate import InstanceScore, InstanceSummary, ScoreReport, instance_report, score_suites
-from .formats import (
-    FormatError,
-    emit_instance,
-    emit_solution,
-    parse_generator_grid,
-    parse_instance,
-    parse_objective,
-    parse_solution,
-    parse_solver_config,
-)
-from .generate import (
-    GenerationError,
-    GenerationInfo,
-    GenerationResult,
-    GeneratorParams,
-    InstanceFeatures,
-    extract_features,
-    generate,
-    generate_instance,
-    select_diverse,
-)
-from .model import (
-    Configuration,
-    Direction,
-    Instance,
-    Objective,
-    Pixel,
-    Schedule,
-    Step,
-    apply_step,
-    schedule_objectives,
-)
-from .render import render_svg
-from .solve import (
-    ReservationTable,
-    SolveResult,
-    SolverConfig,
-    joint_bfs_oracle,
-    plan_single,
-    prioritized_plan,
-    solve,
-)
-from .validate import (
-    RULE_OBSTACLE,
-    RULE_OVERLAP,
-    RULE_TRAIN,
-    UnreachableTargetError,
-    ValidationReport,
-    Violation,
-    check_step,
-    lower_bounds,
-    search_window,
-    validate_schedule,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Configuration",
-    "Direction",
-    "FormatError",
-    "GenerationError",
-    "GenerationInfo",
-    "GenerationResult",
-    "GeneratorParams",
-    "Instance",
-    "InstanceFeatures",
-    "InstanceScore",
-    "InstanceSummary",
-    "Objective",
-    "Pixel",
-    "RULE_OBSTACLE",
-    "RULE_OVERLAP",
-    "RULE_TRAIN",
-    "ReservationTable",
-    "Schedule",
-    "ScoreReport",
-    "SolveResult",
-    "SolverConfig",
-    "Step",
-    "UnreachableTargetError",
-    "ValidationReport",
-    "Violation",
-    "apply_step",
-    "check_step",
-    "emit_instance",
-    "emit_solution",
-    "extract_features",
-    "generate",
-    "generate_instance",
-    "instance_report",
-    "joint_bfs_oracle",
-    "lower_bounds",
-    "parse_generator_grid",
-    "parse_instance",
-    "parse_objective",
-    "parse_solution",
-    "parse_solver_config",
-    "plan_single",
-    "prioritized_plan",
-    "render_svg",
-    "schedule_objectives",
-    "score_suites",
-    "search_window",
-    "select_diverse",
-    "solve",
-    "validate_schedule",
-]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -152,18 +153,23 @@ def cmd_solve(args) -> int:
         config = parse_solver_config(_read(args.config), strict=args.strict)
     else:
         config = SolverConfig()
+    overrides = {}
     if args.objective:
-        config.objective = parse_objective(args.objective)
+        overrides["objective"] = parse_objective(args.objective)
     if args.time_limit is not None:
-        config.time_limit = args.time_limit if args.time_limit > 0 else None
+        overrides["time_limit"] = args.time_limit or None
     if args.seed is not None:
-        config.seed = args.seed
+        overrides["seed"] = args.seed
     elif os.environ.get(SEED_ENV) is not None:
-        config.seed = _default_seed()
+        overrides["seed"] = _default_seed()
     if args.restarts is not None:
-        config.restarts = args.restarts
+        overrides["restarts"] = args.restarts
     if args.anneal_iterations is not None:
-        config.anneal_iterations = args.anneal_iterations
+        overrides["anneal_iterations"] = args.anneal_iterations
+    try:
+        config = dataclasses.replace(config, **overrides)
+    except ValueError as err:
+        raise FormatError(f"solver config: {err}") from None
 
     result = solve(instance, config)
     if args.telemetry:
@@ -308,6 +314,13 @@ def cmd_select(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridmotion",
@@ -335,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--objective", choices=("max", "sum"), default=None)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=float, default=None,
+                   help="seconds; 0 lifts a limit set by --config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--anneal-iterations", type=int, default=None)
@@ -357,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("output")
     p.add_argument("--solution", default=None)
-    p.add_argument("--frame-every", type=int, default=1)
+    p.add_argument("--frame-every", type=_positive_int, default=1)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("features", help="compute features of instance files")

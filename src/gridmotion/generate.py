@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import Instance, Pixel
+from .validate import distance_map
 
 _TRUNCNORM_DRAWS = 64     # resample budget before clamping into the bounds
 _CLUSTER_WINDOW_RETRIES = 6   # doublings of the window side before new anchors
@@ -163,33 +163,12 @@ def fill_enclosed(obstacles: frozenset[Pixel] | set[Pixel],
                   map_width: int, map_height: int) -> frozenset[Pixel]:
     """Add every free map pixel that cannot reach the map exterior through
     free pixels (4-neighborhood) to the obstacle set. Walks may leave the map
-    boundary, so any free boundary pixel counts as connected."""
+    boundary, so any free boundary pixel counts as connected. Obstacles must
+    lie on the map: the flood starts from the free ring just outside it."""
     obstacles = frozenset(obstacles)
-    reached: set[tuple[int, int]] = set()
-    queue: deque[tuple[int, int]] = deque()
-    for x in range(map_width):
-        for y in (0, map_height - 1):
-            if (x, y) not in obstacles and (x, y) not in reached:
-                reached.add((x, y))
-                queue.append((x, y))
-    for y in range(map_height):
-        for x in (0, map_width - 1):
-            if (x, y) not in obstacles and (x, y) not in reached:
-                reached.add((x, y))
-                queue.append((x, y))
-    while queue:
-        px, py = queue.popleft()
-        for q in ((px, py + 1), (px, py - 1), (px + 1, py), (px - 1, py)):
-            if (0 <= q[0] < map_width and 0 <= q[1] < map_height
-                    and q not in obstacles and q not in reached):
-                reached.add(q)
-                queue.append(q)
-    filled = set(obstacles)
-    for x in range(map_width):
-        for y in range(map_height):
-            if (x, y) not in obstacles and (x, y) not in reached:
-                filled.add(Pixel(x, y))
-    return frozenset(filled)
+    reached = distance_map(obstacles, (-1, -1, map_width, map_height), Pixel(-1, -1))
+    return obstacles | {Pixel(x, y) for x in range(map_width) for y in range(map_height)
+                        if (x, y) not in reached}
 
 
 def place_obstacles(params: GeneratorParams, rng: np.random.Generator) -> frozenset[Pixel]:

@@ -29,7 +29,6 @@ import itertools
 import math
 import random
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,7 +36,8 @@ from .model import Direction, Instance, Objective, Pixel, Schedule, Step
 from .validate import (
     UnreachableTargetError,
     ValidationReport,
-    lower_bounds,
+    bounds_from_maps,
+    distance_map,
     search_window,
     validate_schedule,
 )
@@ -174,24 +174,6 @@ class ReservationTable:
         return max(times) if times else -1
 
 
-def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
-                 target: Pixel) -> dict:
-    """True grid distances to ``target`` for every free pixel of the window."""
-    x0, y0, x1, y1 = window
-    dist = {(target.x, target.y): 0}
-    queue = deque(((target.x, target.y),))
-    while queue:
-        p = queue.popleft()
-        d = dist[p] + 1
-        px, py = p
-        for q in ((px, py + 1), (px, py - 1), (px + 1, py), (px - 1, py)):
-            if (x0 <= q[0] <= x1 and y0 <= q[1] <= y1
-                    and q not in dist and q not in obstacles):
-                dist[q] = d
-                queue.append(q)
-    return dist
-
-
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 objective: Objective, horizon: Optional[int] = None,
                 window: Optional[tuple[int, int, int, int]] = None,
@@ -230,29 +212,32 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     if goal_free_from > horizon:
         return None
 
-    start_state = (start.x, start.y, 0)
-    best = {start_state: 0}   # state -> fewest moves so far (time is in the state)
-    parent: dict = {}
+    # one dict per time step, keyed by (x, y): a single dict keyed by
+    # (x, y, t) grows to multi-megabyte tables on wide windows, and their
+    # reallocations made peak memory differ from run to run
+    p0 = (start.x, start.y)
+    best = [{} for _ in range(horizon + 1)]     # fewest moves to (x, y) at t
+    parent = [{} for _ in range(horizon + 1)]   # (x, y) at t -> (x, y) at t-1
+    best[0][p0] = 0
     counter = itertools.count()
-    f2 = h0 if sum_objective else h0
-    heap = [(h0, f2, next(counter), start.x, start.y, 0, 0)]
+    heap = [(h0, h0, next(counter), p0, 0, 0)]
     while heap:
-        f1, _, _, px, py, t, moves_in = heapq.heappop(heap)
-        state = (px, py, t)
-        if best.get(state, -1) != moves_in:
+        f1, _, _, p, t, moves_in = heapq.heappop(heap)
+        if best[t].get(p) != moves_in:
             continue   # stale heap entry
+        px, py = p
         if px == target.x and py == target.y and t >= goal_free_from:
             path = [Pixel(px, py)]
-            s = state
-            while s in parent:
-                s = parent[s]
-                path.append(Pixel(s[0], s[1]))
+            for k in range(t, 0, -1):
+                p = parent[k][p]
+                path.append(Pixel(p[0], p[1]))
             path.reverse()
             return path
         nt = t + 1
         if nt > horizon:
             continue
-        p = (px, py)
+        best_next = best[nt]
+        parent_next = parent[nt]
         incoming = edge_into.get((p, t))
         for d in _MOVES:
             dx, dy = d.value
@@ -282,30 +267,28 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             if h is None:
                 continue
             nmoves = moves_in + 1
-            nstate = (qx, qy, nt)
-            old = best.get(nstate)
+            old = best_next.get(q)
             if old is not None and old <= nmoves:
                 continue
-            best[nstate] = nmoves
-            parent[nstate] = state
+            best_next[q] = nmoves
+            parent_next[q] = p
             if sum_objective:
                 key = (nmoves + h, nt + h)
             else:
                 key = (nt + h, nmoves + h)
-            heapq.heappush(heap, (key[0], key[1], next(counter), qx, qy, nt, nmoves))
+            heapq.heappush(heap, (key[0], key[1], next(counter), q, nt, nmoves))
         # waiting in place
         if not table.blocked_at(p, nt) and incoming is None:
-            nstate = (px, py, nt)
-            old = best.get(nstate)
+            old = best_next.get(p)
             if old is None or old > moves_in:
-                best[nstate] = moves_in
-                parent[nstate] = state
+                best_next[p] = moves_in
+                parent_next[p] = p
                 h = dist_map[p]
                 if sum_objective:
                     key = (moves_in + h, nt + h)
                 else:
                     key = (nt + h, moves_in + h)
-                heapq.heappush(heap, (key[0], key[1], next(counter), px, py, nt, moves_in))
+                heapq.heappush(heap, (key[0], key[1], next(counter), p, nt, moves_in))
     return None
 
 
@@ -318,22 +301,23 @@ def _horizon_cap(lb_makespan: int, n_robots: int) -> int:
 
 
 class _SolveContext:
-    """Shared immutable data for one solver run: window, lower bounds and a
-    cache of per-robot distance maps."""
+    """Shared immutable data for one solver run: its start time, the window,
+    each robot's distance map to its target and the lower bounds read off
+    those maps. Raises UnreachableTargetError like :func:`lower_bounds`."""
 
     def __init__(self, instance: Instance):
+        self.started = time.monotonic()
         self.instance = instance
         self.window = search_window(instance)
-        self.lb_makespan, self.lb_total, self.per_robot = lower_bounds(instance)
-        self._dist_maps: dict[int, dict] = {}
+        self.dist_maps = [distance_map(instance.obstacles, self.window, t)
+                          for t in instance.targets]
+        self.lb_makespan, self.lb_total, self.per_robot = bounds_from_maps(
+            instance, self.dist_maps)
 
-    def dist_map(self, robot: int) -> dict:
-        dm = self._dist_maps.get(robot)
-        if dm is None:
-            dm = distance_map(self.instance.obstacles, self.window,
-                              self.instance.targets[robot])
-            self._dist_maps[robot] = dm
-        return dm
+    def deadline(self, config: SolverConfig) -> Optional[float]:
+        if config.time_limit is None:
+            return None
+        return self.started + config.time_limit
 
 
 def _plan_order(ctx: _SolveContext, order: Sequence[int], objective: Objective,
@@ -349,7 +333,7 @@ def _plan_order(ctx: _SolveContext, order: Sequence[int], objective: Objective,
     for robot in order:
         table.static_at_zero.discard(instance.starts[robot])
         path = plan_single(instance, robot, table, objective, horizon,
-                           ctx.window, ctx.dist_map(robot))
+                           ctx.window, ctx.dist_maps[robot])
         if path is None:
             return None, robot
         table.add_path(robot, path)
@@ -360,8 +344,9 @@ def _plan_order(ctx: _SolveContext, order: Sequence[int], objective: Objective,
 def prioritized_plan(instance: Instance, order: Sequence[int],
                      config: Optional[SolverConfig] = None) -> Optional[Schedule]:
     """Plan robots one at a time in the given order, growing the horizon
-    geometrically on failure up to a cap. Returns None when no horizon in the
-    ladder admits a full plan (the caller may retry with another order)."""
+    geometrically on failure up to a cap, or until ``config.time_limit`` has
+    passed. Returns None when no horizon tried admits a full plan (the
+    caller may retry with another order)."""
     config = config or SolverConfig()
     if sorted(order) != list(range(instance.n_robots)):
         raise ValueError("order must be a permutation of all robot indices")
@@ -378,12 +363,12 @@ def _plan_with_growth(ctx: _SolveContext, order: Sequence[int],
     n = ctx.instance.n_robots
     horizon = _initial_horizon(ctx.lb_makespan, n, config.horizon_factor)
     cap = max(_horizon_cap(ctx.lb_makespan, n), horizon)
-    failed = None
+    deadline = ctx.deadline(config)
     while True:
         planned, failed = _plan_order(ctx, order, config.objective, horizon)
         if planned is not None:
             return planned, None
-        if horizon >= cap:
+        if horizon >= cap or (deadline is not None and time.monotonic() >= deadline):
             return None, failed
         horizon = min(cap, math.ceil(horizon * _HORIZON_GROWTH))
 
@@ -460,24 +445,25 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     Restarts run prioritized planning over several priority orders (first by
     descending individual lower bound, then seeded random permutations), then
     simulated annealing improves the best plan by replanning small robot
-    subsets. The incumbent is returned when the time limit expires; telemetry
+    subsets. The incumbent is returned when the time limit expires; the
+    limit is checked between horizon levels, priority lifts, restarts and
+    annealing moves, so the first horizon level always runs. Telemetry
     records every improvement, so the objective column is non-increasing.
     """
     config = config or SolverConfig()
     objective = config.objective
     rng = random.Random(config.seed)
-    t_start = time.monotonic()
-    deadline = t_start + config.time_limit if config.time_limit is not None else None
-    telemetry: list[TelemetryRecord] = []
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
-
     try:
         ctx = _SolveContext(instance)
     except UnreachableTargetError as err:
         return SolveResult(objective, None, None, None, [],
                            failure_reason=f"instance infeasible: {err}")
+    t_start = ctx.started
+    deadline = ctx.deadline(config)
+    telemetry: list[TelemetryRecord] = []
+
+    def out_of_time() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
     n = instance.n_robots
     lb_value = ctx.lb_makespan if objective is Objective.MAX else ctx.lb_total
 
@@ -575,7 +561,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
         for i in replan_order:
             table.static_at_zero.discard(instance.starts[i])
             path = plan_single(instance, i, table, objective, horizon,
-                               ctx.window, ctx.dist_map(i))
+                               ctx.window, ctx.dist_maps[i])
             if path is None:
                 ok = False
                 break
@@ -611,108 +597,3 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
                 current[i] = old_paths[i]
                 stats[i] = old_stats[i]
     return best_paths, best_value
-
-
-def joint_bfs_oracle(instance: Instance,
-                     window: Optional[tuple[int, int, int, int]] = None
-                     ) -> tuple[int, Schedule]:
-    """Exhaustive breadth-first search over joint configurations inside a
-    small window; returns the optimal makespan and one optimal schedule.
-
-    The window defaults to the bounding box of the instance content inflated
-    by 1. Guarded to n <= 4 robots and window area <= 36 because the state
-    space grows as area^n. Intended for tests and cross-checks only.
-    """
-    n = instance.n_robots
-    if window is None:
-        xs = [p.x for p in instance.starts] + [p.x for p in instance.targets] \
-            + [p.x for p in instance.obstacles]
-        ys = [p.y for p in instance.starts] + [p.y for p in instance.targets] \
-            + [p.y for p in instance.obstacles]
-        window = (min(xs) - 1, min(ys) - 1, max(xs) + 1, max(ys) + 1)
-    x0, y0, x1, y1 = window
-    area = (x1 - x0 + 1) * (y1 - y0 + 1)
-    if n > 4:
-        raise ValueError(f"joint search supports at most 4 robots, got {n}")
-    if area > 36:
-        raise ValueError(f"joint search window area {area} exceeds 36")
-    free = {
-        (x, y)
-        for x in range(x0, x1 + 1)
-        for y in range(y0, y1 + 1)
-        if (x, y) not in instance.obstacles
-    }
-    start = tuple((p.x, p.y) for p in instance.starts)
-    goal = tuple((p.x, p.y) for p in instance.targets)
-    for label, cfg in (("start", start), ("target", goal)):
-        for p in cfg:
-            if p not in free:
-                raise ValueError(f"{label} {p} outside the search window")
-
-    moves_from = {
-        p: tuple(
-            (d, (p[0] + d.value[0], p[1] + d.value[1]))
-            for d in (Direction.NORTH, Direction.SOUTH, Direction.EAST,
-                      Direction.WEST, Direction.WAIT)
-            if (p[0] + d.value[0], p[1] + d.value[1]) in free
-        )
-        for p in free
-    }
-
-    def successors(config):
-        occupant = {p: i for i, p in enumerate(config)}
-        moves: list = [None] * n
-        dests: list = [None] * n
-        out = []
-
-        def rec(k: int):
-            if k == n:
-                out.append((tuple(moves), tuple(dests)))
-                return
-            for d, q in moves_from[config[k]]:
-                ok = True
-                for j in range(k):
-                    if dests[j] == q:
-                        ok = False
-                        break
-                    if q == config[j] and moves[j] is not d:
-                        ok = False
-                        break
-                    if dests[j] == config[k] and moves[j] is not d:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # entering a pixel whose occupant has not chosen yet is fine;
-                # the occupant's own loop enforces the shared-direction rule
-                moves[k] = d
-                dests[k] = q
-                rec(k + 1)
-            moves[k] = None
-            dests[k] = None
-
-        rec(0)
-        return out
-
-    if start == goal:
-        return 0, Schedule(instance_name=instance.name, steps=())
-    parents: dict = {start: None}
-    queue = deque((start,))
-    while queue:
-        config = queue.popleft()
-        for moves, dests in successors(config):
-            if dests in parents:
-                continue
-            parents[dests] = (config, moves)
-            if dests == goal:
-                steps = []
-                node = dests
-                while parents[node] is not None:
-                    prev, mv = parents[node]
-                    steps.append(Step(mv))
-                    node = prev
-                steps.reverse()
-                return len(steps), Schedule(instance_name=instance.name,
-                                            steps=tuple(steps))
-            queue.append(dests)
-    raise RuntimeError("no joint path to the targets inside the window")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .model import (
     Configuration,
@@ -125,7 +125,7 @@ def check_step(instance: Instance, config: Configuration, step: Step,
     return Violation(step=step_index, rule=rule, robots=robots)
 
 
-def search_window(instance: Instance, margin: int | None = None) -> tuple[int, int, int, int]:
+def search_window(instance: Instance, margin: int = 1) -> tuple[int, int, int, int]:
     """Inclusive rectangle (x0, y0, x1, y1) that provably contains some
     shortest obstacle-avoiding path for every robot.
 
@@ -134,46 +134,51 @@ def search_window(instance: Instance, margin: int | None = None) -> tuple[int, i
     box inflated by 1: clamping never lengthens the walk, keeps consecutive
     cells adjacent (the unclamped coordinate is shared, the clamped one moves
     by at most 1) and relocates cells only into the obstacle-free ring just
-    outside the box. A margin of 1 therefore already suffices; the default
-    below is deliberately generous and the test suite cross-checks it against
-    a doubled margin.
+    outside the box. The default margin of 1 therefore suffices; the test
+    suite cross-checks it against a margin of 60.
     """
     xs = [p.x for p in instance.starts] + [p.x for p in instance.targets]
     ys = [p.y for p in instance.starts] + [p.y for p in instance.targets]
     xs += [p.x for p in instance.obstacles]
     ys += [p.y for p in instance.obstacles]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if margin is None:
-        margin = min((x1 - x0 + 1) + (y1 - y0 + 1), 2 * len(instance.obstacles) + 2)
-    return (x0 - margin, y0 - margin, x1 + margin, y1 + margin)
+    return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
 
 
-def _bfs_path_length(obstacles: frozenset, window: tuple[int, int, int, int],
-                     start: Pixel, goal: Pixel) -> Optional[int]:
-    if start == goal:
-        return 0
+def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
+                 target: Pixel) -> dict:
+    """Grid distances to ``target`` for every free pixel of the window that
+    reaches it, keyed by (x, y); paths stay inside the inclusive window."""
     x0, y0, x1, y1 = window
-    dist = {start: 0}
-    queue = deque((start,))
+    dist = {(target.x, target.y): 0}
+    queue = deque(((target.x, target.y),))
     while queue:
         p = queue.popleft()
-        dp = dist[p]
+        d = dist[p] + 1
         px, py = p
-        for qx, qy in ((px, py + 1), (px, py - 1), (px + 1, py), (px - 1, py)):
-            if qx < x0 or qx > x1 or qy < y0 or qy > y1:
-                continue
-            q = (qx, qy)
-            if q in dist or q in obstacles:
-                continue
-            if q == goal:
-                return dp + 1
-            dist[q] = dp + 1
-            queue.append(q)
-    return None
+        for q in ((px, py + 1), (px, py - 1), (px + 1, py), (px - 1, py)):
+            if (x0 <= q[0] <= x1 and y0 <= q[1] <= y1
+                    and q not in dist and q not in obstacles):
+                dist[q] = d
+                queue.append(q)
+    return dist
 
 
-def lower_bounds(instance: Instance, margin: int | None = None) -> tuple[int, int, tuple[int, ...]]:
+def bounds_from_maps(instance: Instance,
+                     maps: Iterable[dict]) -> tuple[int, int, tuple[int, ...]]:
+    """(lb_makespan, lb_total, per_robot) read off each robot's distance map
+    to its target, ``maps`` in robot order. Raises UnreachableTargetError
+    when some start is missing from its map."""
+    per_robot: list[int] = []
+    for i, (s, t, dist) in enumerate(zip(instance.starts, instance.targets, maps)):
+        d = dist.get(s)
+        if d is None:
+            raise UnreachableTargetError(
+                i, f"robot {i}: target {tuple(t)} unreachable from start {tuple(s)}")
+        per_robot.append(d)
+    return max(per_robot), sum(per_robot), tuple(per_robot)
+
+
+def lower_bounds(instance: Instance, margin: int = 1) -> tuple[int, int, tuple[int, ...]]:
     """Per-robot shortest obstacle-avoiding path lengths, ignoring all other
     robots. Returns (lb_makespan, lb_total, per_robot) where lb_makespan is
     the maximum and lb_total the sum.
@@ -182,19 +187,13 @@ def lower_bounds(instance: Instance, margin: int | None = None) -> tuple[int, in
     such an instance has no feasible schedule. ``margin`` overrides the search
     window inflation (testing hook; any value >= 1 gives identical results).
     """
-    per_robot: list[int] = []
     if not instance.obstacles:
-        for s, t in zip(instance.starts, instance.targets):
-            per_robot.append(abs(s.x - t.x) + abs(s.y - t.y))
-    else:
-        window = search_window(instance, margin)
-        for i, (s, t) in enumerate(zip(instance.starts, instance.targets)):
-            d = _bfs_path_length(instance.obstacles, window, s, t)
-            if d is None:
-                raise UnreachableTargetError(
-                    i, f"robot {i}: target {tuple(t)} unreachable from start {tuple(s)}")
-            per_robot.append(d)
-    return max(per_robot), sum(per_robot), tuple(per_robot)
+        per_robot = tuple(abs(s.x - t.x) + abs(s.y - t.y)
+                          for s, t in zip(instance.starts, instance.targets))
+        return max(per_robot), sum(per_robot), per_robot
+    window = search_window(instance, margin)
+    return bounds_from_maps(instance, (distance_map(instance.obstacles, window, t)
+                                       for t in instance.targets))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:

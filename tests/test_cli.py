@@ -176,6 +176,19 @@ def test_solve_refuses_to_write_infeasible(tmp_path, capsys):
     assert "no schedule found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--restarts", "0", "restarts must be >= 1"),
+    ("--anneal-iterations", "-5", "anneal_iterations must be >= 0"),
+])
+def test_solve_rejects_bad_override(line_files, tmp_path, capsys, flag, value, message):
+    ipath, _ = line_files
+    out = tmp_path / "out.solution.json"
+    assert main(["solve", ipath, "-o", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_is_deterministic_for_fixed_seed(tmp_path):
     config = write(tmp_path / "one.cfg",
                    "map_width = 8\nmap_height = 8\ndensity = 0.2\nseed = 9\n")
@@ -262,6 +275,17 @@ def test_render_writes_svg(line_files, tmp_path, capsys):
                  "--frame-every", "2"]) == 0
     svg = out.read_text()
     assert svg.startswith("<svg") and "#2e8b57" in svg
+
+
+def test_render_rejects_zero_frame_every(line_files, tmp_path, capsys):
+    ipath, spath = line_files
+    out = tmp_path / "line.svg"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["render", ipath, str(out), "--solution", spath, "--frame-every", "0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--frame-every: must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_render_notes_infeasible_solution(tmp_path, capsys):

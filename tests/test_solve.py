@@ -1,20 +1,23 @@
 """Solver tests: reservation-table bookkeeping, single-robot space-time
-search, prioritized planning, the exhaustive joint oracle and the full
-solve() entry point with its telemetry and failure contracts."""
+search, prioritized planning against the exhaustive joint optimum of
+``oracles.joint_optimal``, and the full solve() entry point with its
+telemetry, deadline and failure contracts."""
 
+import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
 from conftest import make_instance, seal
+import gridmotion.solve as solve_module
 from gridmotion.model import Objective, Pixel
 from gridmotion.solve import (
     ReservationTable,
     SolverConfig,
     SolveResult,
-    joint_bfs_oracle,
     paths_to_schedule,
     plan_single,
     prioritized_plan,
@@ -64,6 +67,14 @@ def build_room(seed):
     ring = set(seal(free)) | obstacles
     inst = make_instance(starts, targets, sorted(ring), name=f"room{seed}")
     return inst, (0, 0, w - 1, h - 1)
+
+
+def exact_optimum(inst, window):
+    """Optimal makespan of a room instance by exhaustive joint search."""
+    optimum, _ = oracles.joint_optimal([tuple(p) for p in inst.starts],
+                                       [tuple(p) for p in inst.targets],
+                                       inst.obstacles, window)
+    return optimum
 
 
 def rooms(count, first_seed=0):
@@ -287,7 +298,7 @@ def test_prioritized_plan_already_solved_is_empty():
 def test_prioritized_plan_feasible_and_at_least_optimal_on_rooms():
     solved = 0
     for inst, window in rooms(12):
-        optimum, _ = joint_bfs_oracle(inst, window=window)
+        optimum = exact_optimum(inst, window)
         sched = prioritized_plan(inst, list(range(inst.n_robots)))
         if sched is None:
             continue
@@ -296,59 +307,6 @@ def test_prioritized_plan_feasible_and_at_least_optimal_on_rooms():
         assert report.feasible
         assert report.makespan >= optimum
     assert solved >= 8
-
-
-# --------------------------------------------------------- joint oracle
-
-def test_joint_oracle_single_robot_distance():
-    inst = make_instance([(0, 0)], [(2, 1)])
-    makespan, sched = joint_bfs_oracle(inst, window=(-1, -1, 3, 2))
-    assert makespan == 3
-    assert validate_schedule(inst, sched).feasible
-
-
-def test_joint_oracle_solved_instance_is_zero():
-    inst = make_instance([(0, 0), (1, 1)], [(0, 0), (1, 1)])
-    makespan, sched = joint_bfs_oracle(inst, window=(0, 0, 1, 1))
-    assert makespan == 0 and sched.steps == ()
-
-
-def test_joint_oracle_corridor_bay_swap_needs_six_steps():
-    free = [(0, 0), (1, 0), (2, 0), (1, 1)]
-    inst = make_instance([(0, 0), (2, 0)], [(2, 0), (0, 0)], seal(free))
-    makespan, sched = joint_bfs_oracle(inst, window=(0, 0, 2, 1))
-    assert makespan == 6
-    report = validate_schedule(inst, sched)
-    assert report.feasible and report.makespan == 6
-
-
-def test_joint_oracle_guards():
-    five = make_instance([(i, 0) for i in range(5)], [(i, 1) for i in range(5)])
-    with pytest.raises(ValueError):
-        joint_bfs_oracle(five)
-    inst = make_instance([(0, 0)], [(6, 6)])
-    with pytest.raises(ValueError):
-        joint_bfs_oracle(inst, window=(0, 0, 6, 6))   # 49 cells
-    with pytest.raises(ValueError):
-        joint_bfs_oracle(inst, window=(0, 0, 5, 4))   # target outside
-
-
-def test_joint_oracle_raises_when_no_joint_path_exists():
-    free = [(0, 0), (1, 0)]
-    inst = make_instance([(0, 0), (1, 0)], [(1, 0), (0, 0)], seal(free))
-    with pytest.raises(RuntimeError):
-        joint_bfs_oracle(inst, window=(0, 0, 1, 0))
-
-
-def test_joint_oracle_agrees_with_independent_search_on_rooms():
-    for inst, window in rooms(6):
-        makespan, sched = joint_bfs_oracle(inst, window=window)
-        expect, _ = oracles.joint_optimal(
-            [tuple(p) for p in inst.starts],
-            [tuple(p) for p in inst.targets],
-            inst.obstacles, window)
-        assert makespan == expect
-        assert validate_schedule(inst, sched).feasible
 
 
 # ---------------------------------------------------------------- solve
@@ -385,7 +343,7 @@ def test_solve_train_pair_reaches_both_lower_bounds():
 
 def test_solve_results_validate_and_dominate_oracle_on_rooms():
     for inst, window in rooms(10):
-        optimum, _ = joint_bfs_oracle(inst, window=window)
+        optimum = exact_optimum(inst, window)
         res = solve(inst, SolverConfig(objective="max", restarts=4,
                                        anneal_iterations=300, seed=1))
         assert res.success, inst.name
@@ -446,6 +404,25 @@ def test_solve_first_attempt_runs_even_with_tiny_time_limit():
     inst = make_instance([(0, 0)], [(2, 0)])
     res = solve(inst, SolverConfig(time_limit=1e-6))
     assert res.success and res.value == 2
+
+
+def test_solve_stops_growing_the_horizon_after_the_deadline(monkeypatch):
+    # every plan fails and every clock reading is 10 s after the last, so
+    # the 5 s limit has passed once the first horizon level is done
+    calls = []
+
+    def never_plans(ctx, order, objective, horizon):
+        calls.append(horizon)
+        return None, order[0]
+
+    clock = itertools.count(step=10.0)
+    monkeypatch.setattr(solve_module, "_plan_order", never_plans)
+    monkeypatch.setattr(solve_module, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    inst = make_instance([(0, 0)], [(5, 0)])
+    res = solve(inst, SolverConfig(time_limit=5.0))
+    assert len(calls) == 1
+    assert not res.success and res.schedule is None
+    assert "no feasible schedule" in res.failure_reason
 
 
 def test_solve_result_success_mirrors_schedule():

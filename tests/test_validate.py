@@ -18,6 +18,7 @@ from gridmotion.validate import (
     RULE_TRAIN,
     UnreachableTargetError,
     check_step,
+    distance_map,
     lower_bounds,
     search_window,
     validate_schedule,
@@ -279,6 +280,29 @@ def test_lower_bounds_random_against_oracle():
             assert lower_bounds(inst)[0] == expected
 
 
+def test_distance_map_on_margin_one_window_matches_wide_bfs():
+    # the planner's heuristic: every free cell of the default window must
+    # carry its true grid distance, as measured with room to detour far out;
+    # these maps hold 36 walled-off cells and 18 whose shortest path leaves
+    # the bounding box
+    rng = random.Random(4242)
+    for _ in range(60):
+        side = rng.randint(3, 7)
+        cells = [(x, y) for x in range(side) for y in range(side)]
+        rng.shuffle(cells)
+        density = rng.uniform(0.2, 0.6)
+        obstacles = [c for c in cells[2:] if rng.random() < density]
+        inst = make_instance(cells[:1], cells[1:2], obstacles)
+        x0, y0, x1, y1 = window = search_window(inst)
+        dist = distance_map(inst.obstacles, window, inst.targets[0])
+        wide = (x0 - 59, y0 - 59, x1 + 59, y1 + 59)
+        for x in range(x0, x1 + 1):
+            for y in range(y0, y1 + 1):
+                if (x, y) not in inst.obstacles:
+                    expected = oracles.grid_bfs_distance(cells[1], (x, y), obstacles, wide)
+                    assert dist.get((x, y)) == expected, (inst, (x, y))
+
+
 def test_search_window_contains_everything_with_margin():
     inst = make_instance([(0, 0)], [(9, 3)], [(4, 4)])
     xmin, ymin, xmax, ymax = search_window(inst)
@@ -291,18 +315,34 @@ def test_search_window_contains_everything_with_margin():
 # two-robot swap, solved exactly by the independent joint search
 
 
+def configurations_to_schedule(name, path):
+    steps = []
+    for before, after in zip(path, path[1:]):
+        moves = tuple(Direction.between(Pixel(*b), Pixel(*a))
+                      for b, a in zip(before, after))
+        steps.append(Step(moves))
+    return Schedule(instance_name=name, steps=tuple(steps))
+
+
 def test_swap_on_empty_grid_optimum_is_four():
     starts = [(0, 0), (2, 0)]
     targets = [(2, 0), (0, 0)]
     makespan, path = oracles.joint_optimal(starts, targets, (), (-2, -3, 4, 3))
     assert makespan == 4
     inst = make_instance(starts, targets, name="swap2")
-    steps = []
-    for before, after in zip(path, path[1:]):
-        moves = tuple(Direction.between(Pixel(*b), Pixel(*a))
-                      for b, a in zip(before, after))
-        steps.append(Step(moves))
-    report = validate_schedule(inst, Schedule(instance_name="swap2",
-                                              steps=tuple(steps)))
+    report = validate_schedule(inst, configurations_to_schedule("swap2", path))
     assert report.feasible
     assert report.makespan == 4
+
+
+def test_corridor_bay_swap_needs_six_steps():
+    # a three-cell corridor with one bay above its middle: one robot parks
+    # in the bay while the other passes
+    free = [(0, 0), (1, 0), (2, 0), (1, 1)]
+    starts = [(0, 0), (2, 0)]
+    targets = [(2, 0), (0, 0)]
+    makespan, path = oracles.joint_optimal(starts, targets, seal(free), (0, 0, 2, 1))
+    assert makespan == 6
+    inst = make_instance(starts, targets, seal(free), name="bay")
+    report = validate_schedule(inst, configurations_to_schedule("bay", path))
+    assert report.feasible and report.makespan == 6
