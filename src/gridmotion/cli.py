@@ -32,7 +32,7 @@ from .generate import GenerationError, InstanceFeatures, generate, select_divers
 from .model import Objective
 from .render import render_svg
 from .solve import SolverConfig, solve
-from .validate import validate_schedule
+from .validate import UnreachableTargetError, lower_bounds, validate_schedule
 
 SEED_ENV = "GRIDMOTION_SEED"
 
@@ -126,25 +126,31 @@ def cmd_validate(args) -> int:
     if schedule.instance_name != instance.name:
         print(f"warning: solution names instance {schedule.instance_name!r}, "
               f"validating against {instance.name!r}", file=sys.stderr)
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        report = validate_schedule(instance, schedule)
+    report = validate_schedule(instance, schedule)
     print(f"feasible: {report.feasible}")
     print(f"makespan: {report.makespan}  total_distance: {report.total_distance}")
     if args.objective:
         value = (report.makespan if parse_objective(args.objective) is Objective.MAX
                  else report.total_distance)
         print(f"objective ({args.objective}): {value}")
-    if report.lb_makespan is not None:
-        print(f"lb_makespan: {report.lb_makespan}  lb_total: {report.lb_total}")
-        if report.stretch_max is not None:
-            print(f"stretch_max: {report.stretch_max:.4f}  "
-                  f"stretch_sum: {report.stretch_sum:.4f}")
+    try:
+        lb_makespan, lb_total, _ = lower_bounds(instance)
+    except UnreachableTargetError:
+        pass
+    else:
+        print(f"lb_makespan: {lb_makespan}  lb_total: {lb_total}")
+        _print_stretch(report.makespan, report.total_distance, lb_makespan, lb_total)
     if report.first_violation is not None:
         v = report.first_violation
         print(f"violation: step {v.step} rule {v.rule} robots {list(v.robots)}")
     return 0 if report.feasible else 1
+
+
+def _print_stretch(makespan: int, total: int, lb_makespan: int, lb_total: int) -> None:
+    # both bounds are 0 exactly when every robot starts on its target
+    if lb_makespan:
+        print(f"stretch_max: {makespan / lb_makespan:.4f}  "
+              f"stretch_sum: {total / lb_total:.4f}")
 
 
 def cmd_solve(args) -> int:
@@ -183,8 +189,7 @@ def cmd_solve(args) -> int:
     rep = result.report
     print(f"solved {instance.name}: {config.objective.value} objective "
           f"{result.value} (makespan {rep.makespan}, total {rep.total_distance})")
-    if rep.stretch_max is not None:
-        print(f"stretch_max: {rep.stretch_max:.4f}  stretch_sum: {rep.stretch_sum:.4f}")
+    _print_stretch(rep.makespan, rep.total_distance, *result.bounds)
     return 0
 
 
@@ -216,14 +221,11 @@ def cmd_score(args) -> int:
         suites[team] = schedules
     objective = parse_objective(args.objective)
 
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        if args.instance_report:
-            report, summaries = instance_report(instances, suites, objective)
-        else:
-            report = score_suites(instances, suites, objective)
-            summaries = None
+    if args.instance_report:
+        report, summaries = instance_report(instances, suites, objective)
+    else:
+        report = score_suites(instances, suites, objective)
+        summaries = None
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -270,11 +272,7 @@ def cmd_render(args) -> int:
     if args.solution:
         schedule = parse_solution(_read(args.solution), instance.n_robots,
                                   strict=args.strict)
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            report = validate_schedule(instance, schedule)
-        violation = report.first_violation
+        violation = validate_schedule(instance, schedule).first_violation
         if violation is not None:
             print(f"rendering infeasible schedule (step {violation.step} "
                   f"rule {violation.rule})", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import Configuration, Instance, Schedule
+from .model import Configuration, Instance, Schedule, apply_step
 from .validate import RULE_TARGET, Violation
 
 _CELL = 16
@@ -25,25 +25,16 @@ _COLOR_MARK = "#ff0000"
 _COLOR_GRIDBG = "#f4f4f4"
 
 
-def _configs_along(instance: Instance, schedule: Optional[Schedule]):
-    config = Configuration(instance.starts)
-    out = [config]
-    if schedule is not None:
-        for step in schedule.steps:
-            positions = tuple(p.translated(m) for p, m in zip(config.positions, step.moves))
-            config = object.__new__(Configuration)
-            object.__setattr__(config, "positions", positions)
-            out.append(config)
-    return out
-
-
 def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
                frame_every: int = 1, violation: Optional[Violation] = None) -> str:
     """Render the instance (and optionally every ``frame_every``-th step of a
     schedule) to an SVG string."""
     if frame_every < 1:
         raise ValueError("frame_every must be >= 1")
-    configs = _configs_along(instance, schedule)
+    configs = [Configuration(instance.starts)]
+    if schedule is not None:
+        for step in schedule.steps:
+            configs.append(apply_step(configs[-1], step))
     last = len(configs) - 1
     times = sorted({*range(0, last + 1, frame_every), last})
     if violation is not None:

@@ -93,7 +93,10 @@ class TelemetryRecord:
 @dataclass
 class SolveResult:
     """Outcome of a solver run. ``schedule`` is None exactly when no feasible
-    schedule was found; such a failure is explicit, never a bogus schedule."""
+    schedule was found; such a failure is explicit, never a bogus schedule.
+    ``bounds`` is (lb_makespan, lb_total) as
+    :func:`gridmotion.validate.lower_bounds` gives them, read off the solver's
+    own distance maps; None when some target is unreachable."""
 
     objective: Objective
     schedule: Optional[Schedule]
@@ -101,6 +104,7 @@ class SolveResult:
     report: Optional[ValidationReport]
     telemetry: list[TelemetryRecord]
     failure_reason: Optional[str] = None
+    bounds: Optional[tuple[int, int]] = None
 
     @property
     def success(self) -> bool:
@@ -461,6 +465,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     t_start = ctx.started
     deadline = ctx.deadline(config)
     telemetry: list[TelemetryRecord] = []
+    bounds = (ctx.lb_makespan, ctx.lb_total)
 
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -504,8 +509,10 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
             break
 
     if best_paths is None:
+        limits = (f"before the {config.time_limit} s time limit" if out_of_time()
+                  else "within restart and horizon limits")
         return SolveResult(objective, None, None, None, telemetry,
-                           failure_reason="no feasible schedule within restart and horizon limits")
+                           failure_reason=f"no feasible schedule {limits}", bounds=bounds)
 
     if best_value > lb_value and config.anneal_iterations > 0 and not out_of_time():
         best_paths, best_value = _anneal(ctx, config, rng, best_paths, best_value,
@@ -520,7 +527,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
             f"({report.first_violation})")
     value = report.makespan if objective is Objective.MAX else report.total_distance
     telemetry.append(TelemetryRecord(time.monotonic() - t_start, value, "final"))
-    return SolveResult(objective, schedule, value, report, telemetry)
+    return SolveResult(objective, schedule, value, report, telemetry, bounds=bounds)
 
 
 def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,

@@ -17,18 +17,17 @@ equals the instance targets index for index. All functions are pure.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import (
     Configuration,
-    Direction,
     Instance,
     Pixel,
     Schedule,
     Step,
+    apply_step,
     schedule_objectives,
 )
 
@@ -65,10 +64,6 @@ class ValidationReport:
     first_violation: Optional[Violation]
     makespan: int
     total_distance: int
-    lb_makespan: Optional[int]
-    lb_total: Optional[int]
-    stretch_max: Optional[float]
-    stretch_sum: Optional[float]
 
 
 def check_step(instance: Instance, config: Configuration, step: Step,
@@ -178,51 +173,43 @@ def bounds_from_maps(instance: Instance,
     return max(per_robot), sum(per_robot), tuple(per_robot)
 
 
-def lower_bounds(instance: Instance, margin: int = 1) -> tuple[int, int, tuple[int, ...]]:
+def lower_bounds(instance: Instance) -> tuple[int, int, tuple[int, ...]]:
     """Per-robot shortest obstacle-avoiding path lengths, ignoring all other
     robots. Returns (lb_makespan, lb_total, per_robot) where lb_makespan is
     the maximum and lb_total the sum.
 
     Raises UnreachableTargetError when some target cannot be reached at all;
-    such an instance has no feasible schedule. ``margin`` overrides the search
-    window inflation (testing hook; any value >= 1 gives identical results).
+    such an instance has no feasible schedule.
     """
     if not instance.obstacles:
         per_robot = tuple(abs(s.x - t.x) + abs(s.y - t.y)
                           for s, t in zip(instance.starts, instance.targets))
         return max(per_robot), sum(per_robot), per_robot
-    window = search_window(instance, margin)
+    window = search_window(instance)
     return bounds_from_maps(instance, (distance_map(instance.obstacles, window, t)
                                        for t in instance.targets))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:
-    """Replay a schedule from the instance starts and report feasibility,
-    objectives, lower bounds and stretch factors.
+    """Replay a schedule from the instance starts and report feasibility and
+    objectives.
 
     The schedule is feasible iff every step passes :func:`check_step` and the
     final configuration equals the targets index for index. Objectives are
-    reported even for infeasible schedules. A name mismatch between schedule
-    and instance is a warning only, so schedules can be replayed against
-    compatible instances on purpose.
+    reported even for infeasible schedules. The schedule's instance name is
+    not compared, so schedules can be replayed against compatible instances
+    on purpose. Lower bounds are :func:`lower_bounds`' job.
     """
     if schedule.width is not None and schedule.width != instance.n_robots:
         raise ValueError(
             f"schedule width {schedule.width} != instance robot count {instance.n_robots}")
-    if schedule.instance_name != instance.name:
-        warnings.warn(
-            f"schedule names instance {schedule.instance_name!r}, "
-            f"validating against {instance.name!r}",
-            stacklevel=2,
-        )
-
     violation: Optional[Violation] = None
     config = Configuration(instance.starts)
     for idx, step in enumerate(schedule.steps):
         violation = check_step(instance, config, step, step_index=idx)
         if violation is not None:
             break
-        config = _apply(config, step)
+        config = apply_step(config, step)
     if violation is None:
         mismatched = tuple(i for i, (p, t) in enumerate(zip(config.positions, instance.targets))
                            if p != t)
@@ -230,29 +217,9 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
             violation = Violation(step=len(schedule.steps), rule=RULE_TARGET, robots=mismatched)
 
     makespan, total = schedule_objectives(schedule)
-    try:
-        lb_makespan, lb_total, _ = lower_bounds(instance)
-    except UnreachableTargetError:
-        lb_makespan = lb_total = None
-    stretch_max = makespan / lb_makespan if lb_makespan else None
-    stretch_sum = total / lb_total if lb_total else None
-
     return ValidationReport(
         feasible=violation is None,
         first_violation=violation,
         makespan=makespan,
         total_distance=total,
-        lb_makespan=lb_makespan,
-        lb_total=lb_total,
-        stretch_max=stretch_max,
-        stretch_sum=stretch_sum,
     )
-
-
-def _apply(config: Configuration, step: Step) -> Configuration:
-    # local clone of model.apply_step that skips the distinctness re-check:
-    # the step was just proven legal, so destinations are pairwise distinct
-    positions = tuple(p.translated(m) for p, m in zip(config.positions, step.moves))
-    out = object.__new__(Configuration)
-    object.__setattr__(out, "positions", positions)
-    return out

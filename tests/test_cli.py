@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from conftest import make_instance, schedule, seal
+import gridmotion.solve as solve_module
+import gridmotion.validate as validate_module
 from gridmotion import __main__ as run_module
 from gridmotion.cli import main, main_entry
 from gridmotion.formats import emit_instance, emit_solution, parse_solution
@@ -92,6 +94,41 @@ def test_score_instance_report_table(tmp_path):
     assert table[0] == ("instance,average_score,best_value,lb_makespan,"
                         "lb_total,n_robots,density,free_area")
     assert len(table) == 2
+
+
+def test_each_command_floods_each_target_at_most_once(tmp_path, monkeypatch):
+    # the wall keeps lower_bounds off its obstacle-free Manhattan shortcut
+    inst = make_instance([(0, 0), (0, 2)], [(4, 0), (4, 2)], [(2, 0), (2, 1)],
+                         name="wall")
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    ipath = write(instances / "wall.instance.json", emit_instance(inst))
+    team = tmp_path / "team"
+    team.mkdir()
+    spath = str(team / "wall.solution.json")
+
+    floods = []
+    original = validate_module.distance_map
+
+    def counting(*args):
+        floods.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(validate_module, "distance_map", counting)
+    monkeypatch.setattr(solve_module, "distance_map", counting)
+
+    def count(argv):
+        floods.clear()
+        assert main(argv) == 0
+        return len(floods)
+
+    n = inst.n_robots
+    assert count(["solve", ipath, "-o", spath, "--anneal-iterations", "0"]) == n
+    assert count(["validate", ipath, spath]) == n
+    assert count(["score", "--instances", str(instances), "--objective", "max",
+                  "--output", str(tmp_path / "scores"), "--instance-report",
+                  str(team)]) == n
+    assert count(["render", ipath, str(tmp_path / "wall.svg"), "--solution", spath]) == 0
 
 
 # -------------------------------------------------------------- validate

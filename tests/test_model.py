@@ -111,10 +111,15 @@ def test_apply_step_width_mismatch():
         apply_step(c, step("EE"))
 
 
+def test_apply_step_applies_a_colliding_step():
+    # legality is the validator's job: both robots land on (1, 0)
+    c = Configuration((Pixel(0, 0), Pixel(2, 0)))
+    assert tuple(apply_step(c, step("EW"))) == (Pixel(1, 0), Pixel(1, 0))
+
+
 def test_apply_step_reversal_is_identity():
     rng = random.Random(20240811)
     dirs = (N, S, E, W, WAIT)
-    applied = 0
     for _ in range(600):
         n = rng.randint(1, 6)
         cells = set()
@@ -122,14 +127,9 @@ def test_apply_step_reversal_is_identity():
             cells.add((rng.randint(-4, 4), rng.randint(-4, 4)))
         config = Configuration(tuple(Pixel(x, y) for x, y in sorted(cells)))
         moves = Step(tuple(rng.choice(dirs) for _ in range(n)))
-        try:
-            forward = apply_step(config, moves)
-        except ValueError:
-            continue  # destinations collided; reversal undefined
+        forward = apply_step(config, moves)
         back = apply_step(forward, Step(tuple(m.opposite for m in moves.moves)))
         assert tuple(back) == tuple(config)
-        applied += 1
-    assert applied >= 200
 
 
 def test_schedule_objectives_examples():

@@ -339,6 +339,7 @@ def test_solve_train_pair_reaches_both_lower_bounds():
     for res in (res_max, res_sum):
         assert res.report.feasible
         assert res.failure_reason is None
+        assert res.bounds == (lb_makespan, lb_total)
 
 
 def test_solve_results_validate_and_dominate_oracle_on_rooms():
@@ -349,8 +350,8 @@ def test_solve_results_validate_and_dominate_oracle_on_rooms():
         assert res.success, inst.name
         assert res.report.feasible
         assert res.value >= optimum
-        if res.report.stretch_max is not None:
-            assert res.report.stretch_max >= 1.0
+        assert res.bounds == lower_bounds(inst)[:2]
+        assert res.report.makespan >= res.bounds[0]
 
 
 def test_solve_is_deterministic_without_time_limit():
@@ -388,7 +389,7 @@ def test_solve_reports_failure_on_corridor_swap():
     res = solve(inst, SolverConfig(restarts=3, anneal_iterations=50, seed=0))
     assert not res.success
     assert res.schedule is None and res.value is None and res.report is None
-    assert "no feasible schedule" in res.failure_reason
+    assert res.failure_reason == "no feasible schedule within restart and horizon limits"
     assert all(t.phase != "final" for t in res.telemetry)
 
 
@@ -422,7 +423,7 @@ def test_solve_stops_growing_the_horizon_after_the_deadline(monkeypatch):
     res = solve(inst, SolverConfig(time_limit=5.0))
     assert len(calls) == 1
     assert not res.success and res.schedule is None
-    assert "no feasible schedule" in res.failure_reason
+    assert res.failure_reason == "no feasible schedule before the 5.0 s time limit"
 
 
 def test_solve_result_success_mirrors_schedule():

@@ -142,8 +142,7 @@ def test_already_solved_empty_schedule():
     assert report.feasible
     assert (report.makespan, report.total_distance) == (0, 0)
     assert report.first_violation is None
-    assert report.lb_makespan == 0 and report.lb_total == 0
-    assert report.stretch_max is None and report.stretch_sum is None
+    assert lower_bounds(inst)[:2] == (0, 0)
 
 
 def test_single_robot_straight_line():
@@ -151,8 +150,7 @@ def test_single_robot_straight_line():
     report = validate_schedule(inst, schedule(inst.name, "E", "E"))
     assert report.feasible
     assert (report.makespan, report.total_distance) == (2, 2)
-    assert report.lb_makespan == 2 and report.lb_total == 2
-    assert report.stretch_max == 1.0 and report.stretch_sum == 1.0
+    assert lower_bounds(inst)[:2] == (2, 2)
 
 
 def test_wrong_final_position_reports_target_rule():
@@ -173,10 +171,9 @@ def test_violation_step_index_reported():
     assert report.first_violation.rule == RULE_TRAIN
 
 
-def test_name_mismatch_warns():
+def test_name_mismatch_still_validates():
     inst = make_instance([(0, 0)], [(1, 0)], name="a")
-    with pytest.warns(UserWarning):
-        report = validate_schedule(inst, schedule("b", "E"))
+    report = validate_schedule(inst, schedule("b", "E"))
     assert report.feasible
 
 
@@ -184,8 +181,9 @@ def test_lb_respected_by_every_feasible_schedule():
     inst = make_instance([(0, 0), (1, 0)], [(2, 0), (3, 0)])
     report = validate_schedule(inst, schedule(inst.name, "EE", "EE"))
     assert report.feasible
-    assert report.makespan >= report.lb_makespan
-    assert report.total_distance >= report.lb_total
+    lb_makespan, lb_total, _ = lower_bounds(inst)
+    assert report.makespan >= lb_makespan
+    assert report.total_distance >= lb_total
 
 
 def test_reversal_property():
@@ -259,8 +257,8 @@ def test_validate_schedule_with_unreachable_lb():
     inst = make_instance([(5, 5)], [(0, 0)], ring)
     report = validate_schedule(inst, Schedule(instance_name=inst.name, steps=()))
     assert not report.feasible
-    assert report.lb_makespan is None and report.lb_total is None
-    assert report.stretch_max is None and report.stretch_sum is None
+    with pytest.raises(UnreachableTargetError):
+        lower_bounds(inst)
 
 
 def test_lower_bounds_random_against_oracle():
