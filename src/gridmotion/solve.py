@@ -47,7 +47,7 @@ _HORIZON_CAP_FACTOR = 10
 _CRITICAL_WEIGHT = 4.0   # sampling weight of makespan-critical robots (MAX)
 _AUTO_TEMP_FACTOR = 0.1  # initial temperature as a fraction of the start value
 
-_MOVES = (Direction.NORTH, Direction.SOUTH, Direction.EAST, Direction.WEST)
+_MOVES = ((0, 1), (0, -1), (1, 0), (-1, 0))   # N, S, E, W as (dx, dy)
 
 
 @dataclass
@@ -189,6 +189,12 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     0..T, or None when no path reaches the target within the horizon. The
     robot may end only at a time after which no committed path visits the
     target again, because arrival parks it there forever.
+
+    The heap orders states by the two cost keys, each plus the distance ``h``
+    to the target, and then by ``h`` itself: among states of equal cost the
+    one nearest the target is expanded first, so on an open grid the search
+    follows one shortest path instead of sweeping every tied one. An
+    insertion counter settles what remains, so results are deterministic.
     """
     start = instance.starts[robot]
     target = instance.targets[robot]
@@ -224,9 +230,9 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     parent = [{} for _ in range(horizon + 1)]   # (x, y) at t -> (x, y) at t-1
     best[0][p0] = 0
     counter = itertools.count()
-    heap = [(h0, h0, next(counter), p0, 0, 0)]
+    heap = [(h0, h0, h0, next(counter), p0, 0, 0)]
     while heap:
-        f1, _, _, p, t, moves_in = heapq.heappop(heap)
+        _, _, _, _, p, t, moves_in = heapq.heappop(heap)
         if best[t].get(p) != moves_in:
             continue   # stale heap entry
         px, py = p
@@ -243,8 +249,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
         best_next = best[nt]
         parent_next = parent[nt]
         incoming = edge_into.get((p, t))
-        for d in _MOVES:
-            dx, dy = d.value
+        for dx, dy in _MOVES:
             qx, qy = px + dx, py + dy
             if qx < x0 or qx > x1 or qy < y0 or qy > y1:
                 continue
@@ -277,10 +282,10 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             best_next[q] = nmoves
             parent_next[q] = p
             if sum_objective:
-                key = (nmoves + h, nt + h)
+                f1, f2 = nmoves + h, nt + h
             else:
-                key = (nt + h, nmoves + h)
-            heapq.heappush(heap, (key[0], key[1], next(counter), q, nt, nmoves))
+                f1, f2 = nt + h, nmoves + h
+            heapq.heappush(heap, (f1, f2, h, next(counter), q, nt, nmoves))
         # waiting in place
         if not table.blocked_at(p, nt) and incoming is None:
             old = best_next.get(p)
@@ -289,10 +294,10 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 parent_next[p] = p
                 h = dist_map[p]
                 if sum_objective:
-                    key = (moves_in + h, nt + h)
+                    f1, f2 = moves_in + h, nt + h
                 else:
-                    key = (nt + h, moves_in + h)
-                heapq.heappush(heap, (key[0], key[1], next(counter), p, nt, moves_in))
+                    f1, f2 = nt + h, moves_in + h
+                heapq.heappush(heap, (f1, f2, h, next(counter), p, nt, moves_in))
     return None
 
 

@@ -17,6 +17,7 @@ equals the instance targets index for index. All functions are pure.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -158,14 +159,49 @@ def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
     return dist
 
 
-def bounds_from_maps(instance: Instance,
-                     maps: Iterable[dict]) -> tuple[int, int, tuple[int, ...]]:
-    """(lb_makespan, lb_total, per_robot) read off each robot's distance map
-    to its target, ``maps`` in robot order. Raises UnreachableTargetError
-    when some start is missing from its map."""
+def _grid_distance(obstacles: frozenset, window: tuple[int, int, int, int],
+                   start: Pixel, target: Pixel) -> Optional[int]:
+    """Length of a shortest path from ``start`` to ``target`` that avoids
+    ``obstacles`` and stays inside the inclusive window; None when there is
+    none.
+
+    This is A* with the Manhattan heuristic ``h``. The heap orders cells by
+    ``g + h``, then by ``h`` (nearer the target first), then by (x, y), so
+    the search is deterministic and, where nothing blocks the way, expands
+    little more than one shortest path instead of the window. ``h`` is
+    consistent, so a cell's first expansion is final and the target's is its
+    distance. It agrees with :func:`distance_map`, which floods the window.
+    """
+    x0, y0, x1, y1 = window
+    tx, ty = target
+    sx, sy = start
+    h = abs(sx - tx) + abs(sy - ty)
+    g = {(sx, sy): 0}
+    heap = [(h, h, sx, sy)]
+    while heap:
+        f, h, px, py = heapq.heappop(heap)
+        if h == 0:
+            return f
+        gp = g[(px, py)]
+        if gp + h < f:
+            continue   # stale entry: the cell was reached more cheaply since
+        d = gp + 1
+        for qx, qy in ((px, py + 1), (px, py - 1), (px + 1, py), (px - 1, py)):
+            q = (qx, qy)
+            if not (x0 <= qx <= x1 and y0 <= qy <= y1) or q in obstacles:
+                continue
+            old = g.get(q)
+            if old is None or old > d:
+                g[q] = d
+                hq = abs(qx - tx) + abs(qy - ty)
+                heapq.heappush(heap, (d + hq, hq, qx, qy))
+    return None
+
+
+def _bounds(instance: Instance,
+            distances: Iterable[Optional[int]]) -> tuple[int, int, tuple[int, ...]]:
     per_robot: list[int] = []
-    for i, (s, t, dist) in enumerate(zip(instance.starts, instance.targets, maps)):
-        d = dist.get(s)
+    for i, (s, t, d) in enumerate(zip(instance.starts, instance.targets, distances)):
         if d is None:
             raise UnreachableTargetError(
                 i, f"robot {i}: target {tuple(t)} unreachable from start {tuple(s)}")
@@ -173,10 +209,21 @@ def bounds_from_maps(instance: Instance,
     return max(per_robot), sum(per_robot), tuple(per_robot)
 
 
+def bounds_from_maps(instance: Instance,
+                     maps: Iterable[dict]) -> tuple[int, int, tuple[int, ...]]:
+    """(lb_makespan, lb_total, per_robot) read off each robot's distance map
+    to its target, ``maps`` in robot order. Raises UnreachableTargetError
+    when some start is missing from its map."""
+    return _bounds(instance, (dist.get(s) for s, dist in zip(instance.starts, maps)))
+
+
 def lower_bounds(instance: Instance) -> tuple[int, int, tuple[int, ...]]:
     """Per-robot shortest obstacle-avoiding path lengths, ignoring all other
     robots. Returns (lb_makespan, lb_total, per_robot) where lb_makespan is
-    the maximum and lb_total the sum.
+    the maximum and lb_total the sum. Each length is one
+    :func:`_grid_distance` search from start to target over the
+    :func:`search_window`, or plain Manhattan distance when there are no
+    obstacles.
 
     Raises UnreachableTargetError when some target cannot be reached at all;
     such an instance has no feasible schedule.
@@ -186,8 +233,8 @@ def lower_bounds(instance: Instance) -> tuple[int, int, tuple[int, ...]]:
                           for s, t in zip(instance.starts, instance.targets))
         return max(per_robot), sum(per_robot), per_robot
     window = search_window(instance)
-    return bounds_from_maps(instance, (distance_map(instance.obstacles, window, t)
-                                       for t in instance.targets))
+    return _bounds(instance, (_grid_distance(instance.obstacles, window, s, t)
+                              for s, t in zip(instance.starts, instance.targets)))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:

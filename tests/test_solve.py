@@ -3,6 +3,7 @@ search, prioritized planning against the exhaustive joint optimum of
 ``oracles.joint_optimal``, and the full solve() entry point with its
 telemetry, deadline and failure contracts."""
 
+import heapq
 import itertools
 import math
 import random
@@ -241,6 +242,28 @@ def test_plan_single_head_on_corridor_reverses_into_bay():
     sched = paths_to_schedule(inst, {0: p0, 1: p1})
     report = validate_schedule(inst, sched)
     assert report.feasible and report.makespan == 6
+
+
+def test_plan_single_search_follows_the_path_not_the_square(monkeypatch):
+    # Every monotone path across the square ties on cost; breaking ties
+    # toward the target keeps the search near one of them instead of
+    # sweeping the 101x101 square (about 31,000 pushes when ties go by
+    # insertion order).
+    pushes = [0]
+
+    def counting_push(heap, item):
+        pushes[0] += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(solve_module, "heapq",
+                        SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
+    inst = make_instance([(0, 0), (100, 100)], [(100, 100), (0, 0)], [(49, 49)],
+                         name="diagonal")
+    for objective in (Objective.MAX, Objective.SUM):
+        pushes[0] = 0
+        path = plan_single(inst, 0, ReservationTable(horizon=400), objective)
+        assert len(path) - 1 == 200
+        assert pushes[0] <= 10 * 200
 
 
 # ------------------------------------------------- paths_to_schedule

@@ -17,6 +17,7 @@ from gridmotion.validate import (
     RULE_OVERLAP,
     RULE_TRAIN,
     UnreachableTargetError,
+    bounds_from_maps,
     check_step,
     distance_map,
     lower_bounds,
@@ -299,6 +300,38 @@ def test_distance_map_on_margin_one_window_matches_wide_bfs():
                 if (x, y) not in inst.obstacles:
                     expected = oracles.grid_bfs_distance(cells[1], (x, y), obstacles, wide)
                     assert dist.get((x, y)) == expected, (inst, (x, y))
+
+
+def test_lower_bounds_agree_with_margin_one_distance_maps():
+    # lower_bounds searches start to target; the solver floods each target's
+    # map. Both must give the same bounds, and fail on the same robot.
+    rng = random.Random(2718)
+    via_ring = unreachable = 0
+    for _ in range(150):
+        side = rng.randint(3, 8)
+        cells = [(x, y) for x in range(side) for y in range(side)]
+        rng.shuffle(cells)
+        n = rng.randint(1, 3)
+        starts, targets = cells[:n], cells[n:2 * n]
+        density = rng.uniform(0.2, 0.6)
+        # at least one obstacle, or lower_bounds takes its Manhattan shortcut
+        obstacles = [c for c in cells[2 * n:] if rng.random() < density] or [cells[-1]]
+        inst = make_instance(starts, targets, obstacles)
+        window = search_window(inst)
+        maps = [distance_map(inst.obstacles, window, t) for t in inst.targets]
+        try:
+            expected = bounds_from_maps(inst, maps)
+        except UnreachableTargetError as err:
+            unreachable += 1
+            with pytest.raises(UnreachableTargetError) as got:
+                lower_bounds(inst)
+            assert got.value.robot == err.robot and str(got.value) == str(err)
+            continue
+        assert lower_bounds(inst) == expected, inst
+        inside = [distance_map(inst.obstacles, search_window(inst, 0), t)
+                  for t in inst.targets]
+        via_ring += any(m.get(s) != d for s, m, d in zip(inst.starts, inside, expected[2]))
+    assert via_ring >= 5 and unreachable >= 5
 
 
 def test_search_window_contains_everything_with_margin():
