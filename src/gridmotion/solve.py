@@ -128,6 +128,7 @@ class ReservationTable:
         self.edge_into: dict = {}   # (pixel, t) -> pixel the robot arriving at t+1 comes from
         self.parked: dict = {}      # pixel -> (robot, arrival time)
         self.static_at_zero: set = set()
+        self.horizon_cut = False    # the horizon pruned the last plan_single search
         self._times: dict = {}      # pixel -> set of reserved times
 
     def add_path(self, robot: int, path: Sequence[Pixel]) -> None:
@@ -195,6 +196,10 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     one nearest the target is expanded first, so on an open grid the search
     follows one shortest path instead of sweeping every tied one. An
     insertion counter settles what remains, so results are deterministic.
+
+    Sets ``table.horizon_cut`` when the horizon cut the search: the target
+    is visited after the horizon, or a successor of a state at the horizon
+    was dropped. A failed search that was not cut fails alike at any horizon.
     """
     start = instance.starts[robot]
     target = instance.targets[robot]
@@ -206,6 +211,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
         raise ValueError(f"start of robot {robot} is reserved at time 0")
     if dist_map is None:
         dist_map = distance_map(instance.obstacles, window, target)
+    table.horizon_cut = False
     x0, y0, x1, y1 = window
     obstacles = instance.obstacles
     vertex = table.vertex
@@ -220,6 +226,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
         return None
     goal_free_from = table.last_visit(target) + 1
     if goal_free_from > horizon:
+        table.horizon_cut = True
         return None
 
     # one dict per time step, keyed by (x, y): a single dict keyed by
@@ -245,6 +252,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             return path
         nt = t + 1
         if nt > horizon:
+            table.horizon_cut = True
             continue
         best_next = best[nt]
         parent_next = parent[nt]
@@ -330,32 +338,36 @@ class _SolveContext:
 
 
 def _plan_order(ctx: _SolveContext, order: Sequence[int], objective: Objective,
-                horizon: int) -> tuple[Optional[tuple[dict, ReservationTable]], Optional[int]]:
+                horizon: int, deadline: Optional[float] = None
+                ) -> tuple[Optional[tuple[dict, ReservationTable]], Optional[int], bool]:
     """Plan all robots in the given priority order at a fixed horizon.
 
-    Returns ((paths, table), None) on success, (None, failed robot) when some
-    robot finds no path against the commitments made before it."""
+    Returns ((paths, table), None, False) on success, (None, failed robot,
+    whether the horizon cut its search) when some robot finds no path, and
+    (None, None, False) when ``deadline`` passes before a robot is planned."""
     instance = ctx.instance
     table = ReservationTable(horizon)
     table.static_at_zero = set(instance.starts)
     paths: dict[int, list[Pixel]] = {}
     for robot in order:
+        if deadline is not None and time.monotonic() >= deadline:
+            return None, None, False
         table.static_at_zero.discard(instance.starts[robot])
         path = plan_single(instance, robot, table, objective, horizon,
                            ctx.window, ctx.dist_maps[robot])
         if path is None:
-            return None, robot
+            return None, robot, table.horizon_cut
         table.add_path(robot, path)
         paths[robot] = path
-    return (paths, table), None
+    return (paths, table), None, False
 
 
 def prioritized_plan(instance: Instance, order: Sequence[int],
                      config: Optional[SolverConfig] = None) -> Optional[Schedule]:
     """Plan robots one at a time in the given order, growing the horizon
-    geometrically on failure up to a cap, or until ``config.time_limit`` has
-    passed. Returns None when no horizon tried admits a full plan (the
-    caller may retry with another order)."""
+    geometrically while the failed robot's search was cut by it, up to a cap
+    or until ``config.time_limit`` has passed. Returns None when no horizon
+    tried admits a full plan (the caller may retry with another order)."""
     config = config or SolverConfig()
     if sorted(order) != list(range(instance.n_robots)):
         raise ValueError("order must be a permutation of all robot indices")
@@ -367,19 +379,24 @@ def prioritized_plan(instance: Instance, order: Sequence[int],
 
 
 def _plan_with_growth(ctx: _SolveContext, order: Sequence[int],
-                      config: SolverConfig
+                      config: SolverConfig, stop_at: Optional[float] = None
                       ) -> tuple[Optional[tuple[dict, ReservationTable]], Optional[int]]:
+    """((paths, table), None), or (None, failed robot or None at the deadline).
+    Grows the horizon x1.5 only while the horizon cut the failed search; the
+    first level checks ``stop_at`` between robots, later ones the deadline."""
     n = ctx.instance.n_robots
     horizon = _initial_horizon(ctx.lb_makespan, n, config.horizon_factor)
     cap = max(_horizon_cap(ctx.lb_makespan, n), horizon)
     deadline = ctx.deadline(config)
     while True:
-        planned, failed = _plan_order(ctx, order, config.objective, horizon)
+        planned, failed, cut = _plan_order(ctx, order, config.objective, horizon, stop_at)
         if planned is not None:
             return planned, None
-        if horizon >= cap or (deadline is not None and time.monotonic() >= deadline):
+        if (not cut or horizon >= cap
+                or (deadline is not None and time.monotonic() >= deadline)):
             return None, failed
         horizon = min(cap, math.ceil(horizon * _HORIZON_GROWTH))
+        stop_at = deadline
 
 
 def paths_to_schedule(instance: Instance, paths: dict[int, Sequence[Pixel]]) -> Schedule:
@@ -454,10 +471,12 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     Restarts run prioritized planning over several priority orders (first by
     descending individual lower bound, then seeded random permutations), then
     simulated annealing improves the best plan by replanning small robot
-    subsets. The incumbent is returned when the time limit expires; the
-    limit is checked between horizon levels, priority lifts, restarts and
-    annealing moves, so the first horizon level always runs. Telemetry
-    records every improvement, so the objective column is non-increasing.
+    subsets; a failed robot is lifted to the front of its order, and the
+    horizon grows only when it cut the failed search. The incumbent is
+    returned when the time limit expires, which is checked between horizon
+    levels, lifts, restarts, annealing moves and, in every priority order
+    but the first, between robots. Telemetry records every improvement, so
+    the objective column is non-increasing.
     """
     config = config or SolverConfig()
     objective = config.objective
@@ -482,6 +501,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     best_horizon = 0
 
     base_order = sorted(range(n), key=lambda i: (-ctx.per_robot[i], i))
+    stop_at = None   # the first priority order runs in full
     for attempt in range(config.restarts):
         if attempt > 0 and out_of_time():
             break
@@ -494,7 +514,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
         # failures cannot loop forever.
         lifted: set[int] = set()
         while True:
-            planned, failed = _plan_with_growth(ctx, order, config)
+            planned, failed = _plan_with_growth(ctx, order, config, stop_at)
+            stop_at = deadline
             if planned is not None or failed is None or failed in lifted:
                 break
             if out_of_time():

@@ -177,6 +177,28 @@ def test_plan_single_returns_none_when_horizon_too_short():
     inst = make_instance([(0, 0)], [(3, 0)])
     table = ReservationTable(horizon=2)
     assert plan_single(inst, 0, table, Objective.MAX) is None
+    assert table.horizon_cut
+
+
+def test_plan_single_target_visited_after_the_horizon_is_a_cut():
+    # the committed robot crosses the target at t=3, after the horizon 2
+    inst = make_instance([(0, 0), (4, 0)], [(1, 0), (1, 1)])
+    table = ReservationTable(horizon=2)
+    table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (1, 0), (1, 1)))
+    assert plan_single(inst, 0, table, Objective.MAX) is None
+    assert table.horizon_cut
+
+
+def test_plan_single_boxed_in_start_fails_without_a_horizon_cut():
+    # walls on three sides; the committed robot takes the fourth neighbour
+    # at t=1 and enters the start at t=2, so the robot can neither leave nor
+    # stay, long before the horizon: a larger horizon would fail alike
+    inst = make_instance([(0, 0), (2, 0)], [(3, 0), (0, 0)], [(0, 1), (0, -1), (-1, 0)])
+    table = ReservationTable(horizon=20)
+    table.add_path(1, pixels((2, 0), (1, 0), (0, 0)))
+    table.horizon_cut = True
+    assert plan_single(inst, 0, table, Objective.MAX) is None
+    assert not table.horizon_cut
 
 
 def test_plan_single_returns_none_for_walled_target():
@@ -416,6 +438,45 @@ def test_solve_reports_failure_on_corridor_swap():
     assert all(t.phase != "final" for t in res.telemetry)
 
 
+def record_horizons(monkeypatch):
+    """The horizon of every _plan_order call solve() makes, in call order."""
+    horizons = []
+    real_plan_order = solve_module._plan_order
+
+    def recording(ctx, order, objective, horizon, deadline=None):
+        horizons.append(horizon)
+        return real_plan_order(ctx, order, objective, horizon, deadline)
+
+    monkeypatch.setattr(solve_module, "_plan_order", recording)
+    return horizons
+
+
+def test_solve_lifts_without_growing_the_horizon_when_no_search_was_cut(monkeypatch):
+    # the corridor swap fails the same way at every horizon, so every order
+    # is tried at the initial horizon only (lb 2 + 2 robots)
+    horizons = record_horizons(monkeypatch)
+    free = [(0, 0), (1, 0), (2, 0), (1, 1)]
+    inst = make_instance([(0, 0), (2, 0)], [(2, 0), (0, 0)], seal(free))
+    res = solve(inst, SolverConfig(restarts=3, anneal_iterations=50, seed=0))
+    assert not res.success
+    assert horizons and set(horizons) == {4}
+
+
+@pytest.mark.parametrize("objective", ["max", "sum"])
+def test_solve_grows_the_horizon_when_the_horizon_cut_the_search(monkeypatch, objective):
+    # robot 0 runs the corridor's length 6 first (larger bound); robot 1
+    # must wait for it in the bay at x=5 and then walk back to x=1, which
+    # ends after the initial horizon 8 (bound 6 + 2 robots), so it is
+    # planned at the grown horizon 12
+    horizons = record_horizons(monkeypatch)
+    free = [(x, 0) for x in range(7)] + [(5, 1)]
+    inst = make_instance([(0, 0), (5, 0)], [(6, 0), (1, 0)], seal(free))
+    res = solve(inst, SolverConfig(objective=objective, horizon_factor=1.0,
+                                   restarts=1, anneal_iterations=0))
+    assert res.success and res.report.makespan == 11
+    assert horizons == [8, 12]
+
+
 def test_solve_reports_infeasible_instance():
     pocket = [(5, 4), (5, 6), (4, 5), (6, 5)]
     inst = make_instance([(0, 0)], [(5, 5)], pocket)
@@ -431,13 +492,14 @@ def test_solve_first_attempt_runs_even_with_tiny_time_limit():
 
 
 def test_solve_stops_growing_the_horizon_after_the_deadline(monkeypatch):
-    # every plan fails and every clock reading is 10 s after the last, so
-    # the 5 s limit has passed once the first horizon level is done
+    # every plan fails with its search cut by the horizon, and every clock
+    # reading is 10 s after the last, so the 5 s limit has passed once the
+    # first horizon level is done
     calls = []
 
-    def never_plans(ctx, order, objective, horizon):
+    def never_plans(ctx, order, objective, horizon, deadline=None):
         calls.append(horizon)
-        return None, order[0]
+        return None, order[0], True
 
     clock = itertools.count(step=10.0)
     monkeypatch.setattr(solve_module, "_plan_order", never_plans)
@@ -447,6 +509,28 @@ def test_solve_stops_growing_the_horizon_after_the_deadline(monkeypatch):
     assert len(calls) == 1
     assert not res.success and res.schedule is None
     assert res.failure_reason == "no feasible schedule before the 5.0 s time limit"
+
+
+def test_solve_plans_no_robot_after_the_deadline_once_the_first_order_is_done(monkeypatch):
+    # every plan_single call takes 1 s of a fake clock; the corridor swap's
+    # first order fails at 2 s, before the 2.5 s limit, so its lifted order
+    # starts and must stop before its second robot
+    now = [0.0]
+    starts = []
+    real_plan_single = solve_module.plan_single
+
+    def slow_plan_single(*args, **kwargs):
+        starts.append(now[0])
+        now[0] += 1.0
+        return real_plan_single(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "plan_single", slow_plan_single)
+    monkeypatch.setattr(solve_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    free = [(0, 0), (1, 0), (2, 0), (1, 1)]
+    inst = make_instance([(0, 0), (2, 0)], [(2, 0), (0, 0)], seal(free))
+    res = solve(inst, SolverConfig(restarts=3, anneal_iterations=50, time_limit=2.5))
+    assert starts == [0.0, 1.0, 2.0]
+    assert res.failure_reason == "no feasible schedule before the 2.5 s time limit"
 
 
 def test_solve_result_success_mirrors_schedule():
