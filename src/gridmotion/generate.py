@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Instance, Pixel
-from .validate import distance_map
+from .validate import cell_id, distance_map
 
 _TRUNCNORM_DRAWS = 64     # resample budget before clamping into the bounds
 _CLUSTER_WINDOW_RETRIES = 6   # doublings of the window side before new anchors
@@ -166,9 +166,10 @@ def fill_enclosed(obstacles: frozenset[Pixel] | set[Pixel],
     boundary, so any free boundary pixel counts as connected. Obstacles must
     lie on the map: the flood starts from the free ring just outside it."""
     obstacles = frozenset(obstacles)
-    reached = distance_map(obstacles, (-1, -1, map_width, map_height), Pixel(-1, -1))
+    window = (-1, -1, map_width, map_height)
+    reached = distance_map(obstacles, window, Pixel(-1, -1))
     return obstacles | {Pixel(x, y) for x in range(map_width) for y in range(map_height)
-                        if (x, y) not in reached}
+                        if reached[cell_id(window, (x, y))] < 0}
 
 
 def place_obstacles(params: GeneratorParams, rng: np.random.Generator) -> frozenset[Pixel]:

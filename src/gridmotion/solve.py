@@ -37,6 +37,8 @@ from .validate import (
     UnreachableTargetError,
     ValidationReport,
     bounds_from_maps,
+    cell_id,
+    cell_pixel,
     distance_map,
     search_window,
     validate_schedule,
@@ -46,8 +48,6 @@ _HORIZON_GROWTH = 1.5
 _HORIZON_CAP_FACTOR = 10
 _CRITICAL_WEIGHT = 4.0   # sampling weight of makespan-critical robots (MAX)
 _AUTO_TEMP_FACTOR = 0.1  # initial temperature as a fraction of the start value
-
-_MOVES = ((0, 1), (0, -1), (1, 0), (-1, 0))   # N, S, E, W as (dx, dy)
 
 
 @dataclass
@@ -112,49 +112,60 @@ class SolveResult:
 
 
 class ReservationTable:
-    """Space-time bookkeeping of committed robot paths.
+    """Space-time bookkeeping of committed robot paths, one per robot, keyed
+    by cell ids (:func:`gridmotion.validate.cell_id`) of ``window``'s frame.
 
     A path is the pixel sequence a robot occupies at integer times 0..T; from
     T on the robot rests on its final pixel (open-ended "parked" reservation).
-    ``static_at_zero`` holds start pixels of robots that are not planned yet:
-    they occupy those pixels at time 0 and their departure is unknown, so no
+    ``static_at_zero`` holds the start cells of robots that are not planned
+    yet: they occupy them at time 0 and their departure is unknown, so no
     one may move into them at time 1.
     """
 
-    def __init__(self, horizon: int):
+    def __init__(self, horizon: int, window: tuple[int, int, int, int]):
         self.horizon = horizon
-        self.vertex: dict = {}      # (pixel, t) -> robot
-        self.edge_from: dict = {}   # (pixel, t) -> pixel the occupant moves to at t+1
-        self.edge_into: dict = {}   # (pixel, t) -> pixel the robot arriving at t+1 comes from
-        self.parked: dict = {}      # pixel -> (robot, arrival time)
+        self.window = window
+        self.vertex: dict = {}      # (cell, t) -> robot
+        self.edge_from: dict = {}   # (cell, t) -> cell the occupant moves to at t+1
+        self.edge_into: dict = {}   # (cell, t) -> cell the robot arriving at t+1 comes from
+        self.parked: dict = {}      # cell -> (robot, arrival time)
         self.static_at_zero: set = set()
         self.horizon_cut = False    # the horizon pruned the last plan_single search
-        self._times: dict = {}      # pixel -> set of reserved times
+        self._times: dict = {}      # cell -> set of reserved times
+        self._paths: dict = {}      # robot -> its committed cells
 
     def add_path(self, robot: int, path: Sequence[Pixel]) -> None:
-        for t, p in enumerate(path):
-            key = (p, t)
+        x0, y0, x1, y1 = self.window
+        stride = y1 - y0 + 3   # cell_id, inlined
+        cells = [(x - x0 + 1) * stride + y - y0 + 1
+                 for x, y in path if x0 <= x <= x1 and y0 <= y <= y1]
+        if len(cells) < len(path):
+            raise ValueError(f"path leaves the window {self.window}")
+        for t, c in enumerate(cells):
+            key = (c, t)
             if key in self.vertex:
-                raise ValueError(f"pixel {tuple(p)} already reserved at t={t}")
+                raise ValueError(f"pixel {tuple(path[t])} already reserved at t={t}")
             self.vertex[key] = robot
-            self._times.setdefault(p, set()).add(t)
-        for t in range(len(path) - 1):
-            a, b = path[t], path[t + 1]
+            self._times.setdefault(c, set()).add(t)
+        for t in range(len(cells) - 1):
+            a, b = cells[t], cells[t + 1]
             if a != b:
                 self.edge_from[(a, t)] = b
                 self.edge_into[(b, t)] = a
-        end = path[-1]
+        end = cells[-1]
         if end in self.parked:
-            raise ValueError(f"pixel {tuple(end)} already parked on")
-        self.parked[end] = (robot, len(path) - 1)
+            raise ValueError(f"pixel {tuple(path[-1])} already parked on")
+        self.parked[end] = (robot, len(cells) - 1)
+        self._paths[robot] = cells
 
-    def remove_path(self, robot: int, path: Sequence[Pixel]) -> None:
-        for t, p in enumerate(path):
-            del self.vertex[(p, t)]
-            times = self._times[p]
+    def remove_path(self, robot: int) -> None:
+        path = self._paths.pop(robot)
+        for t, c in enumerate(path):
+            del self.vertex[(c, t)]
+            times = self._times[c]
             times.discard(t)
             if not times:
-                del self._times[p]
+                del self._times[c]
         for t in range(len(path) - 1):
             a, b = path[t], path[t + 1]
             if a != b:
@@ -162,27 +173,26 @@ class ReservationTable:
                 del self.edge_into[(b, t)]
         del self.parked[path[-1]]
 
-    def blocked_at(self, pixel, t: int) -> bool:
-        if (pixel, t) in self.vertex:
+    def blocked_at(self, cell: int, t: int) -> bool:
+        if (cell, t) in self.vertex:
             return True
-        rec = self.parked.get(pixel)
+        rec = self.parked.get(cell)
         if rec is not None and t >= rec[1]:
             return True
-        return t == 0 and pixel in self.static_at_zero
+        return t == 0 and cell in self.static_at_zero
 
-    def last_visit(self, pixel) -> float:
-        """Last time any committed robot occupies the pixel; -1 when never,
-        +inf for parked pixels."""
-        if pixel in self.parked:
+    def last_visit(self, cell: int) -> float:
+        """Last time any committed robot occupies the cell; -1 when never,
+        +inf for parked cells."""
+        if cell in self.parked:
             return math.inf
-        times = self._times.get(pixel)
+        times = self._times.get(cell)
         return max(times) if times else -1
 
 
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 objective: Objective, horizon: Optional[int] = None,
-                window: Optional[tuple[int, int, int, int]] = None,
-                dist_map: Optional[dict] = None) -> Optional[list[Pixel]]:
+                field: Optional[list] = None) -> Optional[list[Pixel]]:
     """Cheapest space-time path for one robot against committed reservations.
 
     Path cost is (arrival, moves) for MAX and (moves, arrival) for SUM,
@@ -191,65 +201,63 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     robot may end only at a time after which no committed path visits the
     target again, because arrival parks it there forever.
 
-    The heap orders states by the two cost keys, each plus the distance ``h``
-    to the target, and then by ``h`` itself: among states of equal cost the
-    one nearest the target is expanded first, so on an open grid the search
-    follows one shortest path instead of sweeping every tied one. An
-    insertion counter settles what remains, so results are deterministic.
+    The search runs over the cell ids of ``table.window``; ``field`` is the
+    robot's :func:`distance_map` there (flooded when None), negative on
+    walls. The heap orders states by the two cost keys, each plus the
+    field's distance ``h`` to the target, then by ``h``: among states of
+    equal cost the one nearest the target is expanded first, so on an open
+    grid the search follows one shortest path instead of sweeping every tied
+    one. An insertion counter settles the rest, so results are deterministic.
 
     Sets ``table.horizon_cut`` when the horizon cut the search: the target
     is visited after the horizon, or a successor of a state at the horizon
     was dropped. A failed search that was not cut fails alike at any horizon.
     """
-    start = instance.starts[robot]
-    target = instance.targets[robot]
-    if window is None:
-        window = search_window(instance)
+    window = table.window
+    start = cell_id(window, instance.starts[robot])
+    goal = cell_id(window, instance.targets[robot])
     if horizon is None:
         horizon = table.horizon
     if table.blocked_at(start, 0):
         raise ValueError(f"start of robot {robot} is reserved at time 0")
-    if dist_map is None:
-        dist_map = distance_map(instance.obstacles, window, target)
+    if field is None:
+        field = distance_map(instance.obstacles, window, instance.targets[robot])
     table.horizon_cut = False
-    x0, y0, x1, y1 = window
-    obstacles = instance.obstacles
+    stride = window[3] - window[1] + 3
+    moves = (1, -1, stride, -stride)   # N, S, E, W
     vertex = table.vertex
     edge_from = table.edge_from
     edge_into = table.edge_into
     parked = table.parked
     static0 = table.static_at_zero
-    sum_objective = objective is Objective.SUM
+    sum_objective = Objective(objective) is Objective.SUM
 
-    h0 = dist_map.get((start.x, start.y))
-    if h0 is None:
+    h0 = field[start]
+    if h0 < 0:
         return None
-    goal_free_from = table.last_visit(target) + 1
+    goal_free_from = table.last_visit(goal) + 1
     if goal_free_from > horizon:
         table.horizon_cut = True
         return None
 
-    # one dict per time step, keyed by (x, y): a single dict keyed by
-    # (x, y, t) grows to multi-megabyte tables on wide windows, and their
+    # one dict per time step, keyed by cell: a single dict keyed by (cell, t)
+    # grows to multi-megabyte tables on wide windows, and their
     # reallocations made peak memory differ from run to run
-    p0 = (start.x, start.y)
-    best = [{} for _ in range(horizon + 1)]     # fewest moves to (x, y) at t
-    parent = [{} for _ in range(horizon + 1)]   # (x, y) at t -> (x, y) at t-1
-    best[0][p0] = 0
+    best = [{} for _ in range(horizon + 1)]     # fewest moves to a cell at t
+    parent = [{} for _ in range(horizon + 1)]   # cell at t -> cell at t-1
+    best[0][start] = 0
     counter = itertools.count()
-    heap = [(h0, h0, h0, next(counter), p0, 0, 0)]
+    heap = [(h0, h0, h0, next(counter), start, 0, 0)]
     while heap:
         _, _, _, _, p, t, moves_in = heapq.heappop(heap)
         if best[t].get(p) != moves_in:
             continue   # stale heap entry
-        px, py = p
-        if px == target.x and py == target.y and t >= goal_free_from:
-            path = [Pixel(px, py)]
+        if p == goal and t >= goal_free_from:
+            path = [p]
             for k in range(t, 0, -1):
                 p = parent[k][p]
-                path.append(Pixel(p[0], p[1]))
-            path.reverse()
-            return path
+                path.append(p)
+            return [cell_pixel(window, c) for c in reversed(path)]
         nt = t + 1
         if nt > horizon:
             table.horizon_cut = True
@@ -257,31 +265,26 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
         best_next = best[nt]
         parent_next = parent[nt]
         incoming = edge_into.get((p, t))
-        for dx, dy in _MOVES:
-            qx, qy = px + dx, py + dy
-            if qx < x0 or qx > x1 or qy < y0 or qy > y1:
-                continue
-            q = (qx, qy)
-            if q in obstacles:
-                continue
+        for d in moves:
+            q = p + d
+            h = field[q]
+            if h < 0:
+                continue   # ring, obstacle or cut off from the target
             if (q, nt) in vertex:
                 continue
             rec = parked.get(q)
             if rec is not None and nt >= rec[1]:
                 continue
-            # R3 against committed paths: entering an occupied pixel requires
+            # R3 against committed paths: entering an occupied cell requires
             # the occupant to leave it with the same displacement now
             if (q, t) in vertex:
-                if edge_from.get((q, t)) != (qx + dx, qy + dy):
+                if edge_from.get((q, t)) != q + d:
                     continue
             elif (rec is not None and t >= rec[1]) or (t == 0 and q in static0):
                 continue   # parked or unplanned occupant never departs
-            # and symmetrically: if a committed robot enters our pixel now,
+            # and symmetrically: if a committed robot enters our cell now,
             # we must vacate it in that robot's direction
-            if incoming is not None and (px - incoming[0], py - incoming[1]) != (dx, dy):
-                continue
-            h = dist_map.get(q)
-            if h is None:
+            if incoming is not None and p - incoming != d:
                 continue
             nmoves = moves_in + 1
             old = best_next.get(q)
@@ -300,7 +303,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             if old is None or old > moves_in:
                 best_next[p] = moves_in
                 parent_next[p] = p
-                h = dist_map[p]
+                h = field[p]
                 if sum_objective:
                     f1, f2 = moves_in + h, nt + h
                 else:
@@ -319,17 +322,19 @@ def _horizon_cap(lb_makespan: int, n_robots: int) -> int:
 
 class _SolveContext:
     """Shared immutable data for one solver run: its start time, the window,
-    each robot's distance map to its target and the lower bounds read off
-    those maps. Raises UnreachableTargetError like :func:`lower_bounds`."""
+    each robot's start cell id and distance field to its target, and the
+    lower bounds read off those fields. Raises UnreachableTargetError like
+    :func:`lower_bounds`."""
 
     def __init__(self, instance: Instance):
         self.started = time.monotonic()
         self.instance = instance
         self.window = search_window(instance)
-        self.dist_maps = [distance_map(instance.obstacles, self.window, t)
-                          for t in instance.targets]
+        self.start_cells = [cell_id(self.window, s) for s in instance.starts]
+        self.fields = [distance_map(instance.obstacles, self.window, t)
+                       for t in instance.targets]
         self.lb_makespan, self.lb_total, self.per_robot = bounds_from_maps(
-            instance, self.dist_maps)
+            instance, self.window, self.fields)
 
     def deadline(self, config: SolverConfig) -> Optional[float]:
         if config.time_limit is None:
@@ -346,15 +351,15 @@ def _plan_order(ctx: _SolveContext, order: Sequence[int], objective: Objective,
     whether the horizon cut its search) when some robot finds no path, and
     (None, None, False) when ``deadline`` passes before a robot is planned."""
     instance = ctx.instance
-    table = ReservationTable(horizon)
-    table.static_at_zero = set(instance.starts)
+    table = ReservationTable(horizon, ctx.window)
+    table.static_at_zero = set(ctx.start_cells)
     paths: dict[int, list[Pixel]] = {}
     for robot in order:
         if deadline is not None and time.monotonic() >= deadline:
             return None, None, False
-        table.static_at_zero.discard(instance.starts[robot])
+        table.static_at_zero.discard(ctx.start_cells[robot])
         path = plan_single(instance, robot, table, objective, horizon,
-                           ctx.window, ctx.dist_maps[robot])
+                           ctx.fields[robot])
         if path is None:
             return None, robot, table.horizon_cut
         table.add_path(robot, path)
@@ -562,7 +567,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
             deadline: Optional[float]) -> tuple[dict, int]:
     instance = ctx.instance
     objective = config.objective
-    table = ReservationTable(horizon)
+    table = ReservationTable(horizon, ctx.window)
     current = dict(start_paths)
     for i, path in current.items():
         table.add_path(i, path)
@@ -585,16 +590,16 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
         old_paths = {i: current[i] for i in chosen}
         old_stats = {i: stats[i] for i in chosen}
         for i in chosen:
-            table.remove_path(i, current[i])
+            table.remove_path(i)
         replan_order = list(chosen)
         rng.shuffle(replan_order)
-        table.static_at_zero = {instance.starts[i] for i in replan_order}
+        table.static_at_zero = {ctx.start_cells[i] for i in replan_order}
         new_paths: dict[int, list[Pixel]] = {}
         ok = True
         for i in replan_order:
-            table.static_at_zero.discard(instance.starts[i])
+            table.static_at_zero.discard(ctx.start_cells[i])
             path = plan_single(instance, i, table, objective, horizon,
-                               ctx.window, ctx.dist_maps[i])
+                               ctx.fields[i])
             if path is None:
                 ok = False
                 break
@@ -603,7 +608,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
         table.static_at_zero = set()
         if not ok:
             for i in new_paths:
-                table.remove_path(i, new_paths[i])
+                table.remove_path(i)
             for i in chosen:
                 table.add_path(i, old_paths[i])
             continue
@@ -624,7 +629,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
                     break
         else:
             for i in chosen:
-                table.remove_path(i, current[i])
+                table.remove_path(i)
             for i in chosen:
                 table.add_path(i, old_paths[i])
                 current[i] = old_paths[i]

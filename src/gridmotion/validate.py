@@ -18,7 +18,6 @@ equals the instance targets index for index. All functions are pure.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -140,30 +139,55 @@ def search_window(instance: Instance, margin: int = 1) -> tuple[int, int, int, i
     return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
 
 
+def cell_id(window: tuple[int, int, int, int], pixel) -> int:
+    """Id of ``pixel`` in the window padded by a one-cell ring, by column:
+    id ``c`` has neighbours ``c + 1`` (N), ``c - 1`` (S), ``c + stride`` (E)
+    and ``c - stride`` (W), where ``stride = y1 - y0 + 3``."""
+    x0, y0, _, y1 = window
+    return (pixel[0] - x0 + 1) * (y1 - y0 + 3) + pixel[1] - y0 + 1
+
+
+def cell_pixel(window: tuple[int, int, int, int], cell: int) -> Pixel:
+    """The pixel whose :func:`cell_id` in ``window``'s frame is ``cell``."""
+    x0, y0, _, y1 = window
+    x, y = divmod(cell, y1 - y0 + 3)
+    return Pixel(x + x0 - 1, y + y0 - 1)
+
+
 def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
-                 target: Pixel) -> dict:
-    """Grid distances to ``target`` for every free pixel of the window that
-    reaches it, keyed by (x, y); paths stay inside the inclusive window."""
+                 target: Pixel) -> list:
+    """Grid distances to ``target`` over the window's padded frame, indexed
+    by :func:`cell_id`; paths stay inside the inclusive window. The ring,
+    obstacles and cells that cannot reach the target read -1, so a search
+    over ids needs no bounds test: a negative entry is a wall."""
     x0, y0, x1, y1 = window
-    dist = {(target.x, target.y): 0}
-    queue = deque(((target.x, target.y),))
-    while queue:
-        p = queue.popleft()
-        d = dist[p] + 1
-        px, py = p
-        for q in ((px, py + 1), (px, py - 1), (px + 1, py), (px - 1, py)):
-            if (x0 <= q[0] <= x1 and y0 <= q[1] <= y1
-                    and q not in dist and q not in obstacles):
-                dist[q] = d
-                queue.append(q)
-    return dist
+    stride = y1 - y0 + 3
+    field = [-1] * ((x1 - x0 + 3) * stride)
+    inner = [None] * (stride - 2)   # None: free, not reached yet
+    for c in range(stride, len(field) - stride, stride):
+        field[c + 1:c + stride - 1] = inner
+    for p in obstacles:
+        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
+            field[cell_id(window, p)] = -1
+    frontier = [cell_id(window, target)]
+    field[frontier[0]] = d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for c in frontier:
+            for q in (c + 1, c - 1, c + stride, c - stride):
+                if field[q] is None:
+                    field[q] = d
+                    reached.append(q)
+        frontier = reached
+    return [-1 if v is None else v for v in field] if None in field else field
 
 
 def _grid_distance(obstacles: frozenset, window: tuple[int, int, int, int],
-                   start: Pixel, target: Pixel) -> Optional[int]:
+                   start: Pixel, target: Pixel) -> int:
     """Length of a shortest path from ``start`` to ``target`` that avoids
-    ``obstacles`` and stays inside the inclusive window; None when there is
-    none.
+    ``obstacles`` and stays inside the inclusive window; -1 when there is
+    none, as in :func:`distance_map`.
 
     This is A* with the Manhattan heuristic ``h``. The heap orders cells by
     ``g + h``, then by ``h`` (nearer the target first), then by (x, y), so
@@ -195,26 +219,26 @@ def _grid_distance(obstacles: frozenset, window: tuple[int, int, int, int],
                 g[q] = d
                 hq = abs(qx - tx) + abs(qy - ty)
                 heapq.heappush(heap, (d + hq, hq, qx, qy))
-    return None
+    return -1
 
 
 def _bounds(instance: Instance,
-            distances: Iterable[Optional[int]]) -> tuple[int, int, tuple[int, ...]]:
+            distances: Iterable[int]) -> tuple[int, int, tuple[int, ...]]:
     per_robot: list[int] = []
     for i, (s, t, d) in enumerate(zip(instance.starts, instance.targets, distances)):
-        if d is None:
+        if d < 0:
             raise UnreachableTargetError(
                 i, f"robot {i}: target {tuple(t)} unreachable from start {tuple(s)}")
         per_robot.append(d)
     return max(per_robot), sum(per_robot), tuple(per_robot)
 
 
-def bounds_from_maps(instance: Instance,
-                     maps: Iterable[dict]) -> tuple[int, int, tuple[int, ...]]:
+def bounds_from_maps(instance: Instance, window: tuple[int, int, int, int],
+                     maps: Iterable[list]) -> tuple[int, int, tuple[int, ...]]:
     """(lb_makespan, lb_total, per_robot) read off each robot's distance map
-    to its target, ``maps`` in robot order. Raises UnreachableTargetError
-    when some start is missing from its map."""
-    return _bounds(instance, (dist.get(s) for s, dist in zip(instance.starts, maps)))
+    to its target over ``window``, ``maps`` in robot order. Raises
+    UnreachableTargetError when some start reads -1 in its map."""
+    return _bounds(instance, (m[cell_id(window, s)] for s, m in zip(instance.starts, maps)))
 
 
 def lower_bounds(instance: Instance) -> tuple[int, int, tuple[int, ...]]:

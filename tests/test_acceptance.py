@@ -298,5 +298,5 @@ def test_lower_bounds_insensitive_to_window_growth():
     for inst in cases:
         wide = search_window(inst, 60)
         assert lower_bounds(inst) == bounds_from_maps(
-            inst, (distance_map(inst.obstacles, wide, t) for t in inst.targets))
+            inst, wide, (distance_map(inst.obstacles, wide, t) for t in inst.targets))
     print(f"PASS window-margin: bounds stable for {len(cases)} instances")

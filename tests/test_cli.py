@@ -6,6 +6,7 @@ no such script is on PATH, and an entry-point check reads pyproject.toml
 to confirm that the script and ``python -m`` call the same function."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -343,12 +344,17 @@ def test_render_notes_infeasible_solution(tmp_path, capsys):
 # ----------------------------------------------------------------- misc
 
 def test_help_smoke_in_subprocess():
+    # the child imports the same gridmotion as this process, also when the
+    # suite found it through pytest's pythonpath rather than PYTHONPATH
+    src = str(Path(run_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c",
                            "from gridmotion.cli import main_entry; main_entry()"],
-                          input="", capture_output=True, text=True)
+                          input="", capture_output=True, text=True, env=env)
     assert proc.returncode == 2   # no subcommand given
     proc = subprocess.run([sys.executable, "-m", "gridmotion", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "render" in proc.stdout
 

@@ -3,6 +3,7 @@ search, prioritized planning against the exhaustive joint optimum of
 ``oracles.joint_optimal``, and the full solve() entry point with its
 telemetry, deadline and failure contracts."""
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -14,7 +15,9 @@ import pytest
 import oracles
 from conftest import make_instance, seal
 import gridmotion.solve as solve_module
-from gridmotion.model import Objective, Pixel
+from gridmotion.formats import emit_solution
+from gridmotion.generate import GeneratorParams, generate
+from gridmotion.model import Configuration, Objective, Pixel, apply_step
 from gridmotion.solve import (
     ReservationTable,
     SolverConfig,
@@ -24,7 +27,7 @@ from gridmotion.solve import (
     prioritized_plan,
     solve,
 )
-from gridmotion.validate import lower_bounds, validate_schedule
+from gridmotion.validate import cell_id, lower_bounds, search_window, validate_schedule
 
 
 def pixels(*coords):
@@ -92,67 +95,82 @@ def rooms(count, first_seed=0):
 
 # ----------------------------------------------------- reservation table
 
+WINDOW = (0, 0, 9, 9)
+
+
+def cell(x, y):
+    return cell_id(WINDOW, (x, y))
+
+
 def test_table_records_vertices_edges_and_parking():
-    table = ReservationTable(horizon=10)
+    table = ReservationTable(10, WINDOW)
     path = pixels((0, 0), (1, 0), (1, 0), (2, 0))
     table.add_path(3, path)
 
-    assert table.blocked_at(Pixel(0, 0), 0)
-    assert not table.blocked_at(Pixel(0, 0), 1)
-    assert table.blocked_at(Pixel(1, 0), 1)
-    assert table.blocked_at(Pixel(1, 0), 2)
-    assert not table.blocked_at(Pixel(1, 0), 3)
+    assert table.blocked_at(cell(0, 0), 0)
+    assert not table.blocked_at(cell(0, 0), 1)
+    assert table.blocked_at(cell(1, 0), 1)
+    assert table.blocked_at(cell(1, 0), 2)
+    assert not table.blocked_at(cell(1, 0), 3)
     # parked on the final pixel from arrival onward
-    assert table.blocked_at(Pixel(2, 0), 3)
-    assert table.blocked_at(Pixel(2, 0), 99)
-    assert not table.blocked_at(Pixel(2, 0), 2)
+    assert table.blocked_at(cell(2, 0), 3)
+    assert table.blocked_at(cell(2, 0), 99)
+    assert not table.blocked_at(cell(2, 0), 2)
 
-    assert table.edge_from[(Pixel(0, 0), 0)] == Pixel(1, 0)
-    assert table.edge_into[(Pixel(1, 0), 0)] == Pixel(0, 0)
+    assert table.edge_from[(cell(0, 0), 0)] == cell(1, 0)
+    assert table.edge_into[(cell(1, 0), 0)] == cell(0, 0)
     # waiting in place is not an edge
-    assert (Pixel(1, 0), 1) not in table.edge_from
+    assert (cell(1, 0), 1) not in table.edge_from
 
-    assert table.last_visit(Pixel(0, 0)) == 0
-    assert table.last_visit(Pixel(1, 0)) == 2
-    assert table.last_visit(Pixel(2, 0)) == math.inf
-    assert table.last_visit(Pixel(9, 9)) == -1
+    assert table.last_visit(cell(0, 0)) == 0
+    assert table.last_visit(cell(1, 0)) == 2
+    assert table.last_visit(cell(2, 0)) == math.inf
+    assert table.last_visit(cell(9, 9)) == -1
 
 
 def test_table_remove_restores_empty_state():
-    table = ReservationTable(horizon=10)
+    table = ReservationTable(10, WINDOW)
     keep = pixels((5, 5), (5, 6))
     gone = pixels((0, 0), (1, 0), (2, 0))
     table.add_path(0, keep)
     table.add_path(1, gone)
-    table.remove_path(1, gone)
+    table.remove_path(1)
 
-    assert not table.blocked_at(Pixel(0, 0), 0)
-    assert not table.blocked_at(Pixel(2, 0), 5)
-    assert table.last_visit(Pixel(1, 0)) == -1
-    assert table.last_visit(Pixel(5, 6)) == math.inf
-    assert Pixel(2, 0) not in table.parked
+    assert not table.blocked_at(cell(0, 0), 0)
+    assert not table.blocked_at(cell(2, 0), 5)
+    assert table.last_visit(cell(1, 0)) == -1
+    assert table.last_visit(cell(5, 6)) == math.inf
+    assert cell(2, 0) not in table.parked
 
     # the slot is reusable after removal
     table.add_path(2, gone)
-    assert table.blocked_at(Pixel(1, 0), 1)
+    assert table.blocked_at(cell(1, 0), 1)
 
 
 def test_table_rejects_conflicting_reservations():
-    table = ReservationTable(horizon=10)
+    table = ReservationTable(10, WINDOW)
     table.add_path(0, pixels((0, 0), (1, 0)))
     with pytest.raises(ValueError):
         table.add_path(1, pixels((2, 0), (1, 0)))   # same pixel, same time
-    table2 = ReservationTable(horizon=10)
+    table2 = ReservationTable(10, WINDOW)
     table2.add_path(0, pixels((0, 0), (1, 0)))
     with pytest.raises(ValueError):
         table2.add_path(1, pixels((1, 1), (1, 0), (1, 0)))  # parks on a parked pixel
 
 
+def test_table_rejects_paths_outside_its_window():
+    # ids are unique only inside the frame: (0, 10) shares its id with (1, -2)
+    table = ReservationTable(10, WINDOW)
+    with pytest.raises(ValueError, match="leaves the window"):
+        table.add_path(0, pixels((0, 9), (0, 10)))
+    assert not table.vertex
+
+
 def test_table_static_starts_block_time_zero_only():
-    table = ReservationTable(horizon=10)
-    table.static_at_zero = {Pixel(4, 4)}
-    assert table.blocked_at(Pixel(4, 4), 0)
-    assert not table.blocked_at(Pixel(4, 4), 1)
+    table = ReservationTable(10, WINDOW)
+    table.static_at_zero = {cell(4, 4)}
+    assert table.blocked_at(cell(4, 4), 0)
+    assert not table.blocked_at(cell(4, 4), 1)
 
 
 # --------------------------------------------------------- plan_single
@@ -160,14 +178,14 @@ def test_table_static_starts_block_time_zero_only():
 def test_plan_single_straight_line_both_objectives():
     inst = make_instance([(0, 0)], [(2, 0)])
     for objective in (Objective.MAX, Objective.SUM):
-        table = ReservationTable(horizon=8)
+        table = ReservationTable(8, search_window(inst))
         path = plan_single(inst, 0, table, objective)
         assert as_tuples(path) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_plan_single_rejects_reserved_start():
     inst = make_instance([(0, 0)], [(2, 0)])
-    table = ReservationTable(horizon=8)
+    table = ReservationTable(8, search_window(inst))
     table.add_path(5, pixels((0, 0)))
     with pytest.raises(ValueError):
         plan_single(inst, 0, table, Objective.MAX)
@@ -175,7 +193,7 @@ def test_plan_single_rejects_reserved_start():
 
 def test_plan_single_returns_none_when_horizon_too_short():
     inst = make_instance([(0, 0)], [(3, 0)])
-    table = ReservationTable(horizon=2)
+    table = ReservationTable(2, search_window(inst))
     assert plan_single(inst, 0, table, Objective.MAX) is None
     assert table.horizon_cut
 
@@ -183,7 +201,7 @@ def test_plan_single_returns_none_when_horizon_too_short():
 def test_plan_single_target_visited_after_the_horizon_is_a_cut():
     # the committed robot crosses the target at t=3, after the horizon 2
     inst = make_instance([(0, 0), (4, 0)], [(1, 0), (1, 1)])
-    table = ReservationTable(horizon=2)
+    table = ReservationTable(2, search_window(inst))
     table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (1, 0), (1, 1)))
     assert plan_single(inst, 0, table, Objective.MAX) is None
     assert table.horizon_cut
@@ -194,7 +212,7 @@ def test_plan_single_boxed_in_start_fails_without_a_horizon_cut():
     # at t=1 and enters the start at t=2, so the robot can neither leave nor
     # stay, long before the horizon: a larger horizon would fail alike
     inst = make_instance([(0, 0), (2, 0)], [(3, 0), (0, 0)], [(0, 1), (0, -1), (-1, 0)])
-    table = ReservationTable(horizon=20)
+    table = ReservationTable(20, search_window(inst))
     table.add_path(1, pixels((2, 0), (1, 0), (0, 0)))
     table.horizon_cut = True
     assert plan_single(inst, 0, table, Objective.MAX) is None
@@ -204,7 +222,7 @@ def test_plan_single_boxed_in_start_fails_without_a_horizon_cut():
 def test_plan_single_returns_none_for_walled_target():
     pocket = [(5, 4), (5, 6), (4, 5), (6, 5)]
     inst = make_instance([(0, 0)], [(5, 5)], pocket)
-    table = ReservationTable(horizon=40)
+    table = ReservationTable(40, search_window(inst))
     assert plan_single(inst, 0, table, Objective.MAX) is None
 
 
@@ -214,7 +232,7 @@ def test_plan_single_waits_until_target_is_free_forever():
     # MAX makes it by looping south and entering behind the occupant's exit
     # (same-direction train); SUM keeps the single move and lands at t=4.
     inst = make_instance([(1, 0), (4, 0)], [(2, 0), (2, 1)])
-    table = ReservationTable(horizon=12)
+    table = ReservationTable(12, search_window(inst))
     table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (2, 1)))
     fast = plan_single(inst, 0, table, Objective.MAX)
     assert as_tuples(fast) == [(1, 0), (1, -1), (2, -1), (2, 0)]
@@ -222,11 +240,22 @@ def test_plan_single_waits_until_target_is_free_forever():
     assert as_tuples(lazy) == [(1, 0), (1, 0), (1, 0), (1, 0), (2, 0)]
 
 
+def test_plan_single_takes_objective_names():
+    # "sum" must plan for SUM like Objective.SUM, not fall through to MAX
+    inst = make_instance([(1, 0), (4, 0)], [(2, 0), (2, 1)])
+    table = ReservationTable(12, search_window(inst))
+    table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (2, 1)))
+    for objective in Objective:
+        assert (plan_single(inst, 0, table, objective.value)
+                == plan_single(inst, 0, table, objective))
+    assert as_tuples(plan_single(inst, 0, table, "sum")) == [(1, 0)] * 4 + [(2, 0)]
+
+
 def test_plan_single_vacates_in_direction_of_incoming_robot():
     # Robot 1 is committed to move west into our start pixel at the first
     # step. We must leave west too; waiting or stepping aside is a collision.
     inst = make_instance([(0, 0), (1, 0)], [(0, 1), (0, 0)])
-    table = ReservationTable(horizon=8)
+    table = ReservationTable(8, search_window(inst))
     table.add_path(1, pixels((1, 0), (0, 0), (0, 0)))
     path = plan_single(inst, 0, table, Objective.MAX)
     assert as_tuples(path) == [(0, 0), (-1, 0), (-1, 1), (0, 1)]
@@ -239,7 +268,7 @@ def test_plan_single_trains_behind_committed_robot():
     inst = make_instance([(0, 0), (1, 1)], [(2, 0), (3, 0)], seal(free),
                          name="shaft")
     for objective in (Objective.MAX, Objective.SUM):
-        table = ReservationTable(horizon=12)
+        table = ReservationTable(12, search_window(inst))
         leader = plan_single(inst, 1, table, objective)
         assert as_tuples(leader) == [(1, 1), (1, 0), (2, 0), (3, 0)]
         table.add_path(1, leader)
@@ -255,7 +284,7 @@ def test_plan_single_head_on_corridor_reverses_into_bay():
     free = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (2, 1)]
     inst = make_instance([(0, 0), (4, 0)], [(4, 0), (2, 1)], seal(free),
                          name="headon")
-    table = ReservationTable(horizon=20)
+    table = ReservationTable(20, search_window(inst))
     p1 = plan_single(inst, 1, table, Objective.MAX)
     assert as_tuples(p1) == [(4, 0), (3, 0), (2, 0), (2, 1)]
     table.add_path(1, p1)
@@ -283,7 +312,7 @@ def test_plan_single_search_follows_the_path_not_the_square(monkeypatch):
                          name="diagonal")
     for objective in (Objective.MAX, Objective.SUM):
         pushes[0] = 0
-        path = plan_single(inst, 0, ReservationTable(horizon=400), objective)
+        path = plan_single(inst, 0, ReservationTable(400, search_window(inst)), objective)
         assert len(path) - 1 == 200
         assert pushes[0] <= 10 * 200
 
@@ -536,3 +565,49 @@ def test_solve_plans_no_robot_after_the_deadline_once_the_first_order_is_done(mo
 def test_solve_result_success_mirrors_schedule():
     ok = SolveResult(Objective.MAX, None, None, None, [], failure_reason="x")
     assert not ok.success
+
+
+# sha1 of emit_solution for small generated maps under both objectives; any
+# change to the search order or its tie-breaks shows here (the last two maps
+# change when E and W trade places in the move order).
+# (width, height, density, obstacle_count, seed) -> {objective: sha1}
+PINNED_SCHEDULES = {
+    (6, 6, 0.3, 2, 0): {"max": "d0d5532541238468f49ed6bdbe051d5e27d7bd03",
+                        "sum": "402a07902181c871d43af75f094ecb5ca2c0e05a"},
+    (6, 6, 0.3, 2, 1): {"max": "b8ff7eae28ebda5bb220d902a121fc704b505de8",
+                        "sum": "a1ea86a577f833e1532b82a21e9a91154cbea59c"},
+    (7, 7, 0.4, 3, 1): {"max": "cbc458f1194545983ae66f9275a2523e088c8e8f",
+                        "sum": "c8f9f70c1ebf7df59d68d33182e9861a13d8e317"},
+    (8, 8, 0.3, 3, 4): {"max": "92958e99e3a6268247e6e21945222164816a7efa",
+                        "sum": "3e52703b9f1aaa233b0a184ef8cb07b547996283"},
+    (10, 10, 0.3, 3, 0): {"max": "ad1e1dde5c66f1a4233f7eee28c27fa4813d1649",
+                          "sum": "63537bc8748db05bc5bf1c4cb76a14851fadff9d"},
+}
+
+
+def test_solve_reproduces_pinned_schedules(monkeypatch):
+    horizons = []
+    real_plan_order = solve_module._plan_order
+
+    def recording(ctx, order, objective, horizon, deadline=None):
+        horizons.append(horizon)
+        return real_plan_order(ctx, order, objective, horizon, deadline)
+
+    monkeypatch.setattr(solve_module, "_plan_order", recording)
+    grew = negative = 0
+    for (w, h, density, count, seed), expected in PINNED_SCHEDULES.items():
+        inst = generate(GeneratorParams(w, h, density, obstacle_count=count,
+                                        seed=seed)).instance
+        for objective, sha in expected.items():
+            horizons.clear()
+            res = solve(inst, SolverConfig(objective=objective, restarts=2,
+                                           anneal_iterations=60))
+            text = emit_solution(res.schedule)
+            assert hashlib.sha1(text.encode()).hexdigest() == sha, (w, h, seed, objective)
+            grew += len(set(horizons)) > 1
+            config = Configuration(inst.starts)
+            for step in res.schedule.steps:
+                config = apply_step(config, step)
+                negative += any(p.x < 0 or p.y < 0 for p in config.positions)
+    # the pins cover horizon growth and paths through the ring below the map
+    assert grew >= 2 and negative >= 2

@@ -18,6 +18,8 @@ from gridmotion.validate import (
     RULE_TRAIN,
     UnreachableTargetError,
     bounds_from_maps,
+    cell_id,
+    cell_pixel,
     check_step,
     distance_map,
     lower_bounds,
@@ -279,6 +281,44 @@ def test_lower_bounds_random_against_oracle():
             assert lower_bounds(inst)[0] == expected
 
 
+def read(field, window, pixel):
+    """A distance field's entry for ``pixel``, None where it reads -1."""
+    d = field[cell_id(window, pixel)]
+    return d if d >= 0 else None
+
+
+def test_cell_ids_round_trip_over_the_padded_frame():
+    # the frame spans the window plus its ring, here at negative coordinates
+    window = (-3, -5, 2, -1)
+    frame = [(x, y) for x in range(-4, 4) for y in range(-6, 1)]
+    ids = [cell_id(window, p) for p in frame]
+    assert ids == list(range(len(frame)))
+    assert [cell_pixel(window, c) for c in ids] == frame
+    stride = -1 - (-5) + 3
+    c = cell_id(window, (0, -3))
+    assert [cell_pixel(window, c + d) for d in (1, -1, stride, -stride)] == [
+        (0, -2), (0, -4), (1, -3), (-1, -3)]
+
+
+def test_distance_map_ring_and_obstacles_are_walls():
+    window = (-2, -1, 1, 1)
+    obstacles = frozenset({Pixel(0, 0), Pixel(5, 5)})   # (5, 5) lies outside
+    field = distance_map(obstacles, window, Pixel(-2, -1))
+    assert len(field) == (1 - (-2) + 3) * (1 - (-1) + 3)
+    for x in range(-3, 3):
+        for y in range(-2, 3):
+            inside = -2 <= x <= 1 and -1 <= y <= 1
+            if not inside or (x, y) == (0, 0):
+                assert field[cell_id(window, (x, y))] == -1, (x, y)
+            else:
+                assert read(field, window, (x, y)) == abs(x + 2) + abs(y + 1), (x, y)
+    # a free cell cut off from the target reads -1 too: the two walls and
+    # the ring close off the corner (0, 0)
+    walled = frozenset({Pixel(1, 0), Pixel(0, 1)})
+    assert read(distance_map(walled, (0, 0, 2, 2), Pixel(0, 0)), (0, 0, 2, 2),
+                (2, 2)) is None
+
+
 def test_distance_map_on_margin_one_window_matches_wide_bfs():
     # the planner's heuristic: every free cell of the default window must
     # carry its true grid distance, as measured with room to detour far out;
@@ -299,7 +339,7 @@ def test_distance_map_on_margin_one_window_matches_wide_bfs():
             for y in range(y0, y1 + 1):
                 if (x, y) not in inst.obstacles:
                     expected = oracles.grid_bfs_distance(cells[1], (x, y), obstacles, wide)
-                    assert dist.get((x, y)) == expected, (inst, (x, y))
+                    assert read(dist, window, (x, y)) == expected, (inst, (x, y))
 
 
 def test_lower_bounds_agree_with_margin_one_distance_maps():
@@ -320,7 +360,7 @@ def test_lower_bounds_agree_with_margin_one_distance_maps():
         window = search_window(inst)
         maps = [distance_map(inst.obstacles, window, t) for t in inst.targets]
         try:
-            expected = bounds_from_maps(inst, maps)
+            expected = bounds_from_maps(inst, window, maps)
         except UnreachableTargetError as err:
             unreachable += 1
             with pytest.raises(UnreachableTargetError) as got:
@@ -328,9 +368,10 @@ def test_lower_bounds_agree_with_margin_one_distance_maps():
             assert got.value.robot == err.robot and str(got.value) == str(err)
             continue
         assert lower_bounds(inst) == expected, inst
-        inside = [distance_map(inst.obstacles, search_window(inst, 0), t)
-                  for t in inst.targets]
-        via_ring += any(m.get(s) != d for s, m, d in zip(inst.starts, inside, expected[2]))
+        tight = search_window(inst, 0)
+        inside = [distance_map(inst.obstacles, tight, t) for t in inst.targets]
+        via_ring += any(read(m, tight, s) != d
+                        for s, m, d in zip(inst.starts, inside, expected[2]))
     assert via_ring >= 5 and unreachable >= 5
 
 
