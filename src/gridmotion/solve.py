@@ -15,7 +15,9 @@ random order, and accepts the result by a simulated-annealing criterion
 (improvements always, worsenings with probability exp(-delta/T), geometric
 cooling on acceptance). Robot choice is biased toward makespan-critical
 robots for MAX and toward robots with the most moves above their individual
-lower bound for SUM.
+lower bound for SUM. Construction and annealing replan through one step,
+:func:`_plan_robots`: plan a list of robots, in order, against the paths
+left in the table, and take back what was added when one of them fails.
 
 Every schedule returned by :func:`solve` is validated in-process first; the
 solver reports an explicit failure rather than emitting an invalid schedule.
@@ -141,21 +143,23 @@ class ReservationTable:
                  for x, y in path if x0 <= x <= x1 and y0 <= y <= y1]
         if len(cells) < len(path):
             raise ValueError(f"path leaves the window {self.window}")
+        # check everything before the first write, so a rejected path
+        # leaves the table as it was
         for t, c in enumerate(cells):
-            key = (c, t)
-            if key in self.vertex:
+            if self.blocked_at(c, t):
                 raise ValueError(f"pixel {tuple(path[t])} already reserved at t={t}")
-            self.vertex[key] = robot
+        end = len(cells) - 1
+        if self.last_visit(cells[end]) >= end:
+            raise ValueError(f"pixel {tuple(path[end])} reserved at or after t={end}")
+        for t, c in enumerate(cells):
+            self.vertex[(c, t)] = robot
             self._times.setdefault(c, set()).add(t)
-        for t in range(len(cells) - 1):
+        for t in range(end):
             a, b = cells[t], cells[t + 1]
             if a != b:
                 self.edge_from[(a, t)] = b
                 self.edge_into[(b, t)] = a
-        end = cells[-1]
-        if end in self.parked:
-            raise ValueError(f"pixel {tuple(path[-1])} already parked on")
-        self.parked[end] = (robot, len(cells) - 1)
+        self.parked[cells[end]] = (robot, end)
         self._paths[robot] = cells
 
     def remove_path(self, robot: int) -> None:
@@ -312,22 +316,15 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     return None
 
 
-def _initial_horizon(lb_makespan: int, n_robots: int, horizon_factor: float) -> int:
-    return max(math.ceil(horizon_factor * lb_makespan), lb_makespan + n_robots)
-
-
-def _horizon_cap(lb_makespan: int, n_robots: int) -> int:
-    return _HORIZON_CAP_FACTOR * lb_makespan + n_robots
-
-
 class _SolveContext:
-    """Shared immutable data for one solver run: its start time, the window,
-    each robot's start cell id and distance field to its target, and the
-    lower bounds read off those fields. Raises UnreachableTargetError like
-    :func:`lower_bounds`."""
+    """Shared immutable data for one solver run: its start time and deadline,
+    the window, each robot's start cell id and distance field to its target,
+    and the lower bounds read off those fields. Raises UnreachableTargetError
+    like :func:`lower_bounds`."""
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, time_limit: Optional[float] = None):
         self.started = time.monotonic()
+        self.deadline = None if time_limit is None else self.started + time_limit
         self.instance = instance
         self.window = search_window(instance)
         self.start_cells = [cell_id(self.window, s) for s in instance.starts]
@@ -336,72 +333,65 @@ class _SolveContext:
         self.lb_makespan, self.lb_total, self.per_robot = bounds_from_maps(
             instance, self.window, self.fields)
 
-    def deadline(self, config: SolverConfig) -> Optional[float]:
-        if config.time_limit is None:
-            return None
-        return self.started + config.time_limit
+    def out_of_time(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
 
 
-def _plan_order(ctx: _SolveContext, order: Sequence[int], objective: Objective,
-                horizon: int, deadline: Optional[float] = None
-                ) -> tuple[Optional[tuple[dict, ReservationTable]], Optional[int], bool]:
-    """Plan all robots in the given priority order at a fixed horizon.
+def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[int],
+                 objective: Objective, check_deadline: bool
+                 ) -> tuple[Optional[dict], Optional[int], bool]:
+    """Plan ``robots`` one at a time, in order, into ``table`` at its horizon;
+    robots not planned yet hold their start cells at time 0.
 
-    Returns ((paths, table), None, False) on success, (None, failed robot,
-    whether the horizon cut its search) when some robot finds no path, and
-    (None, None, False) when ``deadline`` passes before a robot is planned."""
-    instance = ctx.instance
-    table = ReservationTable(horizon, ctx.window)
-    table.static_at_zero = set(ctx.start_cells)
+    Returns (paths, None, False) with every path committed. Otherwise the
+    table is left exactly as it was, and the result is (None, the robot that
+    found no path, whether the horizon cut its search), or (None, None,
+    False) when ``check_deadline`` is set and the deadline passed first."""
+    static = table.static_at_zero
+    static.update(ctx.start_cells[i] for i in robots)
     paths: dict[int, list[Pixel]] = {}
-    for robot in order:
-        if deadline is not None and time.monotonic() >= deadline:
-            return None, None, False
-        table.static_at_zero.discard(ctx.start_cells[robot])
-        path = plan_single(instance, robot, table, objective, horizon,
+    failed, cut = None, False
+    for robot in robots:
+        if check_deadline and ctx.out_of_time():
+            break
+        static.discard(ctx.start_cells[robot])
+        path = plan_single(ctx.instance, robot, table, objective, table.horizon,
                            ctx.fields[robot])
         if path is None:
-            return None, robot, table.horizon_cut
+            failed, cut = robot, table.horizon_cut
+            break
         table.add_path(robot, path)
         paths[robot] = path
-    return (paths, table), None, False
+    else:
+        return paths, None, False
+    for robot in paths:
+        table.remove_path(robot)
+    static.difference_update(ctx.start_cells[i] for i in robots)
+    return None, failed, cut
 
 
-def prioritized_plan(instance: Instance, order: Sequence[int],
-                     config: Optional[SolverConfig] = None) -> Optional[Schedule]:
-    """Plan robots one at a time in the given order, growing the horizon
-    geometrically while the failed robot's search was cut by it, up to a cap
-    or until ``config.time_limit`` has passed. Returns None when no horizon
-    tried admits a full plan (the caller may retry with another order)."""
-    config = config or SolverConfig()
-    if sorted(order) != list(range(instance.n_robots)):
-        raise ValueError("order must be a permutation of all robot indices")
-    ctx = _SolveContext(instance)
-    planned, _ = _plan_with_growth(ctx, order, config)
-    if planned is None:
-        return None
-    return paths_to_schedule(instance, planned[0])
+def _construct(ctx: _SolveContext, order: Sequence[int], config: SolverConfig,
+               check_deadline: bool
+               ) -> tuple[Optional[dict], ReservationTable, Optional[int]]:
+    """Plan every robot in ``order`` on a fresh table per horizon level.
 
-
-def _plan_with_growth(ctx: _SolveContext, order: Sequence[int],
-                      config: SolverConfig, stop_at: Optional[float] = None
-                      ) -> tuple[Optional[tuple[dict, ReservationTable]], Optional[int]]:
-    """((paths, table), None), or (None, failed robot or None at the deadline).
-    Grows the horizon x1.5 only while the horizon cut the failed search; the
-    first level checks ``stop_at`` between robots, later ones the deadline."""
-    n = ctx.instance.n_robots
-    horizon = _initial_horizon(ctx.lb_makespan, n, config.horizon_factor)
-    cap = max(_horizon_cap(ctx.lb_makespan, n), horizon)
-    deadline = ctx.deadline(config)
+    The first horizon is ``horizon_factor`` times the makespan bound, at
+    least the bound plus the robot count. It grows x1.5, up to a cap, only
+    while the horizon cut the failed search and the deadline has not passed;
+    levels after the first check the deadline between robots. Returns
+    (paths, table, None), or (None, table, the failed robot, or None when
+    the deadline passed)."""
+    lb, n = ctx.lb_makespan, ctx.instance.n_robots
+    horizon = max(math.ceil(config.horizon_factor * lb), lb + n)
+    cap = max(_HORIZON_CAP_FACTOR * lb + n, horizon)
     while True:
-        planned, failed, cut = _plan_order(ctx, order, config.objective, horizon, stop_at)
-        if planned is not None:
-            return planned, None
-        if (not cut or horizon >= cap
-                or (deadline is not None and time.monotonic() >= deadline)):
-            return None, failed
+        table = ReservationTable(horizon, ctx.window)
+        paths, failed, cut = _plan_robots(ctx, table, order, config.objective,
+                                          check_deadline)
+        if paths is not None or not cut or horizon >= cap or ctx.out_of_time():
+            return paths, table, failed
         horizon = min(cap, math.ceil(horizon * _HORIZON_GROWTH))
-        stop_at = deadline
+        check_deadline = True
 
 
 def paths_to_schedule(instance: Instance, paths: dict[int, Sequence[Pixel]]) -> Schedule:
@@ -487,28 +477,21 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     objective = config.objective
     rng = random.Random(config.seed)
     try:
-        ctx = _SolveContext(instance)
+        ctx = _SolveContext(instance, config.time_limit)
     except UnreachableTargetError as err:
         return SolveResult(objective, None, None, None, [],
                            failure_reason=f"instance infeasible: {err}")
-    t_start = ctx.started
-    deadline = ctx.deadline(config)
     telemetry: list[TelemetryRecord] = []
     bounds = (ctx.lb_makespan, ctx.lb_total)
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
     n = instance.n_robots
     lb_value = ctx.lb_makespan if objective is Objective.MAX else ctx.lb_total
 
     best_paths: Optional[dict] = None
     best_value: Optional[int] = None
-    best_horizon = 0
 
     base_order = sorted(range(n), key=lambda i: (-ctx.per_robot[i], i))
-    stop_at = None   # the first priority order runs in full
     for attempt in range(config.restarts):
-        if attempt > 0 and out_of_time():
+        if attempt > 0 and ctx.out_of_time():
             break
         order = list(base_order)
         if attempt > 0:
@@ -516,39 +499,38 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
         # When a robot cannot plan against earlier commitments (its target has
         # been walled in by parked robots, say), lift it to the front and try
         # again. Each robot is lifted at most once per restart so alternating
-        # failures cannot loop forever.
+        # failures cannot loop forever. The first order's first horizon level
+        # runs in full.
         lifted: set[int] = set()
         while True:
-            planned, failed = _plan_with_growth(ctx, order, config, stop_at)
-            stop_at = deadline
-            if planned is not None or failed is None or failed in lifted:
-                break
-            if out_of_time():
+            paths, table, failed = _construct(ctx, order, config,
+                                              attempt > 0 or bool(lifted))
+            if (paths is not None or failed is None or failed in lifted
+                    or ctx.out_of_time()):
                 break
             lifted.add(failed)
             order.remove(failed)
             order.insert(0, failed)
-        if planned is None:
+        if paths is None:
             continue
-        paths, table = planned
         stats = {i: _path_stats(paths[i]) for i in paths}
         value = _value_from_stats(stats, objective)
         if best_value is None or value < best_value:
-            best_paths, best_value, best_horizon = paths, value, table.horizon
-            telemetry.append(TelemetryRecord(time.monotonic() - t_start, value, "restart"))
+            best_paths, best_table, best_value = paths, table, value
+            telemetry.append(TelemetryRecord(time.monotonic() - ctx.started, value,
+                                             "restart"))
         if best_value == lb_value:
             break
 
     if best_paths is None:
-        limits = (f"before the {config.time_limit} s time limit" if out_of_time()
+        limits = (f"before the {config.time_limit} s time limit" if ctx.out_of_time()
                   else "within restart and horizon limits")
         return SolveResult(objective, None, None, None, telemetry,
                            failure_reason=f"no feasible schedule {limits}", bounds=bounds)
 
-    if best_value > lb_value and config.anneal_iterations > 0 and not out_of_time():
-        best_paths, best_value = _anneal(ctx, config, rng, best_paths, best_value,
-                                         best_horizon, lb_value, telemetry,
-                                         t_start, deadline)
+    if best_value > lb_value and config.anneal_iterations > 0 and not ctx.out_of_time():
+        best_paths, best_value = _anneal(ctx, config, rng, best_paths, best_table,
+                                         best_value, lb_value, telemetry)
 
     schedule = paths_to_schedule(instance, best_paths)
     report = validate_schedule(instance, schedule)
@@ -557,81 +539,57 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
             f"internal error: solver assembled an invalid schedule "
             f"({report.first_violation})")
     value = report.makespan if objective is Objective.MAX else report.total_distance
-    telemetry.append(TelemetryRecord(time.monotonic() - t_start, value, "final"))
+    telemetry.append(TelemetryRecord(time.monotonic() - ctx.started, value, "final"))
     return SolveResult(objective, schedule, value, report, telemetry, bounds=bounds)
 
 
 def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
-            start_paths: dict, start_value: int, horizon: int, lb_value: int,
-            telemetry: list[TelemetryRecord], t_start: float,
-            deadline: Optional[float]) -> tuple[dict, int]:
-    instance = ctx.instance
+            paths: dict, table: ReservationTable, value: int, lb_value: int,
+            telemetry: list[TelemetryRecord]) -> tuple[dict, int]:
+    """Improve ``paths``, committed in ``table``, by replanning
+    ``k_replan`` robots at a time; returns the best paths and their value.
+    A failed or rejected move puts the old paths back."""
     objective = config.objective
-    table = ReservationTable(horizon, ctx.window)
-    current = dict(start_paths)
-    for i, path in current.items():
-        table.add_path(i, path)
+    current = dict(paths)
     stats = {i: _path_stats(p) for i, p in current.items()}
-    cur_value = start_value
+    cur_value = best_value = value
     best_paths = dict(current)
-    best_value = cur_value
 
     temp = config.anneal_initial_temp
     if temp is None:
-        temp = _AUTO_TEMP_FACTOR * start_value
+        temp = _AUTO_TEMP_FACTOR * value
     if temp <= 0:
         return best_paths, best_value
 
     for _ in range(config.anneal_iterations):
-        if deadline is not None and time.monotonic() >= deadline:
+        if ctx.out_of_time():
             break
         chosen = _pick_robots(rng, stats, ctx.per_robot, objective,
                               config.k_replan, cur_value)
-        old_paths = {i: current[i] for i in chosen}
-        old_stats = {i: stats[i] for i in chosen}
         for i in chosen:
             table.remove_path(i)
-        replan_order = list(chosen)
-        rng.shuffle(replan_order)
-        table.static_at_zero = {ctx.start_cells[i] for i in replan_order}
-        new_paths: dict[int, list[Pixel]] = {}
-        ok = True
-        for i in replan_order:
-            table.static_at_zero.discard(ctx.start_cells[i])
-            path = plan_single(instance, i, table, objective, horizon,
-                               ctx.fields[i])
-            if path is None:
-                ok = False
-                break
-            table.add_path(i, path)
-            new_paths[i] = path
-        table.static_at_zero = set()
-        if not ok:
-            for i in new_paths:
-                table.remove_path(i)
+        rng.shuffle(chosen)
+        new_paths, _, _ = _plan_robots(ctx, table, chosen, objective, False)
+        if new_paths is not None:
+            old_stats = {i: stats[i] for i in chosen}
+            stats.update((i, _path_stats(p)) for i, p in new_paths.items())
+            new_value = _value_from_stats(stats, objective)
+            delta = new_value - cur_value
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                current.update(new_paths)
+                cur_value = new_value
+                temp *= config.anneal_cooling
+                if cur_value < best_value:
+                    best_value = cur_value
+                    best_paths = dict(current)
+                    telemetry.append(TelemetryRecord(time.monotonic() - ctx.started,
+                                                     best_value, "anneal"))
+                    if best_value == lb_value:
+                        break
+                continue
+            stats.update(old_stats)
             for i in chosen:
-                table.add_path(i, old_paths[i])
-            continue
+                table.remove_path(i)
         for i in chosen:
-            current[i] = new_paths[i]
-            stats[i] = _path_stats(new_paths[i])
-        new_value = _value_from_stats(stats, objective)
-        delta = new_value - cur_value
-        if delta <= 0 or rng.random() < math.exp(-delta / temp):
-            cur_value = new_value
-            temp *= config.anneal_cooling
-            if cur_value < best_value:
-                best_value = cur_value
-                best_paths = dict(current)
-                telemetry.append(TelemetryRecord(time.monotonic() - t_start,
-                                                 best_value, "anneal"))
-                if best_value == lb_value:
-                    break
-        else:
-            for i in chosen:
-                table.remove_path(i)
-            for i in chosen:
-                table.add_path(i, old_paths[i])
-                current[i] = old_paths[i]
-                stats[i] = old_stats[i]
+            table.add_path(i, current[i])
     return best_paths, best_value

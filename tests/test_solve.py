@@ -24,7 +24,6 @@ from gridmotion.solve import (
     SolveResult,
     paths_to_schedule,
     plan_single,
-    prioritized_plan,
     solve,
 )
 from gridmotion.validate import cell_id, lower_bounds, search_window, validate_schedule
@@ -156,6 +155,27 @@ def test_table_rejects_conflicting_reservations():
     table2.add_path(0, pixels((0, 0), (1, 0)))
     with pytest.raises(ValueError):
         table2.add_path(1, pixels((1, 1), (1, 0), (1, 0)))  # parks on a parked pixel
+
+
+def test_table_rejected_path_writes_nothing():
+    table = ReservationTable(10, WINDOW)
+    table.add_path(0, pixels((1, 0), (2, 0)))
+    before = (dict(table.vertex), dict(table.edge_from), dict(table.parked))
+    with pytest.raises(ValueError, match="t=1"):
+        table.add_path(1, pixels((0, 0), (2, 0)))   # (0, 0) is free at t=0
+    # through the pixel robot 0 is parked on from t=1
+    with pytest.raises(ValueError, match="t=2"):
+        table.add_path(1, pixels((0, 0), (1, 0), (2, 0), (3, 0)))
+    assert (dict(table.vertex), dict(table.edge_from), dict(table.parked)) == before
+    assert len(table.vertex) == 2
+
+
+def test_table_rejects_parking_where_a_later_path_passes():
+    table = ReservationTable(10, WINDOW)
+    table.add_path(0, pixels((3, 0), (2, 0), (1, 0), (0, 0)))
+    with pytest.raises(ValueError, match="after t=1"):
+        table.add_path(1, pixels((1, 1), (1, 0)))
+    assert table.last_visit(cell(1, 1)) == -1
 
 
 def test_table_rejects_paths_outside_its_window():
@@ -338,34 +358,38 @@ def test_paths_to_schedule_all_parked_is_empty():
 
 # ------------------------------------------------- prioritized planning
 
+def plan_in_order(inst, order):
+    """Schedule from planning robots in ``order`` into a fresh table at the
+    horizon cap of the solver's ladder, or None when some robot finds no
+    path."""
+    ctx = solve_module._SolveContext(inst)
+    horizon = solve_module._HORIZON_CAP_FACTOR * ctx.lb_makespan + inst.n_robots
+    table = ReservationTable(horizon, ctx.window)
+    paths, _, _ = solve_module._plan_robots(ctx, table, order, Objective.MAX, False)
+    return None if paths is None else paths_to_schedule(inst, paths)
+
+
 def test_prioritized_plan_single_robot_meets_its_bound():
     inst = make_instance([(0, 0)], [(3, 2)])
-    sched = prioritized_plan(inst, [0])
+    sched = plan_in_order(inst, [0])
     report = validate_schedule(inst, sched)
     assert report.feasible
     assert report.makespan == 5 and report.total_distance == 5
-
-
-def test_prioritized_plan_requires_permutation():
-    inst = make_instance([(0, 0), (5, 0)], [(1, 0), (6, 0)])
-    for bad in ([0], [0, 0], [1, 2]):
-        with pytest.raises(ValueError):
-            prioritized_plan(inst, bad)
 
 
 def test_prioritized_plan_order_decides_train_quality():
     # Two robots in a row both shifting east. Leader-first trains in one
     # step; follower-first has to wait out the unknown leader.
     inst = make_instance([(0, 0), (1, 0)], [(1, 0), (2, 0)])
-    front_first = validate_schedule(inst, prioritized_plan(inst, [1, 0]))
-    back_first = validate_schedule(inst, prioritized_plan(inst, [0, 1]))
+    front_first = validate_schedule(inst, plan_in_order(inst, [1, 0]))
+    back_first = validate_schedule(inst, plan_in_order(inst, [0, 1]))
     assert front_first.feasible and front_first.makespan == 1
     assert back_first.feasible and back_first.makespan == 2
 
 
 def test_prioritized_plan_already_solved_is_empty():
     inst = make_instance([(0, 0), (3, 3)], [(0, 0), (3, 3)])
-    sched = prioritized_plan(inst, [0, 1])
+    sched = plan_in_order(inst, [0, 1])
     assert sched.steps == ()
 
 
@@ -373,7 +397,7 @@ def test_prioritized_plan_feasible_and_at_least_optimal_on_rooms():
     solved = 0
     for inst, window in rooms(12):
         optimum = exact_optimum(inst, window)
-        sched = prioritized_plan(inst, list(range(inst.n_robots)))
+        sched = plan_in_order(inst, list(range(inst.n_robots)))
         if sched is None:
             continue
         solved += 1
@@ -381,6 +405,68 @@ def test_prioritized_plan_feasible_and_at_least_optimal_on_rooms():
         assert report.feasible
         assert report.makespan >= optimum
     assert solved >= 8
+
+
+def table_state(table):
+    """Copies of every reservation a table holds."""
+    return (dict(table.vertex), dict(table.edge_from), dict(table.edge_into),
+            dict(table.parked), {c: set(ts) for c, ts in table._times.items()},
+            set(table.static_at_zero))
+
+
+def test_failed_plan_robots_leaves_the_table_as_it_was(monkeypatch):
+    # robot 2 is committed in its own pocket; in the corridor swap robot 0
+    # plans, then robot 1 finds no path, so robot 0 must be taken back and
+    # robot 3, never reached, must not keep its start cell reserved
+    free = [(0, 0), (1, 0), (2, 0), (1, 1), (5, 5), (6, 5), (5, 6), (6, 6)]
+    inst = make_instance([(0, 0), (2, 0), (5, 5), (5, 6)],
+                         [(2, 0), (0, 0), (6, 5), (6, 6)], seal(free))
+    ctx = solve_module._SolveContext(inst)
+    table = ReservationTable(12, ctx.window)
+    paths, _, _ = solve_module._plan_robots(ctx, table, [2], Objective.MAX, False)
+    assert paths is not None
+    before = table_state(table)
+    planned = []
+    real_plan_single = solve_module.plan_single
+
+    def recording(instance, robot, *args):
+        path = real_plan_single(instance, robot, *args)
+        planned.append((robot, path is not None))
+        return path
+
+    monkeypatch.setattr(solve_module, "plan_single", recording)
+    result = solve_module._plan_robots(ctx, table, [0, 1, 3], Objective.MAX, False)
+    assert result == (None, 1, False)
+    assert planned == [(0, True), (1, False)]
+    assert table_state(table) == before
+
+
+def test_rejected_anneal_move_leaves_the_table_as_it_was(monkeypatch):
+    # the leader-first train has makespan 1; a move that replans the
+    # follower first gets makespan 2 and, near zero temperature, is rejected
+    inst = make_instance([(0, 0), (1, 0)], [(1, 0), (2, 0)])
+    ctx = solve_module._SolveContext(inst)
+    orders = []
+    real_plan_robots = solve_module._plan_robots
+
+    def recording(ctx, table, robots, objective, check_deadline):
+        orders.append(list(robots))
+        return real_plan_robots(ctx, table, robots, objective, check_deadline)
+
+    monkeypatch.setattr(solve_module, "_plan_robots", recording)
+    config = SolverConfig(anneal_iterations=1, anneal_initial_temp=1e-9)
+    rejected = 0
+    for seed in range(8):
+        table = ReservationTable(4, ctx.window)
+        paths, _, _ = real_plan_robots(ctx, table, [1, 0], Objective.MAX, False)
+        before = table_state(table)
+        orders.clear()
+        best, value = solve_module._anneal(ctx, config, random.Random(seed), paths,
+                                           table, 1, 0, [])
+        assert (best, value) == (paths, 1)
+        assert table_state(table) == before
+        rejected += orders == [[0, 1]]
+    assert rejected
 
 
 # ---------------------------------------------------------------- solve
@@ -467,27 +553,35 @@ def test_solve_reports_failure_on_corridor_swap():
     assert all(t.phase != "final" for t in res.telemetry)
 
 
-def record_horizons(monkeypatch):
-    """The horizon of every _plan_order call solve() makes, in call order."""
-    horizons = []
-    real_plan_order = solve_module._plan_order
+def record_horizons(monkeypatch, fail=False):
+    """Record every _plan_robots call solve() makes, in call order, as
+    (table horizon, robots, whether all were planned). With ``fail`` no
+    robot is planned: every call fails as if the horizon cut the search of
+    its first robot."""
+    calls = []
+    real_plan_robots = solve_module._plan_robots
 
-    def recording(ctx, order, objective, horizon, deadline=None):
-        horizons.append(horizon)
-        return real_plan_order(ctx, order, objective, horizon, deadline)
+    def recording(ctx, table, robots, objective, check_deadline):
+        if fail:
+            result = (None, robots[0], True)
+        else:
+            result = real_plan_robots(ctx, table, robots, objective, check_deadline)
+        calls.append((table.horizon, list(robots), result[0] is not None))
+        return result
 
-    monkeypatch.setattr(solve_module, "_plan_order", recording)
-    return horizons
+    monkeypatch.setattr(solve_module, "_plan_robots", recording)
+    return calls
 
 
 def test_solve_lifts_without_growing_the_horizon_when_no_search_was_cut(monkeypatch):
     # the corridor swap fails the same way at every horizon, so every order
     # is tried at the initial horizon only (lb 2 + 2 robots)
-    horizons = record_horizons(monkeypatch)
+    calls = record_horizons(monkeypatch)
     free = [(0, 0), (1, 0), (2, 0), (1, 1)]
     inst = make_instance([(0, 0), (2, 0)], [(2, 0), (0, 0)], seal(free))
     res = solve(inst, SolverConfig(restarts=3, anneal_iterations=50, seed=0))
     assert not res.success
+    horizons = [h for h, _, _ in calls]
     assert horizons and set(horizons) == {4}
 
 
@@ -497,13 +591,13 @@ def test_solve_grows_the_horizon_when_the_horizon_cut_the_search(monkeypatch, ob
     # must wait for it in the bay at x=5 and then walk back to x=1, which
     # ends after the initial horizon 8 (bound 6 + 2 robots), so it is
     # planned at the grown horizon 12
-    horizons = record_horizons(monkeypatch)
+    calls = record_horizons(monkeypatch)
     free = [(x, 0) for x in range(7)] + [(5, 1)]
     inst = make_instance([(0, 0), (5, 0)], [(6, 0), (1, 0)], seal(free))
     res = solve(inst, SolverConfig(objective=objective, horizon_factor=1.0,
                                    restarts=1, anneal_iterations=0))
     assert res.success and res.report.makespan == 11
-    assert horizons == [8, 12]
+    assert [h for h, _, _ in calls] == [8, 12]
 
 
 def test_solve_reports_infeasible_instance():
@@ -524,14 +618,8 @@ def test_solve_stops_growing_the_horizon_after_the_deadline(monkeypatch):
     # every plan fails with its search cut by the horizon, and every clock
     # reading is 10 s after the last, so the 5 s limit has passed once the
     # first horizon level is done
-    calls = []
-
-    def never_plans(ctx, order, objective, horizon, deadline=None):
-        calls.append(horizon)
-        return None, order[0], True
-
+    calls = record_horizons(monkeypatch, fail=True)
     clock = itertools.count(step=10.0)
-    monkeypatch.setattr(solve_module, "_plan_order", never_plans)
     monkeypatch.setattr(solve_module, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     inst = make_instance([(0, 0)], [(5, 0)])
     res = solve(inst, SolverConfig(time_limit=5.0))
@@ -586,28 +674,24 @@ PINNED_SCHEDULES = {
 
 
 def test_solve_reproduces_pinned_schedules(monkeypatch):
-    horizons = []
-    real_plan_order = solve_module._plan_order
-
-    def recording(ctx, order, objective, horizon, deadline=None):
-        horizons.append(horizon)
-        return real_plan_order(ctx, order, objective, horizon, deadline)
-
-    monkeypatch.setattr(solve_module, "_plan_order", recording)
+    calls = record_horizons(monkeypatch)
     grew = negative = 0
     for (w, h, density, count, seed), expected in PINNED_SCHEDULES.items():
         inst = generate(GeneratorParams(w, h, density, obstacle_count=count,
                                         seed=seed)).instance
         for objective, sha in expected.items():
-            horizons.clear()
+            first = len(calls)
             res = solve(inst, SolverConfig(objective=objective, restarts=2,
                                            anneal_iterations=60))
             text = emit_solution(res.schedule)
             assert hashlib.sha1(text.encode()).hexdigest() == sha, (w, h, seed, objective)
-            grew += len(set(horizons)) > 1
+            grew += len({horizon for horizon, _, _ in calls[first:]}) > 1
             config = Configuration(inst.starts)
             for step in res.schedule.steps:
                 config = apply_step(config, step)
                 negative += any(p.x < 0 or p.y < 0 for p in config.positions)
-    # the pins cover horizon growth and paths through the ring below the map
+    # the pins cover horizon growth, paths through the ring below the map and
+    # failed annealing replans, which are taken back (an annealing move
+    # replans k_replan = 2 robots; every pinned map has more)
     assert grew >= 2 and negative >= 2
+    assert any(len(robots) == 2 and not ok for _, robots, ok in calls)
