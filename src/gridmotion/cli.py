@@ -92,10 +92,17 @@ def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
     return out
 
 
+def _check_select_count(k: int, candidates: int) -> None:
+    if not 0 <= k <= candidates:
+        raise FormatError(f"cannot select {k} from {candidates} candidates")
+
+
 def cmd_generate(args) -> int:
     text = _read(args.config)
     combos = parse_generator_grid(text, strict=args.strict,
                                   default_seed=_default_seed())
+    if args.select is not None:
+        _check_select_count(args.select, len(combos))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     base_dir = str(Path(args.config).parent)
@@ -300,8 +307,7 @@ def cmd_features(args) -> int:
 
 def cmd_select(args) -> int:
     rows = _parse_features_csv(_read(args.features))
-    if args.k > len(rows):
-        raise FormatError(f"cannot select {args.k} from {len(rows)} candidates")
+    _check_select_count(args.k, len(rows))
     picks = select_diverse([f for _, f in rows], args.k)
     manifest = "\n".join(rows[i][0] for i in picks) + "\n"
     if args.output:

@@ -225,9 +225,8 @@ def parse_generator_grid(text: str, strict: bool = False,
     return combos
 
 
-_SOLVER_FIELDS = ("objective", "time_limit", "restarts", "horizon_factor",
-                  "anneal_initial_temp", "anneal_cooling", "anneal_iterations",
-                  "k_replan", "seed")
+_SOLVER_FIELDS = ("objective", "time_limit", "restarts", "anneal_initial_temp",
+                  "anneal_cooling", "anneal_iterations", "k_replan", "seed")
 
 
 def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
@@ -252,7 +251,7 @@ def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
                 kwargs[key] = parse_objective(value)
             elif key in ("time_limit", "anneal_initial_temp"):
                 kwargs[key] = None if value.lower() in ("none", "auto") else float(value)
-            elif key in ("horizon_factor", "anneal_cooling"):
+            elif key == "anneal_cooling":
                 kwargs[key] = float(value)
             else:
                 kwargs[key] = int(value)

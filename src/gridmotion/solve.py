@@ -8,7 +8,10 @@ legal only when the committed occupant leaves it in the same direction at the
 same time (chain moves behind committed paths), and a robot being planned
 must vacate a pixel in the direction of any committed robot entering it.
 A robot cannot recruit not-yet-planned robots to move in concert; their start
-pixels are treated as occupied, with unknown departure, at time 0.
+pixels are treated as occupied, with unknown departure, at time 0. The search
+has no time horizon: once every committed path has arrived the table stops
+changing, so it prunes what can no longer pay and ends on its own. Each
+priority order is planned in one pass.
 
 Local search then repeatedly erases ``k_replan`` robots, replans them in
 random order, and accepts the result by a simulated-annealing criterion
@@ -46,8 +49,6 @@ from .validate import (
     validate_schedule,
 )
 
-_HORIZON_GROWTH = 1.5
-_HORIZON_CAP_FACTOR = 10
 _CRITICAL_WEIGHT = 4.0   # sampling weight of makespan-critical robots (MAX)
 _AUTO_TEMP_FACTOR = 0.1  # initial temperature as a fraction of the start value
 
@@ -61,7 +62,6 @@ class SolverConfig:
     objective: Objective = Objective.MAX
     time_limit: Optional[float] = None
     restarts: int = 4
-    horizon_factor: float = 2.0
     anneal_initial_temp: Optional[float] = None
     anneal_cooling: float = 0.995
     anneal_iterations: int = 100_000
@@ -73,16 +73,17 @@ class SolverConfig:
             self.objective = Objective(self.objective)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.horizon_factor < 1.0:
-            raise ValueError("horizon_factor must be >= 1")
         if not (0.0 < self.anneal_cooling <= 1.0):
             raise ValueError("anneal_cooling must be in (0, 1]")
         if self.anneal_iterations < 0:
             raise ValueError("anneal_iterations must be >= 0")
         if self.k_replan < 1:
             raise ValueError("k_replan must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
+        # written as "not > 0" so that NaN is rejected too
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive or None")
+        if self.anneal_initial_temp is not None and not self.anneal_initial_temp > 0:
+            raise ValueError("anneal_initial_temp must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -121,18 +122,19 @@ class ReservationTable:
     T on the robot rests on its final pixel (open-ended "parked" reservation).
     ``static_at_zero`` holds the start cells of robots that are not planned
     yet: they occupy them at time 0 and their departure is unknown, so no
-    one may move into them at time 1.
+    one may move into them at time 1. ``horizon`` is the last arrival time
+    of any committed path (0 when there is none): from then on only parked
+    robots hold cells, and nothing in the table changes with time.
     """
 
-    def __init__(self, horizon: int, window: tuple[int, int, int, int]):
-        self.horizon = horizon
+    def __init__(self, window: tuple[int, int, int, int]):
         self.window = window
+        self.horizon = 0
         self.vertex: dict = {}      # (cell, t) -> robot
         self.edge_from: dict = {}   # (cell, t) -> cell the occupant moves to at t+1
         self.edge_into: dict = {}   # (cell, t) -> cell the robot arriving at t+1 comes from
         self.parked: dict = {}      # cell -> (robot, arrival time)
         self.static_at_zero: set = set()
-        self.horizon_cut = False    # the horizon pruned the last plan_single search
         self._times: dict = {}      # cell -> set of reserved times
         self._paths: dict = {}      # robot -> its committed cells
 
@@ -161,6 +163,7 @@ class ReservationTable:
                 self.edge_into[(b, t)] = a
         self.parked[cells[end]] = (robot, end)
         self._paths[robot] = cells
+        self.horizon = max(self.horizon, end)
 
     def remove_path(self, robot: int) -> None:
         path = self._paths.pop(robot)
@@ -176,6 +179,8 @@ class ReservationTable:
                 del self.edge_from[(a, t)]
                 del self.edge_into[(b, t)]
         del self.parked[path[-1]]
+        if len(path) - 1 == self.horizon:
+            self.horizon = max((len(p) - 1 for p in self._paths.values()), default=0)
 
     def blocked_at(self, cell: int, t: int) -> bool:
         if (cell, t) in self.vertex:
@@ -195,15 +200,16 @@ class ReservationTable:
 
 
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
-                objective: Objective, horizon: Optional[int] = None,
-                field: Optional[list] = None) -> Optional[list[Pixel]]:
+                objective: Objective, field: Optional[list] = None
+                ) -> Optional[list[Pixel]]:
     """Cheapest space-time path for one robot against committed reservations.
 
     Path cost is (arrival, moves) for MAX and (moves, arrival) for SUM,
     compared lexicographically. Returns the pixel sequence occupied at times
-    0..T, or None when no path reaches the target within the horizon. The
-    robot may end only at a time after which no committed path visits the
-    target again, because arrival parks it there forever.
+    0..T, or None when no path reaches the target at any time. The robot may
+    end only at a time after which no committed path visits the target
+    again, because arrival parks it there forever; a target parked on for
+    good fails at once.
 
     The search runs over the cell ids of ``table.window``; ``field`` is the
     robot's :func:`distance_map` there (flooded when None), negative on
@@ -213,20 +219,23 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     grid the search follows one shortest path instead of sweeping every tied
     one. An insertion counter settles the rest, so results are deterministic.
 
-    Sets ``table.horizon_cut`` when the horizon cut the search: the target
-    is visited after the horizon, or a successor of a state at the horizon
-    was dropped. A failed search that was not cut fails alike at any horizon.
+    No horizon is needed. Let ``still`` be the later of ``table.horizon``
+    and the first time the target stays free, and at least 1 (unplanned
+    robots hold their starts at time 0). From ``still`` on nothing in the
+    table changes with time, so a state there is worse than one on the same
+    cell at an earlier or equal time with no more moves, under either cost.
+    Hence no wait is pushed from ``still`` on, and a move into a cell at or
+    after ``still`` is dropped when such a state was already expanded there.
+    Each cell is then entered a bounded number of times, and the search
+    ends: None means that no path exists at any time.
     """
     window = table.window
     start = cell_id(window, instance.starts[robot])
     goal = cell_id(window, instance.targets[robot])
-    if horizon is None:
-        horizon = table.horizon
     if table.blocked_at(start, 0):
         raise ValueError(f"start of robot {robot} is reserved at time 0")
     if field is None:
         field = distance_map(instance.obstacles, window, instance.targets[robot])
-    table.horizon_cut = False
     stride = window[3] - window[1] + 3
     moves = (1, -1, stride, -stride)   # N, S, E, W
     vertex = table.vertex
@@ -237,19 +246,17 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     sum_objective = Objective(objective) is Objective.SUM
 
     h0 = field[start]
-    if h0 < 0:
-        return None
     goal_free_from = table.last_visit(goal) + 1
-    if goal_free_from > horizon:
-        table.horizon_cut = True
+    if h0 < 0 or goal_free_from == math.inf:
         return None
+    still = max(table.horizon, goal_free_from, 1)
 
     # one dict per time step, keyed by cell: a single dict keyed by (cell, t)
     # grows to multi-megabyte tables on wide windows, and their
     # reallocations made peak memory differ from run to run
-    best = [{} for _ in range(horizon + 1)]     # fewest moves to a cell at t
-    parent = [{} for _ in range(horizon + 1)]   # cell at t -> cell at t-1
-    best[0][start] = 0
+    best = [{start: 0}]   # fewest moves to a cell at t
+    parent = [{}]         # cell at t -> cell at t-1
+    settled: dict = {}    # cell -> (moves, t) of its first expansion at or after still
     counter = itertools.count()
     heap = [(h0, h0, h0, next(counter), start, 0, 0)]
     while heap:
@@ -263,9 +270,12 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 path.append(p)
             return [cell_pixel(window, c) for c in reversed(path)]
         nt = t + 1
-        if nt > horizon:
-            table.horizon_cut = True
-            continue
+        late = nt >= still
+        if t >= still and p not in settled:
+            settled[p] = (moves_in, t)
+        if nt == len(best):
+            best.append({})
+            parent.append({})
         best_next = best[nt]
         parent_next = parent[nt]
         incoming = edge_into.get((p, t))
@@ -294,6 +304,10 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             old = best_next.get(q)
             if old is not None and old <= nmoves:
                 continue
+            if late:
+                done = settled.get(q)
+                if done is not None and done[0] <= nmoves and done[1] <= nt:
+                    continue
             best_next[q] = nmoves
             parent_next[q] = p
             if sum_objective:
@@ -301,8 +315,8 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             else:
                 f1, f2 = nt + h, nmoves + h
             heapq.heappush(heap, (f1, f2, h, next(counter), q, nt, nmoves))
-        # waiting in place
-        if not table.blocked_at(p, nt) and incoming is None:
+        # waiting in place, which only delays once the table is still
+        if t < still and incoming is None and not table.blocked_at(p, nt):
             old = best_next.get(p)
             if old is None or old > moves_in:
                 best_next[p] = moves_in
@@ -339,59 +353,34 @@ class _SolveContext:
 
 def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[int],
                  objective: Objective, check_deadline: bool
-                 ) -> tuple[Optional[dict], Optional[int], bool]:
-    """Plan ``robots`` one at a time, in order, into ``table`` at its horizon;
-    robots not planned yet hold their start cells at time 0.
+                 ) -> tuple[Optional[dict], Optional[int]]:
+    """Plan ``robots`` one at a time, in order, into ``table``; robots not
+    planned yet hold their start cells at time 0.
 
-    Returns (paths, None, False) with every path committed. Otherwise the
-    table is left exactly as it was, and the result is (None, the robot that
-    found no path, whether the horizon cut its search), or (None, None,
-    False) when ``check_deadline`` is set and the deadline passed first."""
+    Returns (paths, None) with every path committed. Otherwise the table is
+    left exactly as it was, and the result is (None, the robot that found no
+    path), or (None, None) when ``check_deadline`` is set and the deadline
+    passed first."""
     static = table.static_at_zero
     static.update(ctx.start_cells[i] for i in robots)
     paths: dict[int, list[Pixel]] = {}
-    failed, cut = None, False
+    failed = None
     for robot in robots:
         if check_deadline and ctx.out_of_time():
             break
         static.discard(ctx.start_cells[robot])
-        path = plan_single(ctx.instance, robot, table, objective, table.horizon,
-                           ctx.fields[robot])
+        path = plan_single(ctx.instance, robot, table, objective, field=ctx.fields[robot])
         if path is None:
-            failed, cut = robot, table.horizon_cut
+            failed = robot
             break
         table.add_path(robot, path)
         paths[robot] = path
     else:
-        return paths, None, False
+        return paths, None
     for robot in paths:
         table.remove_path(robot)
     static.difference_update(ctx.start_cells[i] for i in robots)
-    return None, failed, cut
-
-
-def _construct(ctx: _SolveContext, order: Sequence[int], config: SolverConfig,
-               check_deadline: bool
-               ) -> tuple[Optional[dict], ReservationTable, Optional[int]]:
-    """Plan every robot in ``order`` on a fresh table per horizon level.
-
-    The first horizon is ``horizon_factor`` times the makespan bound, at
-    least the bound plus the robot count. It grows x1.5, up to a cap, only
-    while the horizon cut the failed search and the deadline has not passed;
-    levels after the first check the deadline between robots. Returns
-    (paths, table, None), or (None, table, the failed robot, or None when
-    the deadline passed)."""
-    lb, n = ctx.lb_makespan, ctx.instance.n_robots
-    horizon = max(math.ceil(config.horizon_factor * lb), lb + n)
-    cap = max(_HORIZON_CAP_FACTOR * lb + n, horizon)
-    while True:
-        table = ReservationTable(horizon, ctx.window)
-        paths, failed, cut = _plan_robots(ctx, table, order, config.objective,
-                                          check_deadline)
-        if paths is not None or not cut or horizon >= cap or ctx.out_of_time():
-            return paths, table, failed
-        horizon = min(cap, math.ceil(horizon * _HORIZON_GROWTH))
-        check_deadline = True
+    return None, failed
 
 
 def paths_to_schedule(instance: Instance, paths: dict[int, Sequence[Pixel]]) -> Schedule:
@@ -466,10 +455,10 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     Restarts run prioritized planning over several priority orders (first by
     descending individual lower bound, then seeded random permutations), then
     simulated annealing improves the best plan by replanning small robot
-    subsets; a failed robot is lifted to the front of its order, and the
-    horizon grows only when it cut the failed search. The incumbent is
-    returned when the time limit expires, which is checked between horizon
-    levels, lifts, restarts, annealing moves and, in every priority order
+    subsets. Each priority order is planned in one pass into an empty table; a
+    robot that finds no path is lifted to the front of its order, once. The
+    incumbent is returned when the time limit expires, which is checked
+    between lifts, restarts, annealing moves and, in every priority order
     but the first, between robots. Telemetry records every improvement, so
     the objective column is non-increasing.
     """
@@ -499,12 +488,12 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
         # When a robot cannot plan against earlier commitments (its target has
         # been walled in by parked robots, say), lift it to the front and try
         # again. Each robot is lifted at most once per restart so alternating
-        # failures cannot loop forever. The first order's first horizon level
-        # runs in full.
+        # failures cannot loop forever. The first order runs in full.
+        table = ReservationTable(ctx.window)
         lifted: set[int] = set()
         while True:
-            paths, table, failed = _construct(ctx, order, config,
-                                              attempt > 0 or bool(lifted))
+            paths, failed = _plan_robots(ctx, table, order, objective,
+                                         attempt > 0 or bool(lifted))
             if (paths is not None or failed is None or failed in lifted
                     or ctx.out_of_time()):
                 break
@@ -524,7 +513,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
 
     if best_paths is None:
         limits = (f"before the {config.time_limit} s time limit" if ctx.out_of_time()
-                  else "within restart and horizon limits")
+                  else "within restart limits")
         return SolveResult(objective, None, None, None, telemetry,
                            failure_reason=f"no feasible schedule {limits}", bounds=bounds)
 
@@ -558,8 +547,6 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
     temp = config.anneal_initial_temp
     if temp is None:
         temp = _AUTO_TEMP_FACTOR * value
-    if temp <= 0:
-        return best_paths, best_value
 
     for _ in range(config.anneal_iterations):
         if ctx.out_of_time():
@@ -569,7 +556,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
         for i in chosen:
             table.remove_path(i)
         rng.shuffle(chosen)
-        new_paths, _, _ = _plan_robots(ctx, table, chosen, objective, False)
+        new_paths, _ = _plan_robots(ctx, table, chosen, objective, False)
         if new_paths is not None:
             old_stats = {i: stats[i] for i in chosen}
             stats.update((i, _path_stats(p)) for i, p in new_paths.items())

@@ -174,3 +174,67 @@ def joint_optimal(starts, targets, obstacles, bounds, max_states=2_000_000):
             if len(parents) > max_states:
                 raise RuntimeError("joint state budget exhausted")
     return None, None
+
+
+def single_robot_optimum(start, goal, free, paths, objective):
+    """Cheapest (arrival, moves) of one robot going from ``start`` to
+    ``goal`` among committed ``paths``, by breadth-first search over
+    (cell, time); None when no path exists.
+
+    ``free`` is the set of cells the robot may use. Each committed path
+    lists the cells its robot occupies at times 0..T; the robot rests on the
+    last one from then on. A step is legal when the robot's square overlaps
+    no committed square while all of them glide (``continuous_overlaps``).
+    The robot may end only at a time from which no committed path enters
+    ``goal`` again. For "max" the cost is (arrival, moves), for "sum"
+    (moves, arrival), compared lexicographically; the result is always
+    given as (arrival, moves).
+
+    Times run up to ``still + len(free)``, where ``still`` is the last
+    arrival of a committed path or the first time ``goal`` stays free, and
+    at least 1. From ``still`` on nothing moves, so an optimal path can
+    finish with a shortest walk of fewer than ``len(free)`` steps.
+    """
+    start, goal = tuple(start), tuple(goal)
+    paths = [[tuple(c) for c in p] for p in paths]
+    if any(p[-1] == goal for p in paths):
+        return None
+    free_from = 1 + max((t for p in paths for t, c in enumerate(p) if c == goal),
+                        default=-1)
+    still = max([len(p) - 1 for p in paths] + [free_from, 1])
+    t_max = still + len(free)
+
+    def at(path, t):
+        return path[min(t, len(path) - 1)]
+
+    layer = {start: 0}   # cell -> fewest moves to be there at time t
+    found = []           # (arrival, moves) of every way to end
+    for t in range(t_max + 1):
+        if goal in layer and t >= free_from:
+            found.append((t, layer[goal]))
+        if t == t_max:
+            break
+        before = [at(p, t) for p in paths]
+        after = [at(p, t + 1) for p in paths]
+        nxt = {}
+        for (x, y), moves in layer.items():
+            # squares more than two cells apart cannot meet within one step
+            near = [k for k, (bx, by) in enumerate(before)
+                    if abs(bx - x) <= 2 and abs(by - y) <= 2]
+            for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                q = (x + dx, y + dy)
+                cost = moves + (q != (x, y))
+                if q not in free or nxt.get(q, float("inf")) <= cost:
+                    continue
+                records = continuous_overlaps([(x, y)] + [before[k] for k in near],
+                                              [q] + [after[k] for k in near], ())
+                if any(r[1] == 0 for r in records):
+                    continue
+                nxt[q] = cost
+        layer = nxt
+    if not found:
+        return None
+    if objective == "max":
+        return min(found)
+    moves, arrival = min((m, t) for t, m in found)
+    return arrival, moves

@@ -219,6 +219,7 @@ def test_solve_refuses_to_write_infeasible(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--restarts", "0", "restarts must be >= 1"),
     ("--anneal-iterations", "-5", "anneal_iterations must be >= 0"),
+    ("--time-limit", "nan", "time_limit must be positive or None"),
 ])
 def test_solve_rejects_bad_override(line_files, tmp_path, capsys, flag, value, message):
     ipath, _ = line_files
@@ -252,6 +253,16 @@ def test_generate_select_writes_manifest(tmp_path):
     assert len(names) == 2
     for name in names:
         assert (outdir / f"{name}.instance.json").exists()
+
+
+@pytest.mark.parametrize("k", ["-1", "6"])
+def test_generate_rejects_bad_select_before_writing(tmp_path, capsys, k):
+    config = write(tmp_path / "batch.cfg", GRID_CONFIG)
+    outdir = tmp_path / "instances"
+    assert main(["generate", config, str(outdir), "--select", k]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot select {k} from 5 candidates" in err and "Traceback" not in err
+    assert not outdir.exists()
 
 
 def test_generate_seed_from_environment(tmp_path, monkeypatch):
@@ -306,6 +317,10 @@ def test_features_to_stdout_and_select_roundtrip(tmp_path, capsys):
     assert main(["select", feats, "-k", "3", "-o", str(manifest)]) == 0
     assert len(manifest.read_text().splitlines()) == 3
     assert main(["select", feats, "-k", "99"]) == 2
+    capsys.readouterr()
+    assert main(["select", feats, "-k", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot select -1 from 5 candidates" in err and "Traceback" not in err
 
 
 def test_render_writes_svg(line_files, tmp_path, capsys):

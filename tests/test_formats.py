@@ -262,7 +262,6 @@ def test_solver_config_full_file():
         "objective = SUM\n"
         "time_limit = 2.5\n"
         "restarts = 6\n"
-        "horizon_factor = 3.0\n"
         "anneal_initial_temp = 4.0\n"
         "anneal_cooling = 0.99\n"
         "anneal_iterations = 1234\n"
@@ -271,7 +270,7 @@ def test_solver_config_full_file():
     )
     config = parse_solver_config(text)
     assert config == SolverConfig(objective=Objective.SUM, time_limit=2.5,
-                                  restarts=6, horizon_factor=3.0,
+                                  restarts=6,
                                   anneal_initial_temp=4.0, anneal_cooling=0.99,
                                   anneal_iterations=1234, k_replan=3, seed=9)
 
@@ -293,6 +292,13 @@ def test_solver_config_errors():
         parse_solver_config("verbosity = 3\n")
     with pytest.raises(FormatError, match="unknown key"):
         parse_solver_config("verbosity = 3\n", strict=True)
+
+
+def test_solver_config_retired_horizon_factor_is_an_unknown_key():
+    with pytest.warns(UserWarning, match="unknown key.*'horizon_factor'"):
+        assert parse_solver_config("horizon_factor = 2.0\n") == SolverConfig()
+    with pytest.raises(FormatError, match="unknown key.*'horizon_factor'"):
+        parse_solver_config("horizon_factor = 2.0\n", strict=True)
 
 
 def test_parse_objective_spellings():

@@ -102,7 +102,7 @@ def cell(x, y):
 
 
 def test_table_records_vertices_edges_and_parking():
-    table = ReservationTable(10, WINDOW)
+    table = ReservationTable(WINDOW)
     path = pixels((0, 0), (1, 0), (1, 0), (2, 0))
     table.add_path(3, path)
 
@@ -128,7 +128,7 @@ def test_table_records_vertices_edges_and_parking():
 
 
 def test_table_remove_restores_empty_state():
-    table = ReservationTable(10, WINDOW)
+    table = ReservationTable(WINDOW)
     keep = pixels((5, 5), (5, 6))
     gone = pixels((0, 0), (1, 0), (2, 0))
     table.add_path(0, keep)
@@ -147,18 +147,18 @@ def test_table_remove_restores_empty_state():
 
 
 def test_table_rejects_conflicting_reservations():
-    table = ReservationTable(10, WINDOW)
+    table = ReservationTable(WINDOW)
     table.add_path(0, pixels((0, 0), (1, 0)))
     with pytest.raises(ValueError):
         table.add_path(1, pixels((2, 0), (1, 0)))   # same pixel, same time
-    table2 = ReservationTable(10, WINDOW)
+    table2 = ReservationTable(WINDOW)
     table2.add_path(0, pixels((0, 0), (1, 0)))
     with pytest.raises(ValueError):
         table2.add_path(1, pixels((1, 1), (1, 0), (1, 0)))  # parks on a parked pixel
 
 
 def test_table_rejected_path_writes_nothing():
-    table = ReservationTable(10, WINDOW)
+    table = ReservationTable(WINDOW)
     table.add_path(0, pixels((1, 0), (2, 0)))
     before = (dict(table.vertex), dict(table.edge_from), dict(table.parked))
     with pytest.raises(ValueError, match="t=1"):
@@ -171,7 +171,7 @@ def test_table_rejected_path_writes_nothing():
 
 
 def test_table_rejects_parking_where_a_later_path_passes():
-    table = ReservationTable(10, WINDOW)
+    table = ReservationTable(WINDOW)
     table.add_path(0, pixels((3, 0), (2, 0), (1, 0), (0, 0)))
     with pytest.raises(ValueError, match="after t=1"):
         table.add_path(1, pixels((1, 1), (1, 0)))
@@ -180,14 +180,29 @@ def test_table_rejects_parking_where_a_later_path_passes():
 
 def test_table_rejects_paths_outside_its_window():
     # ids are unique only inside the frame: (0, 10) shares its id with (1, -2)
-    table = ReservationTable(10, WINDOW)
+    table = ReservationTable(WINDOW)
     with pytest.raises(ValueError, match="leaves the window"):
         table.add_path(0, pixels((0, 9), (0, 10)))
     assert not table.vertex
 
 
+def test_table_horizon_is_the_last_arrival():
+    table = ReservationTable(WINDOW)
+    assert table.horizon == 0
+    table.add_path(0, pixels((0, 0), (1, 0), (2, 0)))
+    table.add_path(1, pixels((5, 5), (5, 6), (5, 7), (5, 8), (5, 9)))
+    table.add_path(2, pixels((9, 0), (9, 1)))
+    assert table.horizon == 4
+    table.remove_path(2)
+    assert table.horizon == 4
+    table.remove_path(1)
+    assert table.horizon == 2
+    table.remove_path(0)
+    assert table.horizon == 0
+
+
 def test_table_static_starts_block_time_zero_only():
-    table = ReservationTable(10, WINDOW)
+    table = ReservationTable(WINDOW)
     table.static_at_zero = {cell(4, 4)}
     assert table.blocked_at(cell(4, 4), 0)
     assert not table.blocked_at(cell(4, 4), 1)
@@ -198,51 +213,143 @@ def test_table_static_starts_block_time_zero_only():
 def test_plan_single_straight_line_both_objectives():
     inst = make_instance([(0, 0)], [(2, 0)])
     for objective in (Objective.MAX, Objective.SUM):
-        table = ReservationTable(8, search_window(inst))
+        table = ReservationTable(search_window(inst))
         path = plan_single(inst, 0, table, objective)
         assert as_tuples(path) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_plan_single_rejects_reserved_start():
     inst = make_instance([(0, 0)], [(2, 0)])
-    table = ReservationTable(8, search_window(inst))
+    table = ReservationTable(search_window(inst))
     table.add_path(5, pixels((0, 0)))
     with pytest.raises(ValueError):
         plan_single(inst, 0, table, Objective.MAX)
 
 
-def test_plan_single_returns_none_when_horizon_too_short():
-    inst = make_instance([(0, 0)], [(3, 0)])
-    table = ReservationTable(2, search_window(inst))
-    assert plan_single(inst, 0, table, Objective.MAX) is None
-    assert table.horizon_cut
-
-
-def test_plan_single_target_visited_after_the_horizon_is_a_cut():
-    # the committed robot crosses the target at t=3, after the horizon 2
+def test_plan_single_lands_after_the_last_visit_to_its_target():
+    # the committed robot crosses the target at t=3 and leaves it north, so
+    # the robot parks there at t=4 at the earliest, stepping aside to the
+    # south and entering behind it (MAX), or at t=5 with its single move (SUM)
     inst = make_instance([(0, 0), (4, 0)], [(1, 0), (1, 1)])
-    table = ReservationTable(2, search_window(inst))
-    table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (1, 0), (1, 1)))
-    assert plan_single(inst, 0, table, Objective.MAX) is None
-    assert table.horizon_cut
+    committed = pixels((4, 0), (3, 0), (2, 0), (1, 0), (1, 1))
+    expected = {Objective.MAX: [(0, 0), (1, 0), (1, -1), (1, -1), (1, 0)],
+                Objective.SUM: [(0, 0)] * 5 + [(1, 0)]}
+    for objective, cells in expected.items():
+        table = ReservationTable(search_window(inst))
+        table.add_path(1, committed)
+        path = plan_single(inst, 0, table, objective)
+        assert as_tuples(path) == cells
+        report = validate_schedule(inst, paths_to_schedule(inst, {0: path, 1: committed}))
+        assert report.feasible
 
 
-def test_plan_single_boxed_in_start_fails_without_a_horizon_cut():
+def test_plan_single_boxed_in_start_fails():
     # walls on three sides; the committed robot takes the fourth neighbour
     # at t=1 and enters the start at t=2, so the robot can neither leave nor
-    # stay, long before the horizon: a larger horizon would fail alike
+    # stay
     inst = make_instance([(0, 0), (2, 0)], [(3, 0), (0, 0)], [(0, 1), (0, -1), (-1, 0)])
-    table = ReservationTable(20, search_window(inst))
+    table = ReservationTable(search_window(inst))
     table.add_path(1, pixels((2, 0), (1, 0), (0, 0)))
-    table.horizon_cut = True
     assert plan_single(inst, 0, table, Objective.MAX) is None
-    assert not table.horizon_cut
+
+
+def count_pushes(monkeypatch, limit=math.inf):
+    """Route plan_single's heap pushes through a counter; returns the
+    one-element list that holds the count. A search that pushes more than
+    ``limit`` times fails at once instead of running on."""
+    pushes = [0]
+
+    def counting_push(heap, item):
+        pushes[0] += 1
+        assert pushes[0] <= limit, "the search does not end"
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(solve_module, "heapq",
+                        SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
+    return pushes
+
+
+def test_plan_single_walled_in_by_parked_robots_returns_none(monkeypatch):
+    # the robot starts in a 3x3 pocket whose 12 neighbours are held by parked
+    # robots; the last of them closes the pocket at t=2, too soon to slip
+    # out. With no horizon the search must still end, after entering each
+    # pocket cell a bounded number of times, however long it could wander.
+    pushes = count_pushes(monkeypatch, limit=10_000)
+    pocket = [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)]
+    wall = sorted(set(seal(pocket)) - {(0, 0), (0, 4), (4, 0), (4, 4)})
+    walls_in = {cell: [cell] for cell in wall}
+    walls_in[(4, 2)] = [(6, 2), (5, 2), (4, 2)]
+    inst = make_instance([(2, 2)] + [p[0] for p in walls_in.values()],
+                         [(8, 2)] + wall)
+    for objective in Objective:
+        table = ReservationTable(search_window(inst))
+        for robot, path in enumerate(walls_in.values(), start=1):
+            table.add_path(robot, pixels(*path))
+        pushes[0] = 0
+        assert plan_single(inst, 0, table, objective) is None
+        assert 0 < pushes[0] <= 10 * len(pocket)
+
+
+def random_committed_case(seed):
+    """A one-robot instance and up to four random walks committed around
+    it, none of which starts on the robot's start; None when the map has
+    fewer than two open cells."""
+    rng = random.Random(seed)
+    w, h = rng.randint(2, 5), rng.randint(2, 5)
+    cells = [(x, y) for x in range(w) for y in range(h)]
+    obstacles = [c for c in cells if rng.random() < 0.15]
+    open_cells = [c for c in cells if c not in obstacles]
+    if len(open_cells) < 2:
+        return None
+    start, goal = rng.sample(open_cells, 2)
+    inst = make_instance([start], [goal], obstacles)
+    x0, y0, x1, y1 = window = search_window(inst)
+    free = {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)} - set(obstacles)
+    table = ReservationTable(window)
+    walks = []
+    for robot in range(1, rng.randint(2, 5)):
+        walk = [rng.choice(sorted(free - {start}))]
+        for _ in range(rng.randint(0, 8)):
+            x, y = walk[-1]
+            options = [c for c in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                       if c in free]
+            walk.append(rng.choice(options))
+        try:
+            table.add_path(robot, pixels(*walk))
+        except ValueError:
+            continue
+        walks.append(walk)
+    return inst, table, free, walks
+
+
+def test_plan_single_cost_matches_a_time_expanded_search():
+    # the search has no horizon, so it must find the cost of the reference
+    # search, which runs long enough to see every cheapest path
+    compared = found = 0
+    for seed in range(80):
+        case = random_committed_case(seed)
+        if case is None:
+            continue
+        inst, table, free, walks = case
+        for objective in Objective:
+            path = plan_single(inst, 0, table, objective)
+            expected = oracles.single_robot_optimum(
+                inst.starts[0], inst.targets[0], free, walks, objective.value)
+            compared += 1
+            if path is None:
+                assert expected is None, (seed, objective)
+                continue
+            found += 1
+            moves = sum(a != b for a, b in zip(path, path[1:]))
+            assert (len(path) - 1, moves) == expected, (seed, objective)
+            assert (path[0], path[-1]) == (inst.starts[0], inst.targets[0])
+    assert compared >= 100 and found >= 80
 
 
 def test_plan_single_returns_none_for_walled_target():
     pocket = [(5, 4), (5, 6), (4, 5), (6, 5)]
     inst = make_instance([(0, 0)], [(5, 5)], pocket)
-    table = ReservationTable(40, search_window(inst))
+    table = ReservationTable(search_window(inst))
     assert plan_single(inst, 0, table, Objective.MAX) is None
 
 
@@ -252,7 +359,7 @@ def test_plan_single_waits_until_target_is_free_forever():
     # MAX makes it by looping south and entering behind the occupant's exit
     # (same-direction train); SUM keeps the single move and lands at t=4.
     inst = make_instance([(1, 0), (4, 0)], [(2, 0), (2, 1)])
-    table = ReservationTable(12, search_window(inst))
+    table = ReservationTable(search_window(inst))
     table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (2, 1)))
     fast = plan_single(inst, 0, table, Objective.MAX)
     assert as_tuples(fast) == [(1, 0), (1, -1), (2, -1), (2, 0)]
@@ -263,7 +370,7 @@ def test_plan_single_waits_until_target_is_free_forever():
 def test_plan_single_takes_objective_names():
     # "sum" must plan for SUM like Objective.SUM, not fall through to MAX
     inst = make_instance([(1, 0), (4, 0)], [(2, 0), (2, 1)])
-    table = ReservationTable(12, search_window(inst))
+    table = ReservationTable(search_window(inst))
     table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (2, 1)))
     for objective in Objective:
         assert (plan_single(inst, 0, table, objective.value)
@@ -275,7 +382,7 @@ def test_plan_single_vacates_in_direction_of_incoming_robot():
     # Robot 1 is committed to move west into our start pixel at the first
     # step. We must leave west too; waiting or stepping aside is a collision.
     inst = make_instance([(0, 0), (1, 0)], [(0, 1), (0, 0)])
-    table = ReservationTable(8, search_window(inst))
+    table = ReservationTable(search_window(inst))
     table.add_path(1, pixels((1, 0), (0, 0), (0, 0)))
     path = plan_single(inst, 0, table, Objective.MAX)
     assert as_tuples(path) == [(0, 0), (-1, 0), (-1, 1), (0, 1)]
@@ -288,7 +395,7 @@ def test_plan_single_trains_behind_committed_robot():
     inst = make_instance([(0, 0), (1, 1)], [(2, 0), (3, 0)], seal(free),
                          name="shaft")
     for objective in (Objective.MAX, Objective.SUM):
-        table = ReservationTable(12, search_window(inst))
+        table = ReservationTable(search_window(inst))
         leader = plan_single(inst, 1, table, objective)
         assert as_tuples(leader) == [(1, 1), (1, 0), (2, 0), (3, 0)]
         table.add_path(1, leader)
@@ -304,7 +411,7 @@ def test_plan_single_head_on_corridor_reverses_into_bay():
     free = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (2, 1)]
     inst = make_instance([(0, 0), (4, 0)], [(4, 0), (2, 1)], seal(free),
                          name="headon")
-    table = ReservationTable(20, search_window(inst))
+    table = ReservationTable(search_window(inst))
     p1 = plan_single(inst, 1, table, Objective.MAX)
     assert as_tuples(p1) == [(4, 0), (3, 0), (2, 0), (2, 1)]
     table.add_path(1, p1)
@@ -320,19 +427,12 @@ def test_plan_single_search_follows_the_path_not_the_square(monkeypatch):
     # toward the target keeps the search near one of them instead of
     # sweeping the 101x101 square (about 31,000 pushes when ties go by
     # insertion order).
-    pushes = [0]
-
-    def counting_push(heap, item):
-        pushes[0] += 1
-        heapq.heappush(heap, item)
-
-    monkeypatch.setattr(solve_module, "heapq",
-                        SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
+    pushes = count_pushes(monkeypatch)
     inst = make_instance([(0, 0), (100, 100)], [(100, 100), (0, 0)], [(49, 49)],
                          name="diagonal")
     for objective in (Objective.MAX, Objective.SUM):
         pushes[0] = 0
-        path = plan_single(inst, 0, ReservationTable(400, search_window(inst)), objective)
+        path = plan_single(inst, 0, ReservationTable(search_window(inst)), objective)
         assert len(path) - 1 == 200
         assert pushes[0] <= 10 * 200
 
@@ -359,13 +459,11 @@ def test_paths_to_schedule_all_parked_is_empty():
 # ------------------------------------------------- prioritized planning
 
 def plan_in_order(inst, order):
-    """Schedule from planning robots in ``order`` into a fresh table at the
-    horizon cap of the solver's ladder, or None when some robot finds no
-    path."""
+    """Schedule from planning robots in ``order`` into a fresh table, or
+    None when some robot finds no path."""
     ctx = solve_module._SolveContext(inst)
-    horizon = solve_module._HORIZON_CAP_FACTOR * ctx.lb_makespan + inst.n_robots
-    table = ReservationTable(horizon, ctx.window)
-    paths, _, _ = solve_module._plan_robots(ctx, table, order, Objective.MAX, False)
+    table = ReservationTable(ctx.window)
+    paths, _ = solve_module._plan_robots(ctx, table, order, Objective.MAX, False)
     return None if paths is None else paths_to_schedule(inst, paths)
 
 
@@ -411,7 +509,7 @@ def table_state(table):
     """Copies of every reservation a table holds."""
     return (dict(table.vertex), dict(table.edge_from), dict(table.edge_into),
             dict(table.parked), {c: set(ts) for c, ts in table._times.items()},
-            set(table.static_at_zero))
+            set(table.static_at_zero), table.horizon)
 
 
 def test_failed_plan_robots_leaves_the_table_as_it_was(monkeypatch):
@@ -422,51 +520,77 @@ def test_failed_plan_robots_leaves_the_table_as_it_was(monkeypatch):
     inst = make_instance([(0, 0), (2, 0), (5, 5), (5, 6)],
                          [(2, 0), (0, 0), (6, 5), (6, 6)], seal(free))
     ctx = solve_module._SolveContext(inst)
-    table = ReservationTable(12, ctx.window)
-    paths, _, _ = solve_module._plan_robots(ctx, table, [2], Objective.MAX, False)
+    table = ReservationTable(ctx.window)
+    paths, _ = solve_module._plan_robots(ctx, table, [2], Objective.MAX, False)
     assert paths is not None
     before = table_state(table)
     planned = []
     real_plan_single = solve_module.plan_single
 
-    def recording(instance, robot, *args):
-        path = real_plan_single(instance, robot, *args)
+    def recording(instance, robot, *args, **kwargs):
+        path = real_plan_single(instance, robot, *args, **kwargs)
         planned.append((robot, path is not None))
         return path
 
     monkeypatch.setattr(solve_module, "plan_single", recording)
     result = solve_module._plan_robots(ctx, table, [0, 1, 3], Objective.MAX, False)
-    assert result == (None, 1, False)
+    assert result == (None, 1)
     assert planned == [(0, True), (1, False)]
     assert table_state(table) == before
+
+
+def record_plan_robots(monkeypatch, fail=False):
+    """Record every _plan_robots call, in call order, as (robots, whether
+    all were planned). With ``fail`` no robot is planned: every call fails
+    at its first robot."""
+    calls = []
+    real_plan_robots = solve_module._plan_robots
+
+    def recording(ctx, table, robots, objective, check_deadline):
+        if fail:
+            result = (None, robots[0])
+        else:
+            result = real_plan_robots(ctx, table, robots, objective, check_deadline)
+        calls.append((list(robots), result[0] is not None))
+        return result
+
+    monkeypatch.setattr(solve_module, "_plan_robots", recording)
+    return calls
+
+
+def anneal_and_restore(monkeypatch, inst, order, value, lb_value):
+    """Run one annealing move near zero temperature, for each of 8 seeds,
+    on the plan of ``order`` and check that the move changed nothing; returns
+    the moves' _plan_robots calls as (robots, whether all were planned)."""
+    ctx = solve_module._SolveContext(inst)
+    config = SolverConfig(anneal_iterations=1, anneal_initial_temp=1e-9)
+    real_plan_robots = solve_module._plan_robots
+    calls = record_plan_robots(monkeypatch)
+    for seed in range(8):
+        table = ReservationTable(ctx.window)
+        paths, _ = real_plan_robots(ctx, table, order, Objective.MAX, False)
+        before = table_state(table)
+        best, best_value = solve_module._anneal(ctx, config, random.Random(seed), paths,
+                                                table, value, lb_value, [])
+        assert (best, best_value) == (paths, value)
+        assert table_state(table) == before
+    return calls
 
 
 def test_rejected_anneal_move_leaves_the_table_as_it_was(monkeypatch):
     # the leader-first train has makespan 1; a move that replans the
     # follower first gets makespan 2 and, near zero temperature, is rejected
     inst = make_instance([(0, 0), (1, 0)], [(1, 0), (2, 0)])
-    ctx = solve_module._SolveContext(inst)
-    orders = []
-    real_plan_robots = solve_module._plan_robots
+    assert ([0, 1], True) in anneal_and_restore(monkeypatch, inst, [1, 0], 1, 0)
 
-    def recording(ctx, table, robots, objective, check_deadline):
-        orders.append(list(robots))
-        return real_plan_robots(ctx, table, robots, objective, check_deadline)
 
-    monkeypatch.setattr(solve_module, "_plan_robots", recording)
-    config = SolverConfig(anneal_iterations=1, anneal_initial_temp=1e-9)
-    rejected = 0
-    for seed in range(8):
-        table = ReservationTable(4, ctx.window)
-        paths, _, _ = real_plan_robots(ctx, table, [1, 0], Objective.MAX, False)
-        before = table_state(table)
-        orders.clear()
-        best, value = solve_module._anneal(ctx, config, random.Random(seed), paths,
-                                           table, 1, 0, [])
-        assert (best, value) == (paths, 1)
-        assert table_state(table) == before
-        rejected += orders == [[0, 1]]
-    assert rejected
+def test_failed_anneal_replan_leaves_the_table_as_it_was(monkeypatch):
+    # corridor with a bay at x=5: robot 1 ducks into the bay while robot 0
+    # passes, for makespan 11; a move that replans robot 1 first parks it on
+    # (1, 0), the only way out of robot 0's start, so robot 0 finds no path
+    free = [(x, 0) for x in range(7)] + [(5, 1)]
+    inst = make_instance([(0, 0), (5, 0)], [(6, 0), (1, 0)], seal(free))
+    assert ([1, 0], False) in anneal_and_restore(monkeypatch, inst, [0, 1], 11, 6)
 
 
 # ---------------------------------------------------------------- solve
@@ -475,8 +599,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
-        SolverConfig(horizon_factor=0.5)
-    with pytest.raises(ValueError):
         SolverConfig(anneal_cooling=0.0)
     with pytest.raises(ValueError):
         SolverConfig(anneal_cooling=1.5)
@@ -484,9 +606,14 @@ def test_solver_config_validation():
         SolverConfig(anneal_iterations=-1)
     with pytest.raises(ValueError):
         SolverConfig(k_replan=0)
-    with pytest.raises(ValueError):
-        SolverConfig(time_limit=0.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="time_limit"):
+            SolverConfig(time_limit=bad)
+        with pytest.raises(ValueError, match="anneal_initial_temp"):
+            SolverConfig(anneal_initial_temp=bad)
     assert SolverConfig(objective="sum").objective is Objective.SUM
+    assert SolverConfig(time_limit=None, anneal_initial_temp=None).time_limit is None
+    assert SolverConfig(anneal_initial_temp=0.5).anneal_initial_temp == 0.5
 
 
 def test_solve_train_pair_reaches_both_lower_bounds():
@@ -549,55 +676,34 @@ def test_solve_reports_failure_on_corridor_swap():
     res = solve(inst, SolverConfig(restarts=3, anneal_iterations=50, seed=0))
     assert not res.success
     assert res.schedule is None and res.value is None and res.report is None
-    assert res.failure_reason == "no feasible schedule within restart and horizon limits"
+    assert res.failure_reason == "no feasible schedule within restart limits"
     assert all(t.phase != "final" for t in res.telemetry)
 
 
-def record_horizons(monkeypatch, fail=False):
-    """Record every _plan_robots call solve() makes, in call order, as
-    (table horizon, robots, whether all were planned). With ``fail`` no
-    robot is planned: every call fails as if the horizon cut the search of
-    its first robot."""
-    calls = []
-    real_plan_robots = solve_module._plan_robots
-
-    def recording(ctx, table, robots, objective, check_deadline):
-        if fail:
-            result = (None, robots[0], True)
-        else:
-            result = real_plan_robots(ctx, table, robots, objective, check_deadline)
-        calls.append((table.horizon, list(robots), result[0] is not None))
-        return result
-
-    monkeypatch.setattr(solve_module, "_plan_robots", recording)
-    return calls
-
-
-def test_solve_lifts_without_growing_the_horizon_when_no_search_was_cut(monkeypatch):
-    # the corridor swap fails the same way at every horizon, so every order
-    # is tried at the initial horizon only (lb 2 + 2 robots)
-    calls = record_horizons(monkeypatch)
+def test_solve_lifts_each_failed_robot_once_per_order(monkeypatch):
+    # in the corridor swap the robot planned second is boxed in, so it is
+    # lifted to the front, then the other one is; a robot lifted before
+    # ends the order
+    calls = record_plan_robots(monkeypatch)
     free = [(0, 0), (1, 0), (2, 0), (1, 1)]
     inst = make_instance([(0, 0), (2, 0)], [(2, 0), (0, 0)], seal(free))
     res = solve(inst, SolverConfig(restarts=3, anneal_iterations=50, seed=0))
     assert not res.success
-    horizons = [h for h, _, _ in calls]
-    assert horizons and set(horizons) == {4}
+    assert calls[:3] == [([0, 1], False), ([1, 0], False), ([0, 1], False)]
+    assert len(calls) == 3 * 3
 
 
 @pytest.mark.parametrize("objective", ["max", "sum"])
-def test_solve_grows_the_horizon_when_the_horizon_cut_the_search(monkeypatch, objective):
+def test_solve_plans_the_corridor_bay_in_one_pass(monkeypatch, objective):
     # robot 0 runs the corridor's length 6 first (larger bound); robot 1
-    # must wait for it in the bay at x=5 and then walk back to x=1, which
-    # ends after the initial horizon 8 (bound 6 + 2 robots), so it is
-    # planned at the grown horizon 12
-    calls = record_horizons(monkeypatch)
+    # waits for it in the bay at x=5 and then walks back to x=1, arriving
+    # at t=11, far past robot 0's arrival at t=6
+    calls = record_plan_robots(monkeypatch)
     free = [(x, 0) for x in range(7)] + [(5, 1)]
     inst = make_instance([(0, 0), (5, 0)], [(6, 0), (1, 0)], seal(free))
-    res = solve(inst, SolverConfig(objective=objective, horizon_factor=1.0,
-                                   restarts=1, anneal_iterations=0))
+    res = solve(inst, SolverConfig(objective=objective, restarts=1, anneal_iterations=0))
     assert res.success and res.report.makespan == 11
-    assert [h for h, _, _ in calls] == [8, 12]
+    assert calls == [([0, 1], True)]
 
 
 def test_solve_reports_infeasible_instance():
@@ -614,11 +720,10 @@ def test_solve_first_attempt_runs_even_with_tiny_time_limit():
     assert res.success and res.value == 2
 
 
-def test_solve_stops_growing_the_horizon_after_the_deadline(monkeypatch):
-    # every plan fails with its search cut by the horizon, and every clock
-    # reading is 10 s after the last, so the 5 s limit has passed once the
-    # first horizon level is done
-    calls = record_horizons(monkeypatch, fail=True)
+def test_solve_lifts_no_robot_after_the_deadline(monkeypatch):
+    # every plan fails, and every clock reading is 10 s after the last, so
+    # the 5 s limit has passed once the first order is done
+    calls = record_plan_robots(monkeypatch, fail=True)
     clock = itertools.count(step=10.0)
     monkeypatch.setattr(solve_module, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     inst = make_instance([(0, 0)], [(5, 0)])
@@ -663,7 +768,7 @@ PINNED_SCHEDULES = {
     (6, 6, 0.3, 2, 0): {"max": "d0d5532541238468f49ed6bdbe051d5e27d7bd03",
                         "sum": "402a07902181c871d43af75f094ecb5ca2c0e05a"},
     (6, 6, 0.3, 2, 1): {"max": "b8ff7eae28ebda5bb220d902a121fc704b505de8",
-                        "sum": "a1ea86a577f833e1532b82a21e9a91154cbea59c"},
+                        "sum": "8afd38184c26d407419e5917402def2248859478"},
     (7, 7, 0.4, 3, 1): {"max": "cbc458f1194545983ae66f9275a2523e088c8e8f",
                         "sum": "c8f9f70c1ebf7df59d68d33182e9861a13d8e317"},
     (8, 8, 0.3, 3, 4): {"max": "92958e99e3a6268247e6e21945222164816a7efa",
@@ -673,25 +778,19 @@ PINNED_SCHEDULES = {
 }
 
 
-def test_solve_reproduces_pinned_schedules(monkeypatch):
-    calls = record_horizons(monkeypatch)
-    grew = negative = 0
+def test_solve_reproduces_pinned_schedules():
+    negative = 0
     for (w, h, density, count, seed), expected in PINNED_SCHEDULES.items():
         inst = generate(GeneratorParams(w, h, density, obstacle_count=count,
                                         seed=seed)).instance
         for objective, sha in expected.items():
-            first = len(calls)
             res = solve(inst, SolverConfig(objective=objective, restarts=2,
                                            anneal_iterations=60))
             text = emit_solution(res.schedule)
             assert hashlib.sha1(text.encode()).hexdigest() == sha, (w, h, seed, objective)
-            grew += len({horizon for horizon, _, _ in calls[first:]}) > 1
             config = Configuration(inst.starts)
             for step in res.schedule.steps:
                 config = apply_step(config, step)
                 negative += any(p.x < 0 or p.y < 0 for p in config.positions)
-    # the pins cover horizon growth, paths through the ring below the map and
-    # failed annealing replans, which are taken back (an annealing move
-    # replans k_replan = 2 robots; every pinned map has more)
-    assert grew >= 2 and negative >= 2
-    assert any(len(robots) == 2 and not ok for _, robots, ok in calls)
+    # the pins cover paths through the ring below the map
+    assert negative >= 2
