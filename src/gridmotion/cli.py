@@ -9,12 +9,14 @@ The GRIDMOTION_SEED environment variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import io
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from .evaluate import instance_report, score_suites
@@ -28,7 +30,8 @@ from .formats import (
     parse_solution,
     parse_solver_config,
 )
-from .generate import GenerationError, InstanceFeatures, generate, select_diverse
+from .generate import (GenerationError, InstanceFeatures, WeightMapError, extract_features,
+                       generate, params_slug, select_diverse)
 from .model import Objective
 from .render import render_svg
 from .solve import SolverConfig, solve
@@ -36,9 +39,9 @@ from .validate import UnreachableTargetError, lower_bounds, validate_schedule
 
 SEED_ENV = "GRIDMOTION_SEED"
 
-_FEATURE_COLUMNS = ("name", "n_robots", "density", "n_clusters",
-                    "n_clustered_robots", "volume", "free_area",
-                    "cluster_info_known")
+# feature name -> type, in declaration order; the CSV writes bools as 0/1
+_FEATURE_TYPES = typing.get_type_hints(InstanceFeatures)
+_FEATURE_COLUMNS = ("name", *_FEATURE_TYPES)
 
 
 def _default_seed() -> int:
@@ -61,15 +64,19 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
-def _features_csv(rows: list[tuple[str, InstanceFeatures]]) -> str:
+def _csv(header, rows) -> str:
+    """CSV text with "\n" line ends; None cells are written empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_FEATURE_COLUMNS)
-    for name, f in rows:
-        writer.writerow([name, f.n_robots, repr(f.density), f.n_clusters,
-                         f.n_clustered_robots, f.volume, f.free_area,
-                         int(f.cluster_info_known)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _features_csv(rows: list[tuple[str, InstanceFeatures]]) -> str:
+    return _csv(_FEATURE_COLUMNS, (
+        [name, *(int(v) if isinstance(v, bool) else v for v in dataclasses.astuple(f))]
+        for name, f in rows))
 
 
 def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
@@ -78,17 +85,15 @@ def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
     if header != list(_FEATURE_COLUMNS):
         raise FormatError("features CSV: unexpected header")
     out = []
-    try:
-        for row in reader:
-            if not row:
-                continue
-            name = row[0]
-            out.append((name, InstanceFeatures(
-                n_robots=int(row[1]), density=float(row[2]), n_clusters=int(row[3]),
-                n_clustered_robots=int(row[4]), volume=int(row[5]),
-                free_area=int(row[6]), cluster_info_known=bool(int(row[7])))))
-    except (ValueError, IndexError) as err:
-        raise FormatError(f"features CSV: bad row: {err}") from None
+    for row in filter(None, reader):   # skip blank lines
+        try:
+            if len(row) != len(_FEATURE_COLUMNS):
+                raise ValueError(f"{len(row)} cells, expected {len(_FEATURE_COLUMNS)}")
+            out.append((row[0], InstanceFeatures(*(
+                bool(int(cell)) if kind is bool else kind(cell)
+                for kind, cell in zip(_FEATURE_TYPES.values(), row[1:])))))
+        except ValueError as err:
+            raise FormatError(f"features CSV: bad row: {err}") from None
     return out
 
 
@@ -103,17 +108,19 @@ def cmd_generate(args) -> int:
                                   default_seed=_default_seed())
     if args.select is not None:
         _check_select_count(args.select, len(combos))
+    names = [params_slug(params) for params in combos]
+    dups = [name for name, count in collections.Counter(names).items() if count > 1]
+    if dups:
+        raise FormatError(f"generator config: duplicate parameter combination {dups[0]}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     base_dir = str(Path(args.config).parent)
     feature_rows = []
-    names = []
-    for params in combos:
-        result = generate(params, base_dir=base_dir)
-        name = result.instance.name
-        if name in names:
-            raise FormatError(f"generator config: duplicate parameter combination {name}")
-        names.append(name)
+    for name, params in zip(names, combos):
+        try:
+            result = generate(params, base_dir=base_dir)
+        except WeightMapError as err:
+            raise FormatError(f"generator config: {err}") from None
         _write(outdir / f"{name}.instance.json", emit_instance(result.instance))
         feature_rows.append((name, result.features))
     _write(outdir / "features.csv", _features_csv(feature_rows))
@@ -236,34 +243,21 @@ def cmd_score(args) -> int:
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["objective", "instance", "team", "value", "best_value", "score"])
-    for row in report.rows:
-        writer.writerow([objective.value, row.instance, row.team,
-                         "" if row.value is None else row.value,
-                         "" if row.best_value is None else row.best_value,
-                         f"{row.score:.6f}"])
-    _write(outdir / "scores.csv", buf.getvalue())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["team", "total", "instances"])
-    for team in sorted(report.totals):
-        writer.writerow([team, f"{report.totals[team]:.6f}", report.instance_count])
-    _write(outdir / "totals.csv", buf.getvalue())
+    _write(outdir / "scores.csv", _csv(
+        ["objective", "instance", "team", "value", "best_value", "score"],
+        ([objective.value, row.instance, row.team, row.value, row.best_value,
+          f"{row.score:.6f}"] for row in report.rows)))
+    _write(outdir / "totals.csv", _csv(
+        ["team", "total", "instances"],
+        ([team, f"{report.totals[team]:.6f}", report.instance_count]
+         for team in sorted(report.totals))))
     if summaries is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["instance", "average_score", "best_value", "lb_makespan",
-                         "lb_total", "n_robots", "density", "free_area"])
-        for s in summaries:
-            writer.writerow([s.instance, f"{s.average_score:.6f}",
-                             "" if s.best_value is None else s.best_value,
-                             "" if s.lb_makespan is None else s.lb_makespan,
-                             "" if s.lb_total is None else s.lb_total,
-                             s.features.n_robots, repr(s.features.density),
-                             s.features.free_area])
-        _write(outdir / "instances.csv", buf.getvalue())
+        _write(outdir / "instances.csv", _csv(
+            ["instance", "average_score", "best_value", "lb_makespan", "lb_total",
+             "n_robots", "density", "free_area"],
+            ([s.instance, f"{s.average_score:.6f}", s.best_value, s.lb_makespan,
+              s.lb_total, s.features.n_robots, s.features.density, s.features.free_area]
+             for s in summaries)))
 
     for team in sorted(report.totals):
         print(f"{team}: {report.totals[team]:.4f} / {report.instance_count}")
@@ -291,7 +285,6 @@ def cmd_render(args) -> int:
 
 
 def cmd_features(args) -> int:
-    from .generate import extract_features
     rows = []
     for path in args.instances:
         inst = parse_instance(_read(path), strict=args.strict)

@@ -47,7 +47,7 @@ class InstanceSummary:
     best_value: Optional[int]
     lb_makespan: Optional[int]
     lb_total: Optional[int]
-    features: Optional[InstanceFeatures]
+    features: InstanceFeatures
 
 
 def _as_instance_map(instances) -> dict[str, Instance]:
@@ -111,12 +111,9 @@ def score_suites(instances, suites: Mapping[str, Iterable[Schedule]],
 
 
 def instance_report(instances, suites: Mapping[str, Iterable[Schedule]],
-                    objective: Objective,
-                    features: Optional[Mapping[str, InstanceFeatures]] = None
-                    ) -> tuple[ScoreReport, list[InstanceSummary]]:
+                    objective: Objective) -> tuple[ScoreReport, list[InstanceSummary]]:
     """Scores plus a per-instance difficulty summary joining average score,
-    best objective, lower bounds and features (generator-provided when given,
-    bounding-box based otherwise)."""
+    best objective, lower bounds and bounding-box features."""
     report = score_suites(instances, suites, objective)
     by_name = _as_instance_map(instances)
     n_teams = max(len(suites), 1)
@@ -132,17 +129,12 @@ def instance_report(instances, suites: Mapping[str, Iterable[Schedule]],
             lb_mk, lb_tot, _ = lower_bounds(inst)
         except UnreachableTargetError:
             lb_mk = lb_tot = None
-        feat = None
-        if features is not None and name in features:
-            feat = features[name]
-        else:
-            feat = extract_features(inst)
         summaries.append(InstanceSummary(
             instance=name,
             average_score=score_sum[name] / n_teams,
             best_value=best_by_instance[name],
             lb_makespan=lb_mk,
             lb_total=lb_tot,
-            features=feat,
+            features=extract_features(inst),
         ))
     return report, summaries

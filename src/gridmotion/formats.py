@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from typing import Any, Mapping, Optional
+from dataclasses import MISSING, fields
+from typing import Any, Mapping, Optional, get_type_hints
 
 from .generate import GeneratorParams
 from .model import Direction, Instance, Objective, Schedule, Step
@@ -170,20 +171,9 @@ def _parse_kv_lines(text: str, what: str) -> dict[str, list[str]]:
     return out
 
 
-_GRID_FIELDS = {
-    "map_width": int,
-    "map_height": int,
-    "density": float,
-    "start_distribution": str,
-    "target_distribution": str,
-    "obstacle_count": int,
-    "obstacle_size_mean": float,
-    "obstacle_size_stddev": float,
-    "cluster_count": int,
-    "cluster_size_mean": float,
-    "cluster_size_stddev": float,
-    "seed": int,
-}
+# field name -> type, in declaration order
+_GRID_FIELDS = get_type_hints(GeneratorParams)
+_GRID_REQUIRED = [f.name for f in fields(GeneratorParams) if f.default is MISSING]
 
 
 def parse_generator_grid(text: str, strict: bool = False,
@@ -202,8 +192,10 @@ def parse_generator_grid(text: str, strict: bool = False,
         warnings.warn(message, stacklevel=2)
         for key in unknown:
             del raw[key]
-    if "map_width" not in raw or "map_height" not in raw or "density" not in raw:
-        raise FormatError("generator config: map_width, map_height and density are required")
+    missing = [key for key in _GRID_REQUIRED if key not in raw]
+    if missing:
+        raise FormatError(
+            f"generator config: missing required key(s) {', '.join(map(repr, missing))}")
     grids = []
     for field_name in _GRID_FIELDS:
         if field_name in raw:
@@ -225,13 +217,12 @@ def parse_generator_grid(text: str, strict: bool = False,
     return combos
 
 
-_SOLVER_FIELDS = ("objective", "time_limit", "restarts", "anneal_initial_temp",
-                  "anneal_cooling", "anneal_iterations", "k_replan", "seed")
+_SOLVER_FIELDS = get_type_hints(SolverConfig)
 
 
 def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
-    """Single-valued key-value solver config. time_limit and
-    anneal_initial_temp accept "none"/"auto" for their None defaults."""
+    """Single-valued key-value solver config. Optional fields (time_limit,
+    anneal_initial_temp) accept "none"/"auto" for their None defaults."""
     raw = _parse_kv_lines(text, "solver config")
     unknown = sorted(set(raw) - set(_SOLVER_FIELDS))
     if unknown:
@@ -247,14 +238,13 @@ def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
             if len(values) != 1:
                 raise FormatError(f"solver config: {key!r} takes a single value")
             value = values[0]
-            if key == "objective":
+            kind = _SOLVER_FIELDS[key]
+            if kind is Objective:
                 kwargs[key] = parse_objective(value)
-            elif key in ("time_limit", "anneal_initial_temp"):
+            elif kind == Optional[float]:
                 kwargs[key] = None if value.lower() in ("none", "auto") else float(value)
-            elif key == "anneal_cooling":
-                kwargs[key] = float(value)
             else:
-                kwargs[key] = int(value)
+                kwargs[key] = kind(value)
         return SolverConfig(**kwargs)
     except ValueError as err:
         raise FormatError(f"solver config: {err}") from None

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,10 @@ WEIGHT_PREFIX = "weights:"
 
 class GenerationError(RuntimeError):
     """Raised when instance generation fails for a seed after bounded retries."""
+
+
+class WeightMapError(ValueError):
+    """Raised when a weight map is malformed or weights no map pixel."""
 
 
 @dataclass(frozen=True)
@@ -115,19 +120,8 @@ class InstanceFeatures:
 
 
 @dataclass(frozen=True)
-class GenerationInfo:
-    """Bookkeeping from one successful generation run."""
-
-    params: GeneratorParams
-    n_clusters: int
-    n_clustered_robots: int
-    window_retries: int
-
-
-@dataclass(frozen=True)
 class GenerationResult:
     instance: Instance
-    info: GenerationInfo
     features: InstanceFeatures
 
 
@@ -189,25 +183,26 @@ def place_obstacles(params: GeneratorParams, rng: np.random.Generator) -> frozen
 def load_weight_map(path) -> np.ndarray:
     """Parse an ASCII PGM ("P2") raster into a float array of shape
     (rows, cols), top row first."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    # binary bytes decode to U+FFFD, so a binary PGM fails the checks below
+    with open(path, "rb") as fh:
+        text = fh.read().decode("ascii", errors="replace")
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
         tokens.extend(line.split())
     if not tokens or tokens[0] != "P2":
-        raise ValueError(f"{path}: not an ASCII PGM (P2) file")
+        raise WeightMapError(f"{path}: not an ASCII PGM (P2) file")
     try:
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
         values = [int(t) for t in tokens[4:]]
     except (IndexError, ValueError):
-        raise ValueError(f"{path}: malformed PGM header or payload") from None
+        raise WeightMapError(f"{path}: malformed PGM header or payload") from None
     if w < 1 or h < 1 or maxval < 1:
-        raise ValueError(f"{path}: bad PGM dimensions")
+        raise WeightMapError(f"{path}: bad PGM dimensions")
     if len(values) != w * h:
-        raise ValueError(f"{path}: expected {w * h} samples, found {len(values)}")
+        raise WeightMapError(f"{path}: expected {w * h} samples, found {len(values)}")
     if any(v < 0 or v > maxval for v in values):
-        raise ValueError(f"{path}: sample out of range")
+        raise WeightMapError(f"{path}: sample out of range")
     return np.array(values, dtype=float).reshape(h, w)
 
 
@@ -233,13 +228,11 @@ def resolve_distribution(spec: str, map_width: int, map_height: int,
         return None
     path = spec[len(WEIGHT_PREFIX):]
     if base_dir is not None:
-        import os
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        path = os.path.join(base_dir, path)
     raster = load_weight_map(path)
     weights = scale_weights_to_map(raster, map_width, map_height)
     if not np.any(weights > 0):
-        raise ValueError(f"weight map {path} has no positive weight on the map")
+        raise WeightMapError(f"weight map {path} has no positive weight on the map")
     return weights
 
 
@@ -357,21 +350,20 @@ def place_clusters(params: GeneratorParams, n_robots: int,
 
 def params_slug(params: GeneratorParams) -> str:
     """Deterministic, filesystem-friendly instance name for a parameter set."""
-    blob = repr(tuple(getattr(params, f) for f in (
-        "map_width", "map_height", "density", "start_distribution",
-        "target_distribution", "obstacle_count", "obstacle_size_mean",
-        "obstacle_size_stddev", "cluster_count", "cluster_size_mean",
-        "cluster_size_stddev", "seed"))).encode()
-    digest = hashlib.sha1(blob).hexdigest()[:6]
+    digest = hashlib.sha1(repr(astuple(params)).encode()).hexdigest()[:6]
     return (f"g{params.map_width}x{params.map_height}"
             f"-d{params.density:g}-o{params.obstacle_count}"
             f"-c{params.cluster_count}-s{params.seed}-{digest}")
 
 
 def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
-    """Generate one instance with bookkeeping. Deterministic per params."""
-    start_spec = params.start_distribution
-    target_spec = params.target_distribution
+    """Generate one instance and its features. Deterministic per params.
+    A bad weight map raises WeightMapError (OSError when missing) before
+    any draw."""
+    start_weights = resolve_distribution(params.start_distribution, params.map_width,
+                                         params.map_height, base_dir)
+    target_weights = resolve_distribution(params.target_distribution, params.map_width,
+                                          params.map_height, base_dir)
     last_error: Exception | None = None
     for attempt in range(_GENERATE_ATTEMPTS):
         rng = np.random.default_rng([params.seed, attempt])
@@ -383,10 +375,6 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
             if n_robots < 1:
                 raise GenerationError(
                     f"density {params.density} x free area {free_area} rounds to 0 robots")
-            start_weights = resolve_distribution(start_spec, params.map_width,
-                                                 params.map_height, base_dir)
-            target_weights = resolve_distribution(target_spec, params.map_width,
-                                                  params.map_height, base_dir)
             clusters = place_clusters(params, n_robots, obstacles,
                                       start_weights, target_weights, rng)
             rest = n_robots - clusters.n_clustered_robots
@@ -398,9 +386,6 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
                 params.map_width, params.map_height, rng)
             instance = Instance(name=params_slug(params), starts=tuple(starts),
                                 targets=tuple(targets), obstacles=obstacles)
-            info = GenerationInfo(params=params, n_clusters=clusters.n_clusters,
-                                  n_clustered_robots=clusters.n_clustered_robots,
-                                  window_retries=clusters.window_retries)
             features = InstanceFeatures(
                 n_robots=n_robots,
                 density=n_robots / free_area,
@@ -409,7 +394,7 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
                 volume=volume,
                 free_area=free_area,
             )
-            return GenerationResult(instance=instance, info=info, features=features)
+            return GenerationResult(instance=instance, features=features)
         except GenerationError as err:
             last_error = err
     raise GenerationError(
@@ -417,31 +402,17 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
         f"{params.seed}: {last_error}")
 
 
-def generate_instance(params: GeneratorParams, base_dir=None) -> Instance:
-    return generate(params, base_dir=base_dir).instance
-
-
-def extract_features(instance: Instance, info: GenerationInfo | None = None,
-                     map_size: tuple[int, int] | None = None) -> InstanceFeatures:
-    """Features of an instance. With generator provenance the cluster fields
-    come from the bookkeeping; otherwise they are 0 and flagged unknown, and
-    the map defaults to the bounding box of the instance content."""
+def extract_features(instance: Instance) -> InstanceFeatures:
+    """Features of an instance file, which carries no generator provenance:
+    the map is the bounding box of the instance content, and the cluster
+    fields are 0 and flagged unknown. ``generate`` returns the features of
+    the instances it makes."""
     n = instance.n_robots
-    if info is not None:
-        volume = info.params.map_width * info.params.map_height
-        free_area = volume - len(instance.obstacles)
-        return InstanceFeatures(n, n / free_area, info.n_clusters,
-                                info.n_clustered_robots, volume, free_area)
-    if map_size is not None:
-        w, h = map_size
-    else:
-        xs = [p.x for p in instance.starts] + [p.x for p in instance.targets] \
-            + [p.x for p in instance.obstacles]
-        ys = [p.y for p in instance.starts] + [p.y for p in instance.targets] \
-            + [p.y for p in instance.obstacles]
-        w = max(xs) - min(xs) + 1
-        h = max(ys) - min(ys) + 1
-    volume = w * h
+    xs = [p.x for p in instance.starts] + [p.x for p in instance.targets] \
+        + [p.x for p in instance.obstacles]
+    ys = [p.y for p in instance.starts] + [p.y for p in instance.targets] \
+        + [p.y for p in instance.obstacles]
+    volume = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
     free_area = volume - len(instance.obstacles)
     return InstanceFeatures(n, n / free_area, 0, 0, volume, free_area,
                             cluster_info_known=False)

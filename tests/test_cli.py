@@ -284,10 +284,29 @@ def test_bad_environment_seed_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_generate_rejects_duplicate_combos(tmp_path, capsys):
-    config = write(tmp_path / "dup.cfg",
-                   "map_width = 8\nmap_height = 8\ndensity = 0.1\nseed = 1 1\n")
+    outdir = tmp_path / "out"
+    for seeds in ("1 1", "1 2 1"):
+        config = write(tmp_path / "dup.cfg", "map_width = 8\nmap_height = 8\n"
+                       f"density = 0.1\nseed = {seeds}\n")
+        assert main(["generate", config, str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate parameter combination" in err and "Traceback" not in err
+        # the duplicate is found before anything is written
+        assert not list(outdir.glob("*.instance.json"))
+        assert not (outdir / "features.csv").exists()
+
+
+@pytest.mark.parametrize("raster", [
+    "P5\n2 2 255\n\xff\x00\x10\x80",   # binary PGM
+    "P2\n2 2 9\n0 0 0 0\n",               # no positive weight
+], ids=["binary", "all-zero"])
+def test_generate_rejects_bad_weight_map(tmp_path, capsys, raster):
+    (tmp_path / "w.pgm").write_bytes(raster.encode("latin-1"))
+    config = write(tmp_path / "w.cfg", "map_width = 8\nmap_height = 8\n"
+                   "density = 0.1\ntarget_distribution = weights:w.pgm\n")
     assert main(["generate", config, str(tmp_path / "out")]) == 2
-    assert "duplicate parameter combination" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: generator config: ") and "w.pgm" in err
 
 
 def test_strict_mode_rejects_unknown_config_keys(tmp_path):
@@ -321,6 +340,20 @@ def test_features_to_stdout_and_select_roundtrip(tmp_path, capsys):
     assert main(["select", feats, "-k", "-1"]) == 2
     err = capsys.readouterr().err
     assert "cannot select -1 from 5 candidates" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name,n_robots,density\na,1,0.1\n", "unexpected header"),
+    ("{header}\na,1,0.1,0,0,100,99\n", "bad row: 7 cells, expected 8"),
+    ("{header}\na,1,0.1,0,0,100,99,1\nb,1,dense,0,0,100,99,1\n", "bad row: could not"),
+], ids=["header", "short-row", "non-numeric"])
+def test_select_rejects_bad_features_csv(tmp_path, capsys, text, message):
+    header = "name,n_robots,density,n_clusters,n_clustered_robots,volume,free_area," \
+             "cluster_info_known"
+    feats = write(tmp_path / "features.csv", text.format(header=header))
+    assert main(["select", feats, "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: features CSV: ") and message in err
 
 
 def test_render_writes_svg(line_files, tmp_path, capsys):

@@ -139,17 +139,13 @@ def test_report_two_teams_average_is_three_quarters():
     assert summaries[0].average_score == pytest.approx(0.75)
 
 
-def test_report_uses_supplied_features_and_falls_back():
+def test_report_uses_bounding_box_features():
     params = GeneratorParams(map_width=6, map_height=6, density=0.1,
                              obstacle_count=0, obstacle_size_mean=2.0,
                              obstacle_size_stddev=0.5, seed=1)
-    gen = generate(params)
-    inst = gen.instance
-    given = {inst.name: gen.features}
-    _, with_given = instance_report([inst], {}, Objective.MAX, features=given)
-    assert with_given[0].features == gen.features
-    _, fallback = instance_report([inst], {}, Objective.MAX)
-    assert fallback[0].features == extract_features(inst)
+    inst = generate(params).instance
+    _, summaries = instance_report([inst], {}, Objective.MAX)
+    assert summaries[0].features == extract_features(inst)
 
 
 def test_report_handles_unreachable_lower_bounds():

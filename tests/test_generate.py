@@ -15,7 +15,6 @@ from gridmotion.generate import (
     extract_features,
     fill_enclosed,
     generate,
-    generate_instance,
     load_weight_map,
     place_clusters,
     place_obstacles,
@@ -321,7 +320,7 @@ def test_generate_deterministic_and_exact_count():
 
 def test_generate_single_robot():
     params = GeneratorParams(map_width=4, map_height=4, density=1 / 16, seed=2)
-    inst = generate_instance(params)
+    inst = generate(params).instance
     assert inst.n_robots == 1
 
 
@@ -341,10 +340,11 @@ def test_generate_with_clusters_bookkeeping():
                              cluster_size_mean=3.0, cluster_size_stddev=1.0,
                              seed=21)
     result = generate(params)
-    info = result.info
-    assert 0 < info.n_clusters <= 2
-    assert 0 < info.n_clustered_robots <= result.instance.n_robots
-    assert extract_features(result.instance, info=info) == result.features
+    f = result.features
+    assert 0 < f.n_clusters <= 2
+    assert 0 < f.n_clustered_robots <= result.instance.n_robots
+    assert f.cluster_info_known
+    assert f.volume == 144 and f.free_area == 144 - len(result.instance.obstacles)
 
 
 def test_generate_failure_when_density_rounds_to_zero():
@@ -369,7 +369,7 @@ def test_generate_weighted_positions_land_in_support(tmp_path):
     pgm.write_text("P2\n2 1 1\n1 0\n", encoding="ascii")
     params = GeneratorParams(map_width=10, map_height=6, density=0.2,
                              start_distribution="weights:half.pgm", seed=8)
-    inst = generate_instance(params, base_dir=str(tmp_path))
+    inst = generate(params, base_dir=str(tmp_path)).instance
     assert all(p.x < 5 for p in inst.starts)
     assert any(p.x >= 5 for p in inst.targets)  # targets stayed uniform
 
@@ -380,6 +380,18 @@ def test_params_slug_is_stable_and_distinct():
     assert params_slug(a) == params_slug(a)
     assert params_slug(a) != params_slug(b)
     assert params_slug(a).startswith("g8x8-d0.1-")
+    # names are file names: the slugs quoted in README and docs/FORMATS.md,
+    # and one with every field off its default, must not drift
+    pinned = {
+        "g12x10-d0.08-o3-c0-s1-d827d8": GeneratorParams(
+            map_width=12, map_height=10, density=0.08, obstacle_count=3, seed=1),
+        "g10x8-d0.1-o2-c0-s1-bbd3d8": GeneratorParams(
+            map_width=10, map_height=8, density=0.1, obstacle_count=2, seed=1),
+        "g9x7-d0.25-o2-c1-s4-e70ea9": GeneratorParams(
+            9, 7, 0.25, "weights:a.pgm", "weights:b.pgm", 2, 2.5, 0.5, 1, 3.0, 0.0, 4),
+    }
+    for slug, params in pinned.items():
+        assert params_slug(params) == slug
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +401,14 @@ def test_params_slug_is_stable_and_distinct():
 def test_extract_features_without_provenance():
     from conftest import make_instance
     inst = make_instance([(0, 0)], [(9, 9)])
-    f = extract_features(inst, map_size=(10, 10))
+    f = extract_features(inst)
     assert f.n_robots == 1 and f.volume == 100 and f.free_area == 100
     assert f.density == pytest.approx(0.01)
     assert f.n_clusters == 0 and not f.cluster_info_known
 
     obst = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
     inst = make_instance([(0, 0)], [(9, 9)], obst)
-    f = extract_features(inst, map_size=(10, 10))
+    f = extract_features(inst)
     assert f.free_area == 94
 
 
