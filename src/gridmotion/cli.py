@@ -112,15 +112,15 @@ def cmd_generate(args) -> int:
     dups = [name for name, count in collections.Counter(names).items() if count > 1]
     if dups:
         raise FormatError(f"generator config: duplicate parameter combination {dups[0]}")
+    base_dir = str(Path(args.config).parent)
+    try:
+        results = [generate(params, base_dir=base_dir) for params in combos]
+    except WeightMapError as err:
+        raise FormatError(f"generator config: {err}") from None
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    base_dir = str(Path(args.config).parent)
     feature_rows = []
-    for name, params in zip(names, combos):
-        try:
-            result = generate(params, base_dir=base_dir)
-        except WeightMapError as err:
-            raise FormatError(f"generator config: {err}") from None
+    for name, result in zip(names, results):
         _write(outdir / f"{name}.instance.json", emit_instance(result.instance))
         feature_rows.append((name, result.features))
     _write(outdir / "features.csv", _features_csv(feature_rows))

@@ -184,14 +184,7 @@ def parse_generator_grid(text: str, strict: bool = False,
     seed when omitted. Expansion order follows the field order of
     GeneratorParams, last field varying fastest."""
     raw = _parse_kv_lines(text, "generator config")
-    unknown = sorted(set(raw) - set(_GRID_FIELDS))
-    if unknown:
-        message = f"generator config: unknown key(s) {', '.join(map(repr, unknown))}"
-        if strict:
-            raise FormatError(message)
-        warnings.warn(message, stacklevel=2)
-        for key in unknown:
-            del raw[key]
+    _check_unknown_keys(raw, _GRID_FIELDS, "generator config", strict)
     missing = [key for key in _GRID_REQUIRED if key not in raw]
     if missing:
         raise FormatError(
@@ -221,24 +214,19 @@ _SOLVER_FIELDS = get_type_hints(SolverConfig)
 
 
 def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
-    """Single-valued key-value solver config. Optional fields (time_limit,
-    anneal_initial_temp) accept "none"/"auto" for their None defaults."""
+    """Single-valued key-value solver config. ``time_limit`` accepts
+    "none"/"auto" for its None default."""
     raw = _parse_kv_lines(text, "solver config")
-    unknown = sorted(set(raw) - set(_SOLVER_FIELDS))
-    if unknown:
-        message = f"solver config: unknown key(s) {', '.join(map(repr, unknown))}"
-        if strict:
-            raise FormatError(message)
-        warnings.warn(message, stacklevel=2)
-        for key in unknown:
-            del raw[key]
+    _check_unknown_keys(raw, _SOLVER_FIELDS, "solver config", strict)
     kwargs: dict[str, Any] = {}
     try:
         for key, values in raw.items():
+            kind = _SOLVER_FIELDS.get(key)
+            if kind is None:
+                continue
             if len(values) != 1:
                 raise FormatError(f"solver config: {key!r} takes a single value")
             value = values[0]
-            kind = _SOLVER_FIELDS[key]
             if kind is Objective:
                 kwargs[key] = parse_objective(value)
             elif kind == Optional[float]:

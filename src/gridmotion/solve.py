@@ -1,19 +1,21 @@
 """Heuristic schedule construction: prioritized space-time planning with
-restarts, followed by simulated-annealing improvement over k-robot replans.
+restarts, followed by simulated-annealing improvement over two-robot replans.
 
 An initial feasible schedule is built by planning robots one at a time
-against a reservation table. The single-robot search lifts the step rules
-into space-time: a move into a pixel that is occupied at departure time is
-legal only when the committed occupant leaves it in the same direction at the
-same time (chain moves behind committed paths), and a robot being planned
-must vacate a pixel in the direction of any committed robot entering it.
-A robot cannot recruit not-yet-planned robots to move in concert; their start
-pixels are treated as occupied, with unknown departure, at time 0. The search
+against a reservation table, one map from (cell, time) to the cell its
+occupant held a step before. The single-robot search lifts the step rules
+into space-time and reads each of them off that map: a move into a pixel
+that is occupied at departure time is legal only when the committed occupant
+leaves it in the same direction at the same time (chain moves behind
+committed paths), and a robot being planned must vacate a pixel in the
+direction of any committed robot entering it. A robot cannot recruit
+not-yet-planned robots to move in concert; each holds its start pixel at
+time 0 with no departure recorded, so no one enters it at time 1. The search
 has no time horizon: once every committed path has arrived the table stops
 changing, so it prunes what can no longer pay and ends on its own. Each
 priority order is planned in one pass.
 
-Local search then repeatedly erases ``k_replan`` robots, replans them in
+Local search then repeatedly erases two robots, replans them in
 random order, and accepts the result by a simulated-annealing criterion
 (improvements always, worsenings with probability exp(-delta/T), geometric
 cooling on acceptance). Robot choice is biased toward makespan-critical
@@ -51,21 +53,19 @@ from .validate import (
 
 _CRITICAL_WEIGHT = 4.0   # sampling weight of makespan-critical robots (MAX)
 _AUTO_TEMP_FACTOR = 0.1  # initial temperature as a fraction of the start value
+_COOLING = 0.995         # temperature factor per accepted move
+_K_REPLAN = 2            # robots erased and replanned per annealing move
 
 
 @dataclass
 class SolverConfig:
-    """Solver knobs. ``anneal_initial_temp`` None means 10% of the first
-    feasible objective value. ``time_limit`` None disables the wall clock and
-    makes the run deterministic; the iteration caps still bound the work."""
+    """Solver knobs. ``time_limit`` None disables the wall clock and makes
+    the run deterministic; the iteration caps still bound the work."""
 
     objective: Objective = Objective.MAX
     time_limit: Optional[float] = None
     restarts: int = 4
-    anneal_initial_temp: Optional[float] = None
-    anneal_cooling: float = 0.995
     anneal_iterations: int = 100_000
-    k_replan: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -73,17 +73,11 @@ class SolverConfig:
             self.objective = Objective(self.objective)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (0.0 < self.anneal_cooling <= 1.0):
-            raise ValueError("anneal_cooling must be in (0, 1]")
         if self.anneal_iterations < 0:
             raise ValueError("anneal_iterations must be >= 0")
-        if self.k_replan < 1:
-            raise ValueError("k_replan must be >= 1")
         # written as "not > 0" so that NaN is rejected too
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive or None")
-        if self.anneal_initial_temp is not None and not self.anneal_initial_temp > 0:
-            raise ValueError("anneal_initial_temp must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -120,23 +114,24 @@ class ReservationTable:
 
     A path is the pixel sequence a robot occupies at integer times 0..T; from
     T on the robot rests on its final pixel (open-ended "parked" reservation).
-    ``static_at_zero`` holds the start cells of robots that are not planned
-    yet: they occupy them at time 0 and their departure is unknown, so no
-    one may move into them at time 1. ``horizon`` is the last arrival time
-    of any committed path (0 when there is none): from then on only parked
-    robots hold cells, and nothing in the table changes with time.
+    One map holds who stands where: ``vertex[(cell, t)]`` is the cell its
+    occupant held at ``t - 1``, or ``cell`` itself at ``t = 0``. Every step
+    rule reads it: a robot at ``(q, t)`` leaves with displacement ``d``
+    exactly when ``vertex[(q + d, t + 1)] == q``. A robot not planned yet may
+    hold its start at time 0 with ``vertex[(start, 0)] = start`` and no
+    path; no entry at ``t = 1`` points back to it, so no one may enter it at
+    time 1. ``parked`` maps each final cell to its arrival time, and
+    ``horizon`` is the last arrival of any committed path (0 when there is
+    none): from then on only parked robots hold cells, and nothing in the
+    table changes with time.
     """
 
     def __init__(self, window: tuple[int, int, int, int]):
         self.window = window
         self.horizon = 0
-        self.vertex: dict = {}      # (cell, t) -> robot
-        self.edge_from: dict = {}   # (cell, t) -> cell the occupant moves to at t+1
-        self.edge_into: dict = {}   # (cell, t) -> cell the robot arriving at t+1 comes from
-        self.parked: dict = {}      # cell -> (robot, arrival time)
-        self.static_at_zero: set = set()
-        self._times: dict = {}      # cell -> set of reserved times
-        self._paths: dict = {}      # robot -> its committed cells
+        self.vertex: dict = {}   # (cell, t) -> the occupant's cell at t-1
+        self.parked: dict = {}   # cell -> arrival time
+        self._paths: dict = {}   # robot -> its committed cells
 
     def add_path(self, robot: int, path: Sequence[Pixel]) -> None:
         x0, y0, x1, y1 = self.window
@@ -154,14 +149,8 @@ class ReservationTable:
         if self.last_visit(cells[end]) >= end:
             raise ValueError(f"pixel {tuple(path[end])} reserved at or after t={end}")
         for t, c in enumerate(cells):
-            self.vertex[(c, t)] = robot
-            self._times.setdefault(c, set()).add(t)
-        for t in range(end):
-            a, b = cells[t], cells[t + 1]
-            if a != b:
-                self.edge_from[(a, t)] = b
-                self.edge_into[(b, t)] = a
-        self.parked[cells[end]] = (robot, end)
+            self.vertex[(c, t)] = cells[t - 1] if t else c
+        self.parked[cells[end]] = end
         self._paths[robot] = cells
         self.horizon = max(self.horizon, end)
 
@@ -169,15 +158,6 @@ class ReservationTable:
         path = self._paths.pop(robot)
         for t, c in enumerate(path):
             del self.vertex[(c, t)]
-            times = self._times[c]
-            times.discard(t)
-            if not times:
-                del self._times[c]
-        for t in range(len(path) - 1):
-            a, b = path[t], path[t + 1]
-            if a != b:
-                del self.edge_from[(a, t)]
-                del self.edge_into[(b, t)]
         del self.parked[path[-1]]
         if len(path) - 1 == self.horizon:
             self.horizon = max((len(p) - 1 for p in self._paths.values()), default=0)
@@ -185,18 +165,16 @@ class ReservationTable:
     def blocked_at(self, cell: int, t: int) -> bool:
         if (cell, t) in self.vertex:
             return True
-        rec = self.parked.get(cell)
-        if rec is not None and t >= rec[1]:
-            return True
-        return t == 0 and cell in self.static_at_zero
+        arrival = self.parked.get(cell)
+        return arrival is not None and t >= arrival
 
     def last_visit(self, cell: int) -> float:
         """Last time any committed robot occupies the cell; -1 when never,
         +inf for parked cells."""
         if cell in self.parked:
             return math.inf
-        times = self._times.get(cell)
-        return max(times) if times else -1
+        return max((len(cells) - 1 - cells[::-1].index(cell)
+                    for cells in self._paths.values() if cell in cells), default=-1)
 
 
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
@@ -239,10 +217,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     stride = window[3] - window[1] + 3
     moves = (1, -1, stride, -stride)   # N, S, E, W
     vertex = table.vertex
-    edge_from = table.edge_from
-    edge_into = table.edge_into
     parked = table.parked
-    static0 = table.static_at_zero
     sum_objective = Objective(objective) is Objective.SUM
 
     h0 = field[start]
@@ -278,7 +253,9 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             parent.append({})
         best_next = best[nt]
         parent_next = parent[nt]
-        incoming = edge_into.get((p, t))
+        # (p, t) is free, so an entry at (p, t+1) is a robot entering from
+        # a neighbour
+        incoming = vertex.get((p, nt))
         for d in moves:
             q = p + d
             h = field[q]
@@ -286,16 +263,14 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 continue   # ring, obstacle or cut off from the target
             if (q, nt) in vertex:
                 continue
-            rec = parked.get(q)
-            if rec is not None and nt >= rec[1]:
+            arrival = parked.get(q)
+            if arrival is not None and nt >= arrival:
                 continue
             # R3 against committed paths: entering an occupied cell requires
-            # the occupant to leave it with the same displacement now
-            if (q, t) in vertex:
-                if edge_from.get((q, t)) != q + d:
-                    continue
-            elif (rec is not None and t >= rec[1]) or (t == 0 and q in static0):
-                continue   # parked or unplanned occupant never departs
+            # the occupant to leave it with the same displacement now; only
+            # the occupant of (q, t) can have come from q at t+1
+            if (q, t) in vertex and vertex.get((q + d, nt)) != q:
+                continue
             # and symmetrically: if a committed robot enters our cell now,
             # we must vacate it in that robot's direction
             if incoming is not None and p - incoming != d:
@@ -316,7 +291,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 f1, f2 = nt + h, nmoves + h
             heapq.heappush(heap, (f1, f2, h, next(counter), q, nt, nmoves))
         # waiting in place, which only delays once the table is still
-        if t < still and incoming is None and not table.blocked_at(p, nt):
+        if t < still and not table.blocked_at(p, nt):
             old = best_next.get(p)
             if old is None or old > moves_in:
                 best_next[p] = moves_in
@@ -361,14 +336,16 @@ def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[i
     left exactly as it was, and the result is (None, the robot that found no
     path), or (None, None) when ``check_deadline`` is set and the deadline
     passed first."""
-    static = table.static_at_zero
-    static.update(ctx.start_cells[i] for i in robots)
+    vertex = table.vertex
+    starts = ctx.start_cells
+    for i in robots:
+        vertex[(starts[i], 0)] = starts[i]
     paths: dict[int, list[Pixel]] = {}
     failed = None
     for robot in robots:
         if check_deadline and ctx.out_of_time():
             break
-        static.discard(ctx.start_cells[robot])
+        del vertex[(starts[robot], 0)]
         path = plan_single(ctx.instance, robot, table, objective, field=ctx.fields[robot])
         if path is None:
             failed = robot
@@ -379,7 +356,8 @@ def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[i
         return paths, None
     for robot in paths:
         table.remove_path(robot)
-    static.difference_update(ctx.start_cells[i] for i in robots)
+    for i in robots:   # the start entries of robots never reached
+        vertex.pop((starts[i], 0), None)
     return None, failed
 
 
@@ -422,7 +400,7 @@ def _value_from_stats(stats: dict[int, tuple[int, int]], objective: Objective) -
 
 def _pick_robots(rng: random.Random, stats: dict[int, tuple[int, int]],
                  per_robot_lb: Sequence[int], objective: Objective,
-                 k: int, current_value: int) -> list[int]:
+                 current_value: int) -> list[int]:
     indices = sorted(stats)
     if objective is Objective.MAX:
         weights = [
@@ -432,20 +410,10 @@ def _pick_robots(rng: random.Random, stats: dict[int, tuple[int, int]],
     else:
         weights = [1.0 + max(0, stats[i][0] - per_robot_lb[i]) for i in indices]
     chosen: list[int] = []
-    pool = list(indices)
-    w = list(weights)
-    for _ in range(min(k, len(pool))):
-        total = sum(w)
-        r = rng.random() * total
-        acc = 0.0
-        pick = len(pool) - 1
-        for j, wj in enumerate(w):
-            acc += wj
-            if r < acc:
-                pick = j
-                break
-        chosen.append(pool.pop(pick))
-        w.pop(pick)
+    for _ in range(min(_K_REPLAN, len(indices))):
+        pick = rng.choices(range(len(indices)), weights)[0]
+        chosen.append(indices.pop(pick))
+        weights.pop(pick)
     return chosen
 
 
@@ -536,7 +504,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
             paths: dict, table: ReservationTable, value: int, lb_value: int,
             telemetry: list[TelemetryRecord]) -> tuple[dict, int]:
     """Improve ``paths``, committed in ``table``, by replanning
-    ``k_replan`` robots at a time; returns the best paths and their value.
+    ``_K_REPLAN`` robots at a time; returns the best paths and their value.
     A failed or rejected move puts the old paths back."""
     objective = config.objective
     current = dict(paths)
@@ -544,15 +512,11 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
     cur_value = best_value = value
     best_paths = dict(current)
 
-    temp = config.anneal_initial_temp
-    if temp is None:
-        temp = _AUTO_TEMP_FACTOR * value
-
+    temp = _AUTO_TEMP_FACTOR * value
     for _ in range(config.anneal_iterations):
         if ctx.out_of_time():
             break
-        chosen = _pick_robots(rng, stats, ctx.per_robot, objective,
-                              config.k_replan, cur_value)
+        chosen = _pick_robots(rng, stats, ctx.per_robot, objective, cur_value)
         for i in chosen:
             table.remove_path(i)
         rng.shuffle(chosen)
@@ -565,7 +529,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
                 current.update(new_paths)
                 cur_value = new_value
-                temp *= config.anneal_cooling
+                temp *= _COOLING
                 if cur_value < best_value:
                     best_value = cur_value
                     best_paths = dict(current)

@@ -302,11 +302,17 @@ def test_generate_rejects_duplicate_combos(tmp_path, capsys):
 ], ids=["binary", "all-zero"])
 def test_generate_rejects_bad_weight_map(tmp_path, capsys, raster):
     (tmp_path / "w.pgm").write_bytes(raster.encode("latin-1"))
-    config = write(tmp_path / "w.cfg", "map_width = 8\nmap_height = 8\n"
-                   "density = 0.1\ntarget_distribution = weights:w.pgm\n")
-    assert main(["generate", config, str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: generator config: ") and "w.pgm" in err
+    # the second config's first combination is fine: nothing is written
+    # before every combination is generated
+    for targets in ("weights:w.pgm", "uniform weights:w.pgm"):
+        config = write(tmp_path / "w.cfg", "map_width = 8\nmap_height = 8\n"
+                       f"density = 0.1\ntarget_distribution = {targets}\n")
+        outdir = tmp_path / "out"
+        assert main(["generate", config, str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generator config: ") and "w.pgm" in err
+        assert not list(outdir.glob("*.instance.json"))
+        assert not (outdir / "features.csv").exists()
 
 
 def test_strict_mode_rejects_unknown_config_keys(tmp_path):

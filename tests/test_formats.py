@@ -262,23 +262,17 @@ def test_solver_config_full_file():
         "objective = SUM\n"
         "time_limit = 2.5\n"
         "restarts = 6\n"
-        "anneal_initial_temp = 4.0\n"
-        "anneal_cooling = 0.99\n"
         "anneal_iterations = 1234\n"
-        "k_replan = 3\n"
         "seed = 9\n"
     )
     config = parse_solver_config(text)
     assert config == SolverConfig(objective=Objective.SUM, time_limit=2.5,
-                                  restarts=6,
-                                  anneal_initial_temp=4.0, anneal_cooling=0.99,
-                                  anneal_iterations=1234, k_replan=3, seed=9)
+                                  restarts=6, anneal_iterations=1234, seed=9)
 
 
 def test_solver_config_none_and_auto_spellings():
-    config = parse_solver_config("time_limit = none\nanneal_initial_temp = auto\n")
-    assert config.time_limit is None
-    assert config.anneal_initial_temp is None
+    for spelling in ("none", "auto", "NONE"):
+        assert parse_solver_config(f"time_limit = {spelling}\n").time_limit is None
 
 
 def test_solver_config_errors():
@@ -294,11 +288,13 @@ def test_solver_config_errors():
         parse_solver_config("verbosity = 3\n", strict=True)
 
 
-def test_solver_config_retired_horizon_factor_is_an_unknown_key():
-    with pytest.warns(UserWarning, match="unknown key.*'horizon_factor'"):
-        assert parse_solver_config("horizon_factor = 2.0\n") == SolverConfig()
-    with pytest.raises(FormatError, match="unknown key.*'horizon_factor'"):
-        parse_solver_config("horizon_factor = 2.0\n", strict=True)
+@pytest.mark.parametrize("key", ["horizon_factor", "anneal_initial_temp",
+                                 "anneal_cooling", "k_replan"])
+def test_solver_config_retired_horizon_factor_is_an_unknown_key(key):
+    with pytest.warns(UserWarning, match=f"unknown key.*'{key}'"):
+        assert parse_solver_config(f"{key} = 2.0\n") == SolverConfig()
+    with pytest.raises(FormatError, match=f"unknown key.*'{key}'"):
+        parse_solver_config(f"{key} = 2.0\n", strict=True)
 
 
 def test_parse_objective_spellings():

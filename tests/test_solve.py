@@ -3,6 +3,7 @@ search, prioritized planning against the exhaustive joint optimum of
 ``oracles.joint_optimal``, and the full solve() entry point with its
 telemetry, deadline and failure contracts."""
 
+import collections
 import hashlib
 import heapq
 import itertools
@@ -26,7 +27,13 @@ from gridmotion.solve import (
     plan_single,
     solve,
 )
-from gridmotion.validate import cell_id, lower_bounds, search_window, validate_schedule
+from gridmotion.validate import (
+    cell_id,
+    cell_pixel,
+    lower_bounds,
+    search_window,
+    validate_schedule,
+)
 
 
 def pixels(*coords):
@@ -101,6 +108,12 @@ def cell(x, y):
     return cell_id(WINDOW, (x, y))
 
 
+def table_state(table):
+    """Copies of every reservation a table holds."""
+    return (dict(table.vertex), dict(table.parked),
+            {r: list(cells) for r, cells in table._paths.items()}, table.horizon)
+
+
 def test_table_records_vertices_edges_and_parking():
     table = ReservationTable(WINDOW)
     path = pixels((0, 0), (1, 0), (1, 0), (2, 0))
@@ -116,10 +129,11 @@ def test_table_records_vertices_edges_and_parking():
     assert table.blocked_at(cell(2, 0), 99)
     assert not table.blocked_at(cell(2, 0), 2)
 
-    assert table.edge_from[(cell(0, 0), 0)] == cell(1, 0)
-    assert table.edge_into[(cell(1, 0), 0)] == cell(0, 0)
-    # waiting in place is not an edge
-    assert (cell(1, 0), 1) not in table.edge_from
+    # each entry holds the cell its occupant came from; a wait points at
+    # its own cell, and so does the start
+    assert table.vertex == {(cell(0, 0), 0): cell(0, 0), (cell(1, 0), 1): cell(0, 0),
+                            (cell(1, 0), 2): cell(1, 0), (cell(2, 0), 3): cell(1, 0)}
+    assert table.parked == {cell(2, 0): 3}
 
     assert table.last_visit(cell(0, 0)) == 0
     assert table.last_visit(cell(1, 0)) == 2
@@ -160,13 +174,13 @@ def test_table_rejects_conflicting_reservations():
 def test_table_rejected_path_writes_nothing():
     table = ReservationTable(WINDOW)
     table.add_path(0, pixels((1, 0), (2, 0)))
-    before = (dict(table.vertex), dict(table.edge_from), dict(table.parked))
+    before = table_state(table)
     with pytest.raises(ValueError, match="t=1"):
         table.add_path(1, pixels((0, 0), (2, 0)))   # (0, 0) is free at t=0
     # through the pixel robot 0 is parked on from t=1
     with pytest.raises(ValueError, match="t=2"):
         table.add_path(1, pixels((0, 0), (1, 0), (2, 0), (3, 0)))
-    assert (dict(table.vertex), dict(table.edge_from), dict(table.parked)) == before
+    assert table_state(table) == before
     assert len(table.vertex) == 2
 
 
@@ -202,10 +216,12 @@ def test_table_horizon_is_the_last_arrival():
 
 
 def test_table_static_starts_block_time_zero_only():
+    # an unplanned robot's start: held at time 0, with no path behind it
     table = ReservationTable(WINDOW)
-    table.static_at_zero = {cell(4, 4)}
+    table.vertex[(cell(4, 4), 0)] = cell(4, 4)
     assert table.blocked_at(cell(4, 4), 0)
     assert not table.blocked_at(cell(4, 4), 1)
+    assert table.last_visit(cell(4, 4)) == -1
 
 
 # --------------------------------------------------------- plan_single
@@ -505,13 +521,6 @@ def test_prioritized_plan_feasible_and_at_least_optimal_on_rooms():
     assert solved >= 8
 
 
-def table_state(table):
-    """Copies of every reservation a table holds."""
-    return (dict(table.vertex), dict(table.edge_from), dict(table.edge_into),
-            dict(table.parked), {c: set(ts) for c, ts in table._times.items()},
-            set(table.static_at_zero), table.horizon)
-
-
 def test_failed_plan_robots_leaves_the_table_as_it_was(monkeypatch):
     # robot 2 is committed in its own pocket; in the corridor swap robot 0
     # plans, then robot 1 finds no path, so robot 0 must be taken back and
@@ -563,7 +572,8 @@ def anneal_and_restore(monkeypatch, inst, order, value, lb_value):
     on the plan of ``order`` and check that the move changed nothing; returns
     the moves' _plan_robots calls as (robots, whether all were planned)."""
     ctx = solve_module._SolveContext(inst)
-    config = SolverConfig(anneal_iterations=1, anneal_initial_temp=1e-9)
+    config = SolverConfig(anneal_iterations=1)
+    monkeypatch.setattr(solve_module, "_AUTO_TEMP_FACTOR", 1e-9)
     real_plan_robots = solve_module._plan_robots
     calls = record_plan_robots(monkeypatch)
     for seed in range(8):
@@ -593,27 +603,73 @@ def test_failed_anneal_replan_leaves_the_table_as_it_was(monkeypatch):
     assert ([1, 0], False) in anneal_and_restore(monkeypatch, inst, [0, 1], 11, 6)
 
 
+def rebuilt(table):
+    """A fresh table holding the same committed paths."""
+    fresh = ReservationTable(table.window)
+    for robot, cells in table._paths.items():
+        fresh.add_path(robot, [cell_pixel(table.window, c) for c in cells])
+    return fresh
+
+
+def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
+    # a seeded mix of _plan_robots calls, some failing and some cut short by
+    # the deadline, path removals and annealing moves; after each step the
+    # table must hold exactly what its committed paths alone would write
+    outcomes = collections.Counter()
+    for seed in range(6):
+        rng = random.Random(seed)
+        inst = generate(GeneratorParams(7, 7, 0.35, obstacle_count=2, seed=seed)).instance
+        ctx = solve_module._SolveContext(inst)
+        table = ReservationTable(ctx.window)
+        for _ in range(30):
+            objective = rng.choice(list(Objective))
+            committed = sorted(table._paths)
+            unplanned = [i for i in range(inst.n_robots) if i not in table._paths]
+            action = rng.random()
+            if unplanned and action < 0.5:
+                robots = rng.sample(unplanned, rng.randint(1, len(unplanned)))
+                ticks = itertools.count()
+                # how many robots are tried before the deadline, often all
+                budget = max(len(robots) - rng.randint(0, 2), 0)
+                ctx.out_of_time = lambda: next(ticks) >= budget
+                paths, failed = solve_module._plan_robots(ctx, table, robots, objective, True)
+                if paths is not None:
+                    outcomes["planned"] += 1
+                elif failed is None:
+                    outcomes["cut"] += 1
+                else:   # "failed early" leaves robots it never reached
+                    outcomes["failed" if failed == robots[-1] else "failed early"] += 1
+            elif committed and action < 0.75:
+                table.remove_path(rng.choice(committed))
+                outcomes["removed"] += 1
+            elif committed:
+                paths = {i: [cell_pixel(ctx.window, c) for c in table._paths[i]]
+                         for i in committed}
+                stats = {i: solve_module._path_stats(p) for i, p in paths.items()}
+                value = solve_module._value_from_stats(stats, objective)
+                if value == 0:
+                    continue   # the annealer never starts from the bound 0
+                ctx.out_of_time = lambda: False
+                solve_module._anneal(ctx, SolverConfig(objective=objective, anneal_iterations=3),
+                                     rng, paths, table, value, -1, [])
+                outcomes["annealed"] += 1
+            assert table_state(table) == table_state(rebuilt(table))
+    assert min(outcomes[k] for k in ("planned", "failed early", "cut", "removed",
+                                     "annealed")) > 0, outcomes
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
-        SolverConfig(anneal_cooling=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(anneal_cooling=1.5)
-    with pytest.raises(ValueError):
         SolverConfig(anneal_iterations=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(k_replan=0)
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="time_limit"):
             SolverConfig(time_limit=bad)
-        with pytest.raises(ValueError, match="anneal_initial_temp"):
-            SolverConfig(anneal_initial_temp=bad)
     assert SolverConfig(objective="sum").objective is Objective.SUM
-    assert SolverConfig(time_limit=None, anneal_initial_temp=None).time_limit is None
-    assert SolverConfig(anneal_initial_temp=0.5).anneal_initial_temp == 0.5
+    assert SolverConfig(time_limit=None).time_limit is None
 
 
 def test_solve_train_pair_reaches_both_lower_bounds():
