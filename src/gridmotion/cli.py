@@ -211,10 +211,13 @@ def _load_instances_dir(path, strict: bool):
     files = sorted(Path(path).glob("*.instance.json"))
     if not files:
         raise FormatError(f"no *.instance.json files in {path}")
-    instances = {}
+    instances, paths = {}, {}
     for f in files:
         inst = parse_instance(_read(f), strict=strict)
-        instances[inst.name] = inst
+        if inst.name in instances:
+            raise FormatError(f"duplicate instance name {inst.name!r} in {paths[inst.name]} "
+                              f"and {f}")
+        instances[inst.name], paths[inst.name] = inst, f
     return instances
 
 
@@ -402,3 +405,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -215,7 +215,7 @@ _SOLVER_FIELDS = get_type_hints(SolverConfig)
 
 def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
     """Single-valued key-value solver config. ``time_limit`` accepts
-    "none"/"auto" for its None default."""
+    "none" (any case) for its None default."""
     raw = _parse_kv_lines(text, "solver config")
     _check_unknown_keys(raw, _SOLVER_FIELDS, "solver config", strict)
     kwargs: dict[str, Any] = {}
@@ -230,7 +230,7 @@ def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
             if kind is Objective:
                 kwargs[key] = parse_objective(value)
             elif kind == Optional[float]:
-                kwargs[key] = None if value.lower() in ("none", "auto") else float(value)
+                kwargs[key] = None if value.lower() == "none" else float(value)
             else:
                 kwargs[key] = kind(value)
         return SolverConfig(**kwargs)

@@ -1,9 +1,11 @@
-"""Core domain types: pixels, directions, instances, configurations, schedules.
+"""Core domain types: pixels, directions, instances, steps, schedules.
 
-Everything in this module is an immutable value, and every function is pure.
-Motion legality is deliberately *not* checked here; ``apply_step`` performs a
-plain translation so that callers (the validator, the renderer) can also step
-through illegal schedules. See :mod:`gridmotion.validate` for the rules.
+A configuration, the positions of all robots at one instant, is a plain
+tuple of pixels indexed by robot. Everything in this module is an immutable
+value, and every function is pure. Motion legality is deliberately *not*
+checked here; ``apply_step`` performs a plain translation so that callers
+(the validator, the renderer) can also step through illegal schedules. See
+:mod:`gridmotion.validate` for the rules.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class Direction(Enum):
         return self is not Direction.WAIT
 
     @property
-    def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
-
-    @property
     def letter(self) -> str | None:
         """Single-letter wire encoding; WAIT has none (it is encoded by omission)."""
         return _LETTER.get(self)
@@ -75,13 +73,6 @@ class Direction(Enum):
             raise ValueError(f"{tuple(a)} -> {tuple(b)} is not a unit or zero step") from None
 
 
-_OPPOSITE = {
-    Direction.NORTH: Direction.SOUTH,
-    Direction.SOUTH: Direction.NORTH,
-    Direction.EAST: Direction.WEST,
-    Direction.WEST: Direction.EAST,
-    Direction.WAIT: Direction.WAIT,
-}
 _LETTER = {
     Direction.NORTH: "N",
     Direction.SOUTH: "S",
@@ -132,27 +123,6 @@ class Instance:
     @property
     def n_robots(self) -> int:
         return len(self.starts)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Positions of all robots at one instant, indexed by robot."""
-
-    positions: tuple[Pixel, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", _as_pixels(self.positions))
-        if len(set(self.positions)) != len(self.positions):
-            raise ValueError("configuration positions must be pairwise distinct")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __getitem__(self, i: int) -> Pixel:
-        return self.positions[i]
-
-    def __iter__(self) -> Iterator[Pixel]:
-        return iter(self.positions)
 
 
 @dataclass(frozen=True)
@@ -210,16 +180,12 @@ class Objective(Enum):
     SUM = "sum"
 
 
-def apply_step(config: Configuration, step: Step) -> Configuration:
+def apply_step(positions: Sequence[Pixel], step: Step) -> tuple[Pixel, ...]:
     """Translate every robot by its move. No legality checking on purpose,
     not even distinctness: after a colliding step two robots share a pixel."""
-    if len(config) != len(step):
-        raise ValueError(f"step width {len(step)} != configuration size {len(config)}")
-    # bypasses __post_init__, which would reject the collision
-    out = object.__new__(Configuration)
-    object.__setattr__(out, "positions",
-                       tuple(p.translated(m) for p, m in zip(config.positions, step.moves)))
-    return out
+    if len(positions) != len(step):
+        raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
+    return tuple(p.translated(m) for p, m in zip(positions, step.moves))
 
 
 def schedule_objectives(schedule: Schedule) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import Configuration, Instance, Schedule, apply_step
+from .model import Instance, Schedule, apply_step
 from .validate import RULE_TARGET, Violation
 
 _CELL = 16
@@ -31,7 +31,7 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
     schedule) to an SVG string."""
     if frame_every < 1:
         raise ValueError("frame_every must be >= 1")
-    configs = [Configuration(instance.starts)]
+    configs = [instance.starts]
     if schedule is not None:
         for step in schedule.steps:
             configs.append(apply_step(configs[-1], step))
@@ -40,8 +40,8 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
     if violation is not None:
         times = sorted({*times, min(violation.step, last)})
 
-    xs = [p.x for c in configs for p in c.positions]
-    ys = [p.y for c in configs for p in c.positions]
+    xs = [p.x for c in configs for p in c]
+    ys = [p.y for c in configs for p in c]
     xs += [p.x for p in instance.obstacles] + [p.x for p in instance.targets]
     ys += [p.y for p in instance.obstacles] + [p.y for p in instance.targets]
     x0, x1 = min(xs), max(xs)
@@ -87,13 +87,13 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
             parts.append(f'<rect x="{sx + 1.5}" y="{sy + 1.5}" width="{_CELL - 3}" '
                          f'height="{_CELL - 3}" fill="none" stroke="{_COLOR_TARGET}" '
                          f'stroke-width="1.5"/>')
-        for p in configs[t].positions:
+        for p in configs[t]:
             parts.append(cell_rect(p, _COLOR_ROBOT, 'opacity="0.9" '))
         if violation is not None and (
                 t == min(violation.step, last)
                 or (violation.rule == RULE_TARGET and t == last)):
             for i in marked:
-                p = configs[t].positions[i]
+                p = configs[t][i]
                 sx = (p.x - x0) * _CELL
                 sy = (y1 - p.y) * _CELL
                 parts.append(f'<line x1="{sx}" y1="{sy}" x2="{sx + _CELL}" '

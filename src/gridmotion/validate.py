@@ -11,18 +11,20 @@ R2 and R3 together forbid swaps and perpendicular "follow-in" moves while
 allowing same-direction chains, which is exactly continuous disjointness of
 the moving unit squares (squares that merely touch along an edge are fine).
 
-A schedule is feasible when every step is legal and the final configuration
-equals the instance targets index for index. All functions are pure.
+A configuration is a tuple of pixels indexed by robot (see
+:mod:`gridmotion.model`). A schedule is feasible when every step is legal and
+the final configuration equals the instance targets index for index. All
+functions are pure.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .model import (
-    Configuration,
+    Direction,
     Instance,
     Pixel,
     Schedule,
@@ -66,9 +68,10 @@ class ValidationReport:
     total_distance: int
 
 
-def check_step(instance: Instance, config: Configuration, step: Step,
+def check_step(instance: Instance, positions: Sequence[Pixel], step: Step,
                step_index: int = 0) -> Optional[Violation]:
-    """Check one synchronous step against rules R1, R2, R3.
+    """Check one synchronous step from the configuration ``positions``
+    against rules R1, R2, R3.
 
     Returns None when the step is legal, otherwise the violation that ranks
     first under the deterministic order: lowest robot index involved, then
@@ -78,45 +81,40 @@ def check_step(instance: Instance, config: Configuration, step: Step,
     when the configuration itself is invalid for this instance (overlapping
     robots, robot on an obstacle).
     """
-    positions = tuple(config)
-    moves = tuple(step)
-    if len(positions) != len(moves):
-        raise ValueError(f"step width {len(moves)} != configuration size {len(positions)}")
+    dests = apply_step(positions, step)
     if len(set(positions)) != len(positions):
         raise ValueError("configuration has overlapping robots")
-    obstacles = instance.obstacles
     for p in positions:
-        if p in obstacles:
+        if p in instance.obstacles:
             raise ValueError(f"configuration places a robot on obstacle {tuple(p)}")
+    return _step_violation(instance.obstacles, positions, step.moves, dests, step_index)
 
-    dests = [p.translated(m) for p, m in zip(positions, moves)]
+
+def _step_violation(obstacles: frozenset, positions: Sequence[Pixel],
+                    moves: tuple[Direction, ...], dests: tuple[Pixel, ...],
+                    step_index: int) -> Optional[Violation]:
+    """R1, R2 and R3 for robots moving from ``positions`` (pairwise distinct,
+    none on an obstacle) to ``dests``, ranked as :func:`check_step` says."""
     found: list[tuple[int, int, tuple[int, ...], str]] = []
-
-    for i, d in enumerate(dests):
-        if d in obstacles:
-            found.append((i, _RULE_RANK[RULE_OBSTACLE], (i,), RULE_OBSTACLE))
-
-    by_dest: dict[Pixel, list[int]] = {}
-    for i, d in enumerate(dests):
-        by_dest.setdefault(d, []).append(i)
-    for group in by_dest.values():
-        if len(group) > 1:
-            robots = tuple(sorted(group))
-            found.append((robots[0], _RULE_RANK[RULE_OVERLAP], robots, RULE_OVERLAP))
-
-    occupant = {p: i for i, p in enumerate(positions)}
+    if not obstacles.isdisjoint(dests):
+        found += [(i, _RULE_RANK[RULE_OBSTACLE], (i,), RULE_OBSTACLE)
+                  for i, d in enumerate(dests) if d in obstacles]
+    if len(set(dests)) != len(dests):
+        by_dest: dict[Pixel, list[int]] = {}
+        for i, d in enumerate(dests):
+            by_dest.setdefault(d, []).append(i)
+        found += [(group[0], _RULE_RANK[RULE_OVERLAP], tuple(group), RULE_OVERLAP)
+                  for group in by_dest.values() if len(group) > 1]
+    occupant = dict(zip(positions, range(len(positions))))
     for i, (d, m) in enumerate(zip(dests, moves)):
-        if not m.is_move:
-            continue
-        j = occupant.get(d)
-        if j is not None and j != i and moves[j] is not m:
-            robots = tuple(sorted((i, j)))
+        j = occupant.get(d, i)   # a waiting robot's destination is its own pixel
+        if j != i and moves[j] is not m:
+            robots = (i, j) if i < j else (j, i)
             found.append((robots[0], _RULE_RANK[RULE_TRAIN], robots, RULE_TRAIN))
 
     if not found:
         return None
-    found.sort()
-    _, _, robots, rule = found[0]
+    _, _, robots, rule = min(found)
     return Violation(step=step_index, rule=rule, robots=robots)
 
 
@@ -265,24 +263,27 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     """Replay a schedule from the instance starts and report feasibility and
     objectives.
 
-    The schedule is feasible iff every step passes :func:`check_step` and the
-    final configuration equals the targets index for index. Objectives are
-    reported even for infeasible schedules. The schedule's instance name is
-    not compared, so schedules can be replayed against compatible instances
-    on purpose. Lower bounds are :func:`lower_bounds`' job.
+    The schedule is feasible iff every step passes the rules of
+    :func:`check_step` and the final configuration equals the targets index
+    for index. Objectives are reported even for infeasible schedules. The
+    schedule's instance name is not compared, so schedules can be replayed
+    against compatible instances on purpose. Lower bounds are
+    :func:`lower_bounds`' job.
     """
     if schedule.width is not None and schedule.width != instance.n_robots:
         raise ValueError(
             f"schedule width {schedule.width} != instance robot count {instance.n_robots}")
     violation: Optional[Violation] = None
-    config = Configuration(instance.starts)
+    # Instance checked the starts, and R1 + R2 guard every configuration a legal step reaches
+    positions = instance.starts
     for idx, step in enumerate(schedule.steps):
-        violation = check_step(instance, config, step, step_index=idx)
+        dests = apply_step(positions, step)
+        violation = _step_violation(instance.obstacles, positions, step.moves, dests, idx)
         if violation is not None:
             break
-        config = apply_step(config, step)
+        positions = dests
     if violation is None:
-        mismatched = tuple(i for i, (p, t) in enumerate(zip(config.positions, instance.targets))
+        mismatched = tuple(i for i, (p, t) in enumerate(zip(positions, instance.targets))
                            if p != t)
         if mismatched:
             violation = Violation(step=len(schedule.steps), rule=RULE_TARGET, robots=mismatched)

@@ -23,7 +23,7 @@ from gridmotion.generate import (
     generate,
     select_diverse,
 )
-from gridmotion.model import Configuration, Direction, Instance, Step
+from gridmotion.model import Direction, Instance, Pixel, Step
 from gridmotion.solve import SolverConfig, solve
 from gridmotion.validate import (
     RULE_OBSTACLE,
@@ -63,7 +63,7 @@ def test_step_checker_matches_continuous_overlap_oracle():
         inst = Instance(name="trial", starts=tuple(positions),
                         targets=tuple(positions), obstacles=frozenset(obstacles))
         step = Step(tuple(rng.choice(_MOVES) for _ in range(n)))
-        verdict = check_step(inst, Configuration(tuple(positions)), step) is None
+        verdict = check_step(inst, inst.starts, step) is None
         after = [(p[0] + m.value[0], p[1] + m.value[1])
                  for p, m in zip(positions, step.moves)]
         if verdict != oracles.continuous_step_legal(positions, after, obstacles):
@@ -77,7 +77,7 @@ def test_step_checker_matches_continuous_overlap_oracle():
 
 def test_motion_rule_verdicts_exact():
     open_pair = make_instance([(0, 0), (1, 0)], [(0, 0), (1, 0)])
-    config = Configuration(((0, 0), (1, 0)))
+    config = (Pixel(0, 0), Pixel(1, 0))
 
     chain = check_step(open_pair, config, Step((Direction.EAST, Direction.EAST)))
     assert chain is None
@@ -90,7 +90,7 @@ def test_motion_rule_verdicts_exact():
     assert swap is not None and swap.rule == RULE_TRAIN
 
     walled = make_instance([(0, 0)], [(0, 0)], [(1, 0)])
-    onto = check_step(walled, Configuration(((0, 0),)), Step((Direction.EAST,)))
+    onto = check_step(walled, (Pixel(0, 0),), Step((Direction.EAST,)))
     assert onto is not None and onto.rule == RULE_OBSTACLE
     print("PASS motion-rules: chain legal, follow-in/swap/obstacle illegal")
 

@@ -97,6 +97,25 @@ def test_score_instance_report_table(tmp_path):
     assert len(table) == 2
 
 
+def test_score_rejects_duplicate_instance_names(tmp_path, capsys):
+    # two files name instance "a"; the later one would silently win
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    for stem, target in (("x", (1, 0)), ("y", (3, 0))):
+        write(instances / f"{stem}.instance.json",
+              emit_instance(make_instance([(0, 0)], [target], name="a")))
+    team = tmp_path / "team"
+    team.mkdir()
+    write(team / "x.solution.json", emit_solution(schedule("a", "E")))
+    scores = tmp_path / "scores"
+    assert main(["score", "--instances", str(instances), "--objective", "max",
+                 "--output", str(scores), str(team)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'a'" in err
+    assert "x.instance.json" in err and "y.instance.json" in err
+    assert not scores.exists()
+
+
 def test_only_solve_floods_targets(tmp_path, monkeypatch):
     # the solver floods one distance map per target for its heuristic;
     # lower bounds search start to target instead. The wall keeps
@@ -411,6 +430,10 @@ def test_help_smoke_in_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "render" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "gridmotion.cli", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "generate" in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("gridmotion") is None,

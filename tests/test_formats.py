@@ -271,8 +271,11 @@ def test_solver_config_full_file():
 
 
 def test_solver_config_none_and_auto_spellings():
-    for spelling in ("none", "auto", "NONE"):
+    for spelling in ("none", "NONE"):
         assert parse_solver_config(f"time_limit = {spelling}\n").time_limit is None
+    # "auto" once meant no limit too; now it is a bad value
+    with pytest.raises(FormatError, match="'auto'"):
+        parse_solver_config("time_limit = auto\n")
 
 
 def test_solver_config_errors():

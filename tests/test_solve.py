@@ -18,7 +18,7 @@ from conftest import make_instance, seal
 import gridmotion.solve as solve_module
 from gridmotion.formats import emit_solution
 from gridmotion.generate import GeneratorParams, generate
-from gridmotion.model import Configuration, Objective, Pixel, apply_step
+from gridmotion.model import Objective, Pixel, apply_step
 from gridmotion.solve import (
     ReservationTable,
     SolverConfig,
@@ -844,9 +844,9 @@ def test_solve_reproduces_pinned_schedules():
                                            anneal_iterations=60))
             text = emit_solution(res.schedule)
             assert hashlib.sha1(text.encode()).hexdigest() == sha, (w, h, seed, objective)
-            config = Configuration(inst.starts)
+            config = inst.starts
             for step in res.schedule.steps:
                 config = apply_step(config, step)
-                negative += any(p.x < 0 or p.y < 0 for p in config.positions)
+                negative += any(p.x < 0 or p.y < 0 for p in config)
     # the pins cover paths through the ring below the map
     assert negative >= 2

@@ -5,7 +5,6 @@ import pytest
 import oracles
 from conftest import bounds_of, make_instance, schedule, seal, step
 from gridmotion.model import (
-    Configuration,
     Direction,
     Pixel,
     Schedule,
@@ -17,6 +16,7 @@ from gridmotion.validate import (
     RULE_OVERLAP,
     RULE_TRAIN,
     UnreachableTargetError,
+    Violation,
     bounds_from_maps,
     cell_id,
     cell_pixel,
@@ -29,7 +29,7 @@ from gridmotion.validate import (
 
 
 def config(*cells):
-    return Configuration(tuple(Pixel(x, y) for x, y in cells))
+    return tuple(Pixel(x, y) for x, y in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,8 @@ def test_check_step_rejects_inconsistent_inputs():
         check_step(inst, config((0, 0), (1, 0)), step("E"))
     with pytest.raises(ValueError):
         check_step(inst, config((3, 3), (1, 0)), step("EE"))  # on obstacle
+    with pytest.raises(ValueError, match="overlapping"):
+        check_step(inst, config((1, 0), (1, 0)), step("E."))
 
 
 def test_touching_squares_may_stay_touching():
@@ -189,6 +191,61 @@ def test_lb_respected_by_every_feasible_schedule():
     assert report.total_distance >= lb_total
 
 
+_DELTA = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0), ".": (0, 0)}
+
+
+def _random_walk(rng):
+    """A small instance and a schedule of random steps, mostly legal under
+    the continuous oracle; also the index of the first step the oracle
+    rejects (None when it rejects none)."""
+    side = rng.randint(3, 6)
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    rng.shuffle(cells)
+    n = rng.randint(1, 5)
+    starts = cells[:n]
+    obstacles = [c for c in cells[n:] if rng.random() < 0.15]
+    positions, rows, first_illegal = starts, [], None
+    for idx in range(rng.randint(1, 12)):
+        for _ in range(20):
+            row = "".join(rng.choice("NSEW.") for _ in range(n))
+            after = [(x + _DELTA[c][0], y + _DELTA[c][1]) for (x, y), c in zip(positions, row)]
+            legal = oracles.continuous_step_legal(positions, after, obstacles)
+            if legal or rng.random() < 0.1:
+                break
+        if not legal and first_illegal is None:
+            first_illegal = idx
+        positions = after
+        rows.append(row)
+    reachable = len(set(positions)) == n and not set(positions) & set(obstacles)
+    targets = positions if reachable and rng.random() < 0.7 else [(x, y + 50) for x, y in starts]
+    return make_instance(starts, targets, obstacles), schedule("walk", *rows), first_illegal
+
+
+def test_replay_matches_step_by_step_check_and_oracle():
+    rng = random.Random(2103)
+    outcomes = {"feasible": 0, "target": 0, "first step": 0, "later step": 0}
+    for _ in range(400):
+        inst, sched, first_illegal = _random_walk(rng)
+        config, expected = inst.starts, None
+        for idx, s in enumerate(sched.steps):
+            expected = check_step(inst, config, s, step_index=idx)
+            if expected is not None:
+                break
+            config = apply_step(config, s)
+        else:
+            wrong = tuple(i for i, (p, t) in enumerate(zip(config, inst.targets)) if p != t)
+            expected = Violation(len(sched.steps), "target", wrong) if wrong else None
+        got = validate_schedule(inst, sched).first_violation
+        assert got == expected, (inst, sched)
+        if got is None or got.rule == "target":
+            assert first_illegal is None, (inst, sched)
+            outcomes["target" if got else "feasible"] += 1
+        else:
+            assert got.step == first_illegal, (inst, sched)
+            outcomes["later step" if got.step else "first step"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_reversal_property():
     rng = random.Random(4242)
     from gridmotion.solve import SolverConfig, solve
@@ -206,7 +263,7 @@ def test_reversal_property():
         assert result.success
         fwd = result.report
         reversed_steps = tuple(
-            Step(tuple(m.opposite for m in s.moves))
+            Step(tuple(Direction((-m.dx, -m.dy)) for m in s.moves))
             for s in reversed(result.schedule.steps))
         swapped = make_instance(targets, starts, obstacles, name=f"rev{trial}")
         back = validate_schedule(
