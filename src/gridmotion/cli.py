@@ -55,8 +55,11 @@ def _default_seed() -> int:
 
 
 def _read(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 def _write(path, text: str) -> None:
@@ -228,13 +231,14 @@ def cmd_score(args) -> int:
         team = Path(team_dir).name
         schedules = []
         for f in sorted(Path(team_dir).glob("*.solution.json")):
-            data = json.loads(_read(f))
+            text = _read(f)
+            data = json.loads(text)
             if not isinstance(data, dict) or not isinstance(data.get("instance"), str):
                 raise FormatError(f"{f}: solution file must name its instance")
             inst = instances.get(data["instance"])
             if inst is None:
                 raise FormatError(f"{f}: unknown instance {data['instance']!r}")
-            schedules.append(parse_solution(_read(f), inst.n_robots, strict=args.strict))
+            schedules.append(parse_solution(text, inst.n_robots, strict=args.strict))
         suites[team] = schedules
     objective = parse_objective(args.objective)
 

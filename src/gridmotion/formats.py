@@ -16,11 +16,15 @@ from dataclasses import MISSING, fields
 from typing import Any, Mapping, Optional, get_type_hints
 
 from .generate import GeneratorParams
-from .model import Direction, Instance, Objective, Schedule, Step
+from .model import Direction, Instance, Objective, Schedule
 from .solve import SolverConfig
 
 _INSTANCE_KEYS = ("name", "starts", "targets", "obstacles")
 _SOLUTION_KEYS = ("instance", "steps")
+# a solution file names each move by one letter; WAIT is encoded by omission
+_LETTER = {Direction.NORTH: "N", Direction.SOUTH: "S", Direction.EAST: "E",
+           Direction.WEST: "W"}
+_FROM_LETTER = {v: k for k, v in _LETTER.items()}
 
 
 class FormatError(ValueError):
@@ -125,10 +129,11 @@ def parse_solution(text: str, n_robots: int, strict: bool = False) -> Schedule:
             if not isinstance(letter, str):
                 raise FormatError(f"solution file: step {idx}: move must be a string")
             try:
-                moves[robot] = Direction.from_letter(letter)
-            except ValueError as err:
-                raise FormatError(f"solution file: step {idx}: {err}") from None
-        steps.append(Step(tuple(moves)))
+                moves[robot] = _FROM_LETTER[letter]
+            except KeyError:
+                raise FormatError(f"solution file: step {idx}: unknown direction "
+                                  f"letter: {letter!r}") from None
+        steps.append(tuple(moves))
     return Schedule(instance_name=data["instance"], steps=tuple(steps))
 
 
@@ -139,7 +144,7 @@ def emit_solution(schedule: Schedule) -> str:
     else:
         lines.append('  "steps": [')
         for si, step in enumerate(schedule.steps):
-            moving = [(i, m.letter) for i, m in enumerate(step.moves) if m.is_move]
+            moving = [(i, _LETTER[m]) for i, m in enumerate(step) if m.is_move]
             body = ", ".join(f'"{i}": "{letter}"' for i, letter in moving)
             comma = "," if si + 1 < len(schedule.steps) else ""
             lines.append("    {" + body + "}" + comma)

@@ -56,7 +56,8 @@ class GeneratorParams:
     Distributions are either "uniform" or "weights:<path>" naming a grayscale
     raster whose values weight the map pixels. Obstacle side lengths and
     cluster sizes are truncated normals; obstacle sides truncate to
-    [1, map dimension], cluster sizes to [1, n_robots].
+    [1, map dimension], cluster sizes to [1, n_robots]. Density, means and
+    stddevs must be finite.
     """
 
     map_width: int
@@ -75,6 +76,10 @@ class GeneratorParams:
     def __post_init__(self):
         if self.map_width < 1 or self.map_height < 1:
             raise ValueError("map dimensions must be >= 1")
+        for name in ("density", "obstacle_size_mean", "obstacle_size_stddev",
+                     "cluster_size_mean", "cluster_size_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0.0 < self.density <= 1.0):
             raise ValueError("density must be in (0, 1]")
         if self.obstacle_count < 0 or self.cluster_count < 0:

@@ -1,18 +1,19 @@
-"""Core domain types: pixels, directions, instances, steps, schedules.
+"""Core domain types: pixels, directions, instances, schedules.
 
 A configuration, the positions of all robots at one instant, is a plain
-tuple of pixels indexed by robot. Everything in this module is an immutable
-value, and every function is pure. Motion legality is deliberately *not*
-checked here; ``apply_step`` performs a plain translation so that callers
-(the validator, the renderer) can also step through illegal schedules. See
-:mod:`gridmotion.validate` for the rules.
+tuple of pixels indexed by robot; a step, one synchronous time unit, is a
+plain tuple of directions indexed by robot. Everything in this module is an
+immutable value, and every function is pure. Motion legality is deliberately
+*not* checked here; ``apply_step`` performs a plain translation so that
+callers (the validator, the renderer) can also step through illegal
+schedules. See :mod:`gridmotion.validate` for the rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Pixel(NamedTuple):
@@ -21,10 +22,6 @@ class Pixel(NamedTuple):
 
     x: int
     y: int
-
-    def translated(self, direction: "Direction") -> "Pixel":
-        dx, dy = direction.value
-        return Pixel(self.x + dx, self.y + dy)
 
 
 class Direction(Enum):
@@ -41,28 +38,8 @@ class Direction(Enum):
     WAIT = (0, 0)
 
     @property
-    def dx(self) -> int:
-        return self.value[0]
-
-    @property
-    def dy(self) -> int:
-        return self.value[1]
-
-    @property
     def is_move(self) -> bool:
         return self is not Direction.WAIT
-
-    @property
-    def letter(self) -> str | None:
-        """Single-letter wire encoding; WAIT has none (it is encoded by omission)."""
-        return _LETTER.get(self)
-
-    @classmethod
-    def from_letter(cls, letter: str) -> "Direction":
-        try:
-            return _FROM_LETTER[letter]
-        except KeyError:
-            raise ValueError(f"unknown direction letter: {letter!r}") from None
 
     @classmethod
     def between(cls, a: Sequence[int], b: Sequence[int]) -> "Direction":
@@ -71,15 +48,6 @@ class Direction(Enum):
             return cls((b[0] - a[0], b[1] - a[1]))
         except ValueError:
             raise ValueError(f"{tuple(a)} -> {tuple(b)} is not a unit or zero step") from None
-
-
-_LETTER = {
-    Direction.NORTH: "N",
-    Direction.SOUTH: "S",
-    Direction.EAST: "E",
-    Direction.WEST: "W",
-}
-_FROM_LETTER = {v: k for k, v in _LETTER.items()}
 
 
 def _as_pixels(points: Iterable[Sequence[int]]) -> tuple[Pixel, ...]:
@@ -126,46 +94,24 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class Step:
-    """One synchronous time unit: a direction (possibly WAIT) per robot."""
-
-    moves: tuple[Direction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
-        for m in self.moves:
-            if not isinstance(m, Direction):
-                raise ValueError(f"step entries must be Direction, got {m!r}")
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def __getitem__(self, i: int) -> Direction:
-        return self.moves[i]
-
-    def __iter__(self) -> Iterator[Direction]:
-        return iter(self.moves)
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """A sequence of steps for one instance, referenced by name.
+    """A sequence of steps for one instance, referenced by name. A step is a
+    tuple with one Direction (possibly WAIT) per robot.
 
     Steps all have the same width. Trailing all-WAIT steps are legal; they do
     not change the objectives (see :func:`schedule_objectives`).
     """
 
     instance_name: str
-    steps: tuple[Step, ...]
+    steps: tuple[tuple[Direction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        widths = {len(s) for s in self.steps}
-        if len(widths) > 1:
+        steps = tuple(map(tuple, self.steps))
+        object.__setattr__(self, "steps", steps)
+        if len({len(s) for s in steps}) > 1:
             raise ValueError("all steps of a schedule must have the same width")
-
-    def __len__(self) -> int:
-        return len(self.steps)
+        for s in steps:
+            check_moves(s)
 
     @property
     def width(self) -> int | None:
@@ -180,12 +126,20 @@ class Objective(Enum):
     SUM = "sum"
 
 
-def apply_step(positions: Sequence[Pixel], step: Step) -> tuple[Pixel, ...]:
+def check_moves(step: Sequence[Direction]) -> None:
+    """Raise ValueError unless every entry of ``step`` is a Direction."""
+    for m in step:
+        if not isinstance(m, Direction):
+            raise ValueError(f"step entries must be Direction, got {m!r}")
+
+
+def apply_step(positions: Sequence[Pixel], step: Sequence[Direction]) -> tuple[Pixel, ...]:
     """Translate every robot by its move. No legality checking on purpose,
     not even distinctness: after a colliding step two robots share a pixel."""
     if len(positions) != len(step):
         raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
-    return tuple(p.translated(m) for p, m in zip(positions, step.moves))
+    return tuple([Pixel(x + dx, y + dy)
+                  for (x, y), (dx, dy) in zip(positions, [m.value for m in step])])
 
 
 def schedule_objectives(schedule: Schedule) -> tuple[int, int]:
@@ -198,7 +152,7 @@ def schedule_objectives(schedule: Schedule) -> tuple[int, int]:
     makespan = 0
     total = 0
     for idx, step in enumerate(schedule.steps):
-        active = sum(1 for m in step.moves if m.is_move)
+        active = len(step) - step.count(Direction.WAIT)
         total += active
         if active:
             makespan = idx + 1

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .model import Direction, Instance, Objective, Pixel, Schedule, Step
+from .model import Direction, Instance, Objective, Pixel, Schedule
 from .validate import (
     UnreachableTargetError,
     ValidationReport,
@@ -375,8 +375,8 @@ def paths_to_schedule(instance: Instance, paths: dict[int, Sequence[Pixel]]) -> 
                 moves.append(Direction.between(path[t], path[t + 1]))
             else:
                 moves.append(Direction.WAIT)
-        steps.append(Step(tuple(moves)))
-    while steps and all(not m.is_move for m in steps[-1].moves):
+        steps.append(tuple(moves))
+    while steps and all(not m.is_move for m in steps[-1]):
         steps.pop()
     return Schedule(instance_name=instance.name, steps=tuple(steps))
 

@@ -11,10 +11,10 @@ R2 and R3 together forbid swaps and perpendicular "follow-in" moves while
 allowing same-direction chains, which is exactly continuous disjointness of
 the moving unit squares (squares that merely touch along an edge are fine).
 
-A configuration is a tuple of pixels indexed by robot (see
-:mod:`gridmotion.model`). A schedule is feasible when every step is legal and
-the final configuration equals the instance targets index for index. All
-functions are pure.
+A configuration is a tuple of pixels and a step a tuple of directions, both
+indexed by robot (see :mod:`gridmotion.model`). A schedule is feasible when
+every step is legal and the final configuration equals the instance targets
+index for index. All functions are pure.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .model import (
     Instance,
     Pixel,
     Schedule,
-    Step,
     apply_step,
+    check_moves,
     schedule_objectives,
 )
 
@@ -68,7 +68,7 @@ class ValidationReport:
     total_distance: int
 
 
-def check_step(instance: Instance, positions: Sequence[Pixel], step: Step,
+def check_step(instance: Instance, positions: Sequence[Pixel], step: Sequence[Direction],
                step_index: int = 0) -> Optional[Violation]:
     """Check one synchronous step from the configuration ``positions``
     against rules R1, R2, R3.
@@ -77,21 +77,23 @@ def check_step(instance: Instance, positions: Sequence[Pixel], step: Step,
     first under the deterministic order: lowest robot index involved, then
     rule identifier (R1 < R2 < R3), then the full robot index tuple.
 
-    Raises ValueError when the step width does not match the configuration or
-    when the configuration itself is invalid for this instance (overlapping
-    robots, robot on an obstacle).
+    Raises ValueError when the step width does not match the configuration,
+    when an entry of the step is not a Direction, or when the configuration
+    itself is invalid for this instance (overlapping robots, robot on an
+    obstacle).
     """
+    check_moves(step)
     dests = apply_step(positions, step)
     if len(set(positions)) != len(positions):
         raise ValueError("configuration has overlapping robots")
     for p in positions:
         if p in instance.obstacles:
             raise ValueError(f"configuration places a robot on obstacle {tuple(p)}")
-    return _step_violation(instance.obstacles, positions, step.moves, dests, step_index)
+    return _step_violation(instance.obstacles, positions, step, dests, step_index)
 
 
 def _step_violation(obstacles: frozenset, positions: Sequence[Pixel],
-                    moves: tuple[Direction, ...], dests: tuple[Pixel, ...],
+                    moves: Sequence[Direction], dests: tuple[Pixel, ...],
                     step_index: int) -> Optional[Violation]:
     """R1, R2 and R3 for robots moving from ``positions`` (pairwise distinct,
     none on an obstacle) to ``dests``, ranked as :func:`check_step` says."""
@@ -278,7 +280,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     positions = instance.starts
     for idx, step in enumerate(schedule.steps):
         dests = apply_step(positions, step)
-        violation = _step_violation(instance.obstacles, positions, step.moves, dests, idx)
+        violation = _step_violation(instance.obstacles, positions, step, dests, idx)
         if violation is not None:
             break
         positions = dests

@@ -1,4 +1,4 @@
-from gridmotion.model import Direction, Instance, Schedule, Step
+from gridmotion.model import Direction, Instance, Schedule
 
 _LETTERS = {
     "N": Direction.NORTH,
@@ -9,9 +9,9 @@ _LETTERS = {
 }
 
 
-def step(letters: str) -> Step:
-    """Build a Step from a compact string, one letter per robot, '.' = wait."""
-    return Step(tuple(_LETTERS[c] for c in letters))
+def step(letters: str) -> tuple[Direction, ...]:
+    """Build a step from a compact string, one letter per robot, '.' = wait."""
+    return tuple(_LETTERS[c] for c in letters)
 
 
 def schedule(name: str, *rows: str) -> Schedule:

@@ -23,7 +23,7 @@ from gridmotion.generate import (
     generate,
     select_diverse,
 )
-from gridmotion.model import Direction, Instance, Pixel, Step
+from gridmotion.model import Direction, Instance, Pixel
 from gridmotion.solve import SolverConfig, solve
 from gridmotion.validate import (
     RULE_OBSTACLE,
@@ -62,10 +62,10 @@ def test_step_checker_matches_continuous_overlap_oracle():
         positions = rng.sample(free, n)
         inst = Instance(name="trial", starts=tuple(positions),
                         targets=tuple(positions), obstacles=frozenset(obstacles))
-        step = Step(tuple(rng.choice(_MOVES) for _ in range(n)))
+        step = tuple(rng.choice(_MOVES) for _ in range(n))
         verdict = check_step(inst, inst.starts, step) is None
         after = [(p[0] + m.value[0], p[1] + m.value[1])
-                 for p, m in zip(positions, step.moves)]
+                 for p, m in zip(positions, step)]
         if verdict != oracles.continuous_step_legal(positions, after, obstacles):
             disagreements.append((positions, step))
         pairs += 1
@@ -79,18 +79,18 @@ def test_motion_rule_verdicts_exact():
     open_pair = make_instance([(0, 0), (1, 0)], [(0, 0), (1, 0)])
     config = (Pixel(0, 0), Pixel(1, 0))
 
-    chain = check_step(open_pair, config, Step((Direction.EAST, Direction.EAST)))
+    chain = check_step(open_pair, config, (Direction.EAST, Direction.EAST))
     assert chain is None
 
     follow_in = check_step(open_pair, config,
-                           Step((Direction.EAST, Direction.NORTH)))
+                           (Direction.EAST, Direction.NORTH))
     assert follow_in is not None and follow_in.rule == RULE_TRAIN
 
-    swap = check_step(open_pair, config, Step((Direction.EAST, Direction.WEST)))
+    swap = check_step(open_pair, config, (Direction.EAST, Direction.WEST))
     assert swap is not None and swap.rule == RULE_TRAIN
 
     walled = make_instance([(0, 0)], [(0, 0)], [(1, 0)])
-    onto = check_step(walled, (Pixel(0, 0),), Step((Direction.EAST,)))
+    onto = check_step(walled, (Pixel(0, 0),), (Direction.EAST,))
     assert onto is not None and onto.rule == RULE_OBSTACLE
     print("PASS motion-rules: chain legal, follow-in/swap/obstacle illegal")
 

@@ -3,7 +3,9 @@ main(argv) against temp directories, apart from the launch checks: a
 subprocess smoke test runs the CLI as ``python -m gridmotion``, a second
 one runs the installed ``gridmotion`` console script and is skipped where
 no such script is on PATH, and an entry-point check reads pyproject.toml
-to confirm that the script and ``python -m`` call the same function."""
+to confirm that the script and ``python -m`` call the same function. One
+more subprocess imports ``gridmotion.cli`` and checks that every function
+perfbench's traced run wraps is still found there."""
 
 import json
 import os
@@ -199,6 +201,28 @@ def test_missing_file_exits_two(tmp_path, line_files, capsys):
     assert main(["validate", ipath, str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "generate", "score", "select"])
+def test_non_utf8_file_exits_two(command, line_files, tmp_path, capsys):
+    ipath, _ = line_files
+    team = tmp_path / "team"
+    team.mkdir()
+    bad = team / "line.solution.json"
+    bad.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    argv = {
+        "validate": ["validate", ipath, str(bad)],
+        "solve": ["solve", str(bad), "-o", str(out)],
+        "generate": ["generate", str(bad), str(out)],
+        "score": ["score", "--instances", str(tmp_path), "--objective", "max",
+                  "--output", str(out), str(team)],
+        "select": ["select", str(bad), "-k", "1"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_writes_solution_and_telemetry(line_files, tmp_path, capsys):
@@ -334,6 +358,26 @@ def test_generate_rejects_bad_weight_map(tmp_path, capsys, raster):
         assert not (outdir / "features.csv").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("density", "nan"),
+    ("obstacle_size_mean", "nan"),
+    ("obstacle_size_mean", "inf"),
+    ("obstacle_size_stddev", "inf"),
+    ("obstacle_size_stddev", "nan"),   # once generated as if it were 0
+    ("cluster_size_mean", "inf"),
+    ("cluster_size_stddev", "nan"),
+])
+def test_generate_rejects_non_finite_values(tmp_path, capsys, key, value):
+    settings = {"map_width": "8", "map_height": "8", "density": "0.1",
+                "obstacle_count": "2", "cluster_count": "1", key: value}
+    config = write(tmp_path / "nf.cfg", "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    outdir = tmp_path / "out"
+    assert main(["generate", config, str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: generator config: {key} must be finite, got {float(value)!r}\n")
+    assert not outdir.exists()
+
+
 def test_strict_mode_rejects_unknown_config_keys(tmp_path):
     config = write(tmp_path / "odd.cfg",
                    "map_width = 8\nmap_height = 8\ndensity = 0.1\nnoise = 1\n")
@@ -434,6 +478,22 @@ def test_help_smoke_in_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_perfbench_span_targets_resolve_after_cli_import():
+    # the traced benchmark wraps these functions by name after importing
+    # gridmotion.cli; a rename or a module no longer imported breaks it there
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(run_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, str(root / "perfbench"), os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, gridmotion.cli, spans\n"
+            "print([f'{m}.{f}' for m, f, _ in spans.TARGETS\n"
+            "       if not callable(getattr(sys.modules.get(m), f, None))])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("gridmotion") is None,

@@ -18,7 +18,7 @@ from gridmotion.formats import (
     parse_solver_config,
 )
 from gridmotion.generate import GeneratorParams
-from gridmotion.model import Direction, Objective
+from gridmotion.model import Direction, Objective, Schedule
 from gridmotion.solve import SolverConfig
 
 REF = make_instance([(0, 0), (3, 3)], [(1, 0), (3, 4)], [(5, 5), (6, 5)],
@@ -100,7 +100,20 @@ def test_solution_emit_layout_is_frozen():
 def test_solution_round_trip_restores_waits():
     parsed = parse_solution(REF_SOLUTION_TEXT, n_robots=2, strict=True)
     assert parsed == REF_SOLUTION
-    assert parsed.steps[1].moves == (Direction.WAIT, Direction.WAIT)
+    assert parsed.steps[1] == (Direction.WAIT, Direction.WAIT)
+
+
+def test_direction_letters_round_trip():
+    for d, letter in zip((Direction.NORTH, Direction.SOUTH, Direction.EAST,
+                          Direction.WEST), "NSEW"):
+        sched = Schedule("x", ((Direction.WAIT, d),))
+        text = emit_solution(sched)
+        assert f'{{"1": "{letter}"}}' in text
+        assert parse_solution(text, n_robots=2, strict=True) == sched
+    # WAIT has no letter: it is encoded by omission
+    assert '{}' in emit_solution(Schedule("x", ((Direction.WAIT,),)))
+    with pytest.raises(FormatError, match="step 0: unknown direction letter: 'Q'"):
+        parse_solution(REF_SOLUTION_TEXT.replace('"E"', '"Q"'), n_robots=2)
 
 
 def test_empty_solution_round_trip():

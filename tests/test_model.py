@@ -8,7 +8,6 @@ from gridmotion.model import (
     Instance,
     Pixel,
     Schedule,
-    Step,
     apply_step,
     schedule_objectives,
 )
@@ -18,22 +17,14 @@ N, S, E, W, WAIT = (Direction.NORTH, Direction.SOUTH, Direction.EAST,
 
 
 def test_direction_displacements_are_fixed():
-    assert (N.dx, N.dy) == (0, 1)
-    assert (S.dx, S.dy) == (0, -1)
-    assert (E.dx, E.dy) == (1, 0)
-    assert (W.dx, W.dy) == (-1, 0)
-    assert (WAIT.dx, WAIT.dy) == (0, 0)
+    assert N.value == (0, 1)
+    assert S.value == (0, -1)
+    assert E.value == (1, 0)
+    assert W.value == (-1, 0)
+    assert WAIT.value == (0, 0)
     assert len(Direction) == 5
-
-
-def test_direction_letters_round_trip():
-    for d in (N, S, E, W):
-        assert Direction.from_letter(d.letter) is d
-        assert d.is_move
-    assert WAIT.letter is None
+    assert all(d.is_move for d in (N, S, E, W))
     assert not WAIT.is_move
-    with pytest.raises(ValueError):
-        Direction.from_letter("Q")
 
 
 def test_direction_between():
@@ -45,9 +36,11 @@ def test_direction_between():
 
 
 def test_pixel_translated():
-    assert Pixel(0, 0).translated(E) == Pixel(1, 0)
-    assert Pixel(3, -2).translated(N) == Pixel(3, -1)
-    assert Pixel(5, 5).translated(WAIT) == Pixel(5, 5)
+    # a pixel moves by its direction's displacement, one robot per entry of a step
+    c = (Pixel(0, 0), Pixel(3, -2), Pixel(-1, -1), Pixel(-4, 6), Pixel(5, 5))
+    assert apply_step(c, step("ENSW.")) == (Pixel(1, 0), Pixel(3, -1), Pixel(-1, -2),
+                                            Pixel(-5, 6), Pixel(5, 5))
+    assert all(type(p) is Pixel for p in apply_step(c, step("ENSW.")))
 
 
 def test_instance_normalizes_and_exposes_counts():
@@ -80,6 +73,15 @@ def test_step_and_schedule_widths():
     sched = schedule("x", "EE", "E.")
     assert sched.width == 2
     assert Schedule(instance_name="x", steps=()).width is None
+
+
+def test_schedule_entries_must_be_directions():
+    with pytest.raises(ValueError, match="must be Direction"):
+        Schedule("x", (("E",),))
+    with pytest.raises(ValueError, match="must be Direction"):
+        Schedule("x", (step("E."), (E, None)))
+    # a step may come in as any sequence; it is kept as a tuple
+    assert Schedule("x", [[E, WAIT]]).steps == ((E, WAIT),)
 
 
 def test_apply_step_examples():
@@ -115,9 +117,9 @@ def test_apply_step_reversal_is_identity():
         while len(cells) < n:
             cells.add((rng.randint(-4, 4), rng.randint(-4, 4)))
         config = tuple(Pixel(x, y) for x, y in sorted(cells))
-        moves = Step(tuple(rng.choice(dirs) for _ in range(n)))
+        moves = tuple(rng.choice(dirs) for _ in range(n))
         forward = apply_step(config, moves)
-        back = apply_step(forward, Step(tuple(Direction((-m.dx, -m.dy)) for m in moves.moves)))
+        back = apply_step(forward, tuple(Direction((-m.value[0], -m.value[1])) for m in moves))
         assert back == config
 
 

@@ -463,7 +463,7 @@ def test_paths_to_schedule_pads_and_trims():
     })
     from gridmotion.model import Direction
     assert len(sched.steps) == 1
-    assert sched.steps[0].moves == (Direction.EAST, Direction.WAIT)
+    assert sched.steps[0] == (Direction.EAST, Direction.WAIT)
 
 
 def test_paths_to_schedule_all_parked_is_empty():

@@ -8,7 +8,6 @@ from gridmotion.model import (
     Direction,
     Pixel,
     Schedule,
-    Step,
     apply_step,
 )
 from gridmotion.validate import (
@@ -94,6 +93,9 @@ def test_check_step_rejects_inconsistent_inputs():
         check_step(inst, config((3, 3), (1, 0)), step("EE"))  # on obstacle
     with pytest.raises(ValueError, match="overlapping"):
         check_step(inst, config((1, 0), (1, 0)), step("E."))
+    for bad in (("E", "E"), (Direction.EAST, (1, 0)), (Direction.EAST, None)):
+        with pytest.raises(ValueError, match="must be Direction"):
+            check_step(inst, config((0, 0), (1, 0)), bad)
 
 
 def test_touching_squares_may_stay_touching():
@@ -126,12 +128,10 @@ def test_check_step_matches_continuous_oracle():
         n = len(positions)
         inst = make_instance(positions, [(x, y + 50) for x, y in positions],
                              obstacles)
-        verdict = check_step(inst, config(*positions), step("".join(moves)))
-        after = [Pixel(x, y).translated(Direction.from_letter(m) if m != "."
-                                        else Direction.WAIT)
-                 for (x, y), m in zip(positions, moves)]
-        legal = oracles.continuous_step_legal(positions, [(p.x, p.y) for p in after],
-                                              obstacles)
+        moves = step("".join(moves))
+        verdict = check_step(inst, config(*positions), moves)
+        after = [(x + m.value[0], y + m.value[1]) for (x, y), m in zip(positions, moves)]
+        legal = oracles.continuous_step_legal(positions, after, obstacles)
         assert (verdict is None) == legal, (positions, obstacles, moves)
         checked += 1
     assert checked == 1500
@@ -263,7 +263,7 @@ def test_reversal_property():
         assert result.success
         fwd = result.report
         reversed_steps = tuple(
-            Step(tuple(Direction((-m.dx, -m.dy)) for m in s.moves))
+            tuple(Direction((-m.value[0], -m.value[1])) for m in s)
             for s in reversed(result.schedule.steps))
         swapped = make_instance(targets, starts, obstacles, name=f"rev{trial}")
         back = validate_schedule(
@@ -449,7 +449,7 @@ def configurations_to_schedule(name, path):
     for before, after in zip(path, path[1:]):
         moves = tuple(Direction.between(Pixel(*b), Pixel(*a))
                       for b, a in zip(before, after))
-        steps.append(Step(moves))
+        steps.append(moves)
     return Schedule(instance_name=name, steps=tuple(steps))
 
 
