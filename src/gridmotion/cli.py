@@ -54,11 +54,15 @@ def _default_seed() -> int:
         raise FormatError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
-def _read(path) -> str:
+def _load(path, parse, *args, **kwargs):
+    """``parse`` applied to the text of the file at ``path``. A file that is
+    not UTF-8 text, or that ``parse`` rejects, raises FormatError with the
+    path in front of the message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as err:
+            text = fh.read()
+        return parse(text, *args, **kwargs)
+    except (UnicodeDecodeError, FormatError, json.JSONDecodeError) as err:
         raise FormatError(f"{path}: {err}") from None
 
 
@@ -106,9 +110,8 @@ def _check_select_count(k: int, candidates: int) -> None:
 
 
 def cmd_generate(args) -> int:
-    text = _read(args.config)
-    combos = parse_generator_grid(text, strict=args.strict,
-                                  default_seed=_default_seed())
+    combos = _load(args.config, parse_generator_grid, strict=args.strict,
+                   default_seed=_default_seed())
     if args.select is not None:
         _check_select_count(args.select, len(combos))
     names = [params_slug(params) for params in combos]
@@ -137,9 +140,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    instance = parse_instance(_read(args.instance), strict=args.strict)
-    schedule = parse_solution(_read(args.solution), instance.n_robots,
-                              strict=args.strict)
+    instance = _load(args.instance, parse_instance, strict=args.strict)
+    schedule = _load(args.solution, parse_solution, instance.n_robots, strict=args.strict)
     if schedule.instance_name != instance.name:
         print(f"warning: solution names instance {schedule.instance_name!r}, "
               f"validating against {instance.name!r}", file=sys.stderr)
@@ -171,9 +173,9 @@ def _print_stretch(makespan: int, total: int, lb_makespan: int, lb_total: int) -
 
 
 def cmd_solve(args) -> int:
-    instance = parse_instance(_read(args.instance), strict=args.strict)
+    instance = _load(args.instance, parse_instance, strict=args.strict)
     if args.config:
-        config = parse_solver_config(_read(args.config), strict=args.strict)
+        config = _load(args.config, parse_solver_config, strict=args.strict)
     else:
         config = SolverConfig()
     overrides = {}
@@ -216,7 +218,7 @@ def _load_instances_dir(path, strict: bool):
         raise FormatError(f"no *.instance.json files in {path}")
     instances, paths = {}, {}
     for f in files:
-        inst = parse_instance(_read(f), strict=strict)
+        inst = _load(f, parse_instance, strict=strict)
         if inst.name in instances:
             raise FormatError(f"duplicate instance name {inst.name!r} in {paths[inst.name]} "
                               f"and {f}")
@@ -224,22 +226,30 @@ def _load_instances_dir(path, strict: bool):
     return instances
 
 
+def _parse_team_solution(text: str, instances: dict, strict: bool):
+    """A team's solution file, parsed for the instance it names."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("instance"), str):
+        raise FormatError("solution file must name its instance")
+    inst = instances.get(data["instance"])
+    if inst is None:
+        raise FormatError(f"unknown instance {data['instance']!r}")
+    return parse_solution(text, inst.n_robots, strict=strict)
+
+
 def cmd_score(args) -> int:
     instances = _load_instances_dir(args.instances, args.strict)
-    suites = {}
+    suites, team_dirs = {}, {}
     for team_dir in args.suites:
         team = Path(team_dir).name
-        schedules = []
-        for f in sorted(Path(team_dir).glob("*.solution.json")):
-            text = _read(f)
-            data = json.loads(text)
-            if not isinstance(data, dict) or not isinstance(data.get("instance"), str):
-                raise FormatError(f"{f}: solution file must name its instance")
-            inst = instances.get(data["instance"])
-            if inst is None:
-                raise FormatError(f"{f}: unknown instance {data['instance']!r}")
-            schedules.append(parse_solution(text, inst.n_robots, strict=args.strict))
-        suites[team] = schedules
+        if not Path(team_dir).is_dir():
+            raise FormatError(f"{team_dir}: not a directory")
+        if team in team_dirs:
+            raise FormatError(f"duplicate team name {team!r} in {team_dirs[team]} "
+                              f"and {team_dir}")
+        team_dirs[team] = team_dir
+        suites[team] = [_load(f, _parse_team_solution, instances, args.strict)
+                        for f in sorted(Path(team_dir).glob("*.solution.json"))]
     objective = parse_objective(args.objective)
 
     if args.instance_report:
@@ -274,12 +284,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_render(args) -> int:
-    instance = parse_instance(_read(args.instance), strict=args.strict)
+    instance = _load(args.instance, parse_instance, strict=args.strict)
     schedule = None
     violation = None
     if args.solution:
-        schedule = parse_solution(_read(args.solution), instance.n_robots,
-                                  strict=args.strict)
+        schedule = _load(args.solution, parse_solution, instance.n_robots,
+                         strict=args.strict)
         violation = validate_schedule(instance, schedule).first_violation
         if violation is not None:
             print(f"rendering infeasible schedule (step {violation.step} "
@@ -294,7 +304,7 @@ def cmd_render(args) -> int:
 def cmd_features(args) -> int:
     rows = []
     for path in args.instances:
-        inst = parse_instance(_read(path), strict=args.strict)
+        inst = _load(path, parse_instance, strict=args.strict)
         rows.append((inst.name, extract_features(inst)))
     text = _features_csv(rows)
     if args.output:
@@ -306,7 +316,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_select(args) -> int:
-    rows = _parse_features_csv(_read(args.features))
+    rows = _load(args.features, _parse_features_csv)
     _check_select_count(args.k, len(rows))
     picks = select_diverse([f for _, f in rows], args.k)
     manifest = "\n".join(rows[i][0] for i in picks) + "\n"
@@ -396,10 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as err:
+    except (FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except GenerationError as err:

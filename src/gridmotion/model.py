@@ -41,14 +41,6 @@ class Direction(Enum):
     def is_move(self) -> bool:
         return self is not Direction.WAIT
 
-    @classmethod
-    def between(cls, a: Sequence[int], b: Sequence[int]) -> "Direction":
-        """Direction of the unit (or zero) displacement from ``a`` to ``b``."""
-        try:
-            return cls((b[0] - a[0], b[1] - a[1]))
-        except ValueError:
-            raise ValueError(f"{tuple(a)} -> {tuple(b)} is not a unit or zero step") from None
-
 
 def _as_pixels(points: Iterable[Sequence[int]]) -> tuple[Pixel, ...]:
     return tuple(Pixel(int(p[0]), int(p[1])) for p in points)

@@ -39,13 +39,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .model import Direction, Instance, Objective, Pixel, Schedule
+from .model import Direction, Instance, Objective, Schedule
 from .validate import (
     UnreachableTargetError,
     ValidationReport,
     bounds_from_maps,
     cell_id,
-    cell_pixel,
     distance_map,
     search_window,
     validate_schedule,
@@ -108,12 +107,22 @@ class SolveResult:
         return self.schedule is not None
 
 
+def _move_offsets(window: tuple[int, int, int, int]) -> dict[int, Direction]:
+    """The cell-id offset of each move in ``window``'s frame (see
+    :func:`gridmotion.validate.cell_id`), in the order N, S, E, W."""
+    stride = window[3] - window[1] + 3
+    return {1: Direction.NORTH, -1: Direction.SOUTH,
+            stride: Direction.EAST, -stride: Direction.WEST}
+
+
 class ReservationTable:
     """Space-time bookkeeping of committed robot paths, one per robot, keyed
     by cell ids (:func:`gridmotion.validate.cell_id`) of ``window``'s frame.
 
-    A path is the pixel sequence a robot occupies at integer times 0..T; from
-    T on the robot rests on its final pixel (open-ended "parked" reservation).
+    A path is the list of cell ids a robot occupies at integer times 0..T;
+    from T on the robot rests on its final cell (open-ended "parked"
+    reservation). ``paths`` maps each committed robot to its path, the one
+    copy of it the solver keeps.
     One map holds who stands where: ``vertex[(cell, t)]`` is the cell its
     occupant held at ``t - 1``, or ``cell`` itself at ``t = 0``. Every step
     rule reads it: a robot at ``(q, t)`` leaves with displacement ``d``
@@ -131,36 +140,30 @@ class ReservationTable:
         self.horizon = 0
         self.vertex: dict = {}   # (cell, t) -> the occupant's cell at t-1
         self.parked: dict = {}   # cell -> arrival time
-        self._paths: dict = {}   # robot -> its committed cells
+        self.paths: dict = {}    # robot -> its committed cells
 
-    def add_path(self, robot: int, path: Sequence[Pixel]) -> None:
-        x0, y0, x1, y1 = self.window
-        stride = y1 - y0 + 3   # cell_id, inlined
-        cells = [(x - x0 + 1) * stride + y - y0 + 1
-                 for x, y in path if x0 <= x <= x1 and y0 <= y <= y1]
-        if len(cells) < len(path):
-            raise ValueError(f"path leaves the window {self.window}")
+    def add_path(self, robot: int, cells: list[int]) -> None:
         # check everything before the first write, so a rejected path
         # leaves the table as it was
         for t, c in enumerate(cells):
             if self.blocked_at(c, t):
-                raise ValueError(f"pixel {tuple(path[t])} already reserved at t={t}")
+                raise ValueError(f"cell {c} already reserved at t={t}")
         end = len(cells) - 1
         if self.last_visit(cells[end]) >= end:
-            raise ValueError(f"pixel {tuple(path[end])} reserved at or after t={end}")
+            raise ValueError(f"cell {cells[end]} reserved at or after t={end}")
         for t, c in enumerate(cells):
             self.vertex[(c, t)] = cells[t - 1] if t else c
         self.parked[cells[end]] = end
-        self._paths[robot] = cells
+        self.paths[robot] = cells
         self.horizon = max(self.horizon, end)
 
     def remove_path(self, robot: int) -> None:
-        path = self._paths.pop(robot)
+        path = self.paths.pop(robot)
         for t, c in enumerate(path):
             del self.vertex[(c, t)]
         del self.parked[path[-1]]
         if len(path) - 1 == self.horizon:
-            self.horizon = max((len(p) - 1 for p in self._paths.values()), default=0)
+            self.horizon = max((len(p) - 1 for p in self.paths.values()), default=0)
 
     def blocked_at(self, cell: int, t: int) -> bool:
         if (cell, t) in self.vertex:
@@ -174,17 +177,18 @@ class ReservationTable:
         if cell in self.parked:
             return math.inf
         return max((len(cells) - 1 - cells[::-1].index(cell)
-                    for cells in self._paths.values() if cell in cells), default=-1)
+                    for cells in self.paths.values() if cell in cells), default=-1)
 
 
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 objective: Objective, field: Optional[list] = None
-                ) -> Optional[list[Pixel]]:
+                ) -> Optional[list[int]]:
     """Cheapest space-time path for one robot against committed reservations.
 
     Path cost is (arrival, moves) for MAX and (moves, arrival) for SUM,
-    compared lexicographically. Returns the pixel sequence occupied at times
-    0..T, or None when no path reaches the target at any time. The robot may
+    compared lexicographically. Returns the cell ids of ``table.window``'s
+    frame occupied at times 0..T, ready for :meth:`ReservationTable.add_path`,
+    or None when no path reaches the target at any time. The robot may
     end only at a time after which no committed path visits the target
     again, because arrival parks it there forever; a target parked on for
     good fails at once.
@@ -214,8 +218,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
         raise ValueError(f"start of robot {robot} is reserved at time 0")
     if field is None:
         field = distance_map(instance.obstacles, window, instance.targets[robot])
-    stride = window[3] - window[1] + 3
-    moves = (1, -1, stride, -stride)   # N, S, E, W
+    moves = tuple(_move_offsets(window))
     vertex = table.vertex
     parked = table.parked
     sum_objective = Objective(objective) is Objective.SUM
@@ -243,7 +246,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             for k in range(t, 0, -1):
                 p = parent[k][p]
                 path.append(p)
-            return [cell_pixel(window, c) for c in reversed(path)]
+            return path[::-1]
         nt = t + 1
         late = nt >= still
         if t >= still and p not in settled:
@@ -327,61 +330,52 @@ class _SolveContext:
 
 
 def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[int],
-                 objective: Objective, check_deadline: bool
-                 ) -> tuple[Optional[dict], Optional[int]]:
+                 objective: Objective, check_deadline: bool) -> Optional[int]:
     """Plan ``robots`` one at a time, in order, into ``table``; robots not
     planned yet hold their start cells at time 0.
 
-    Returns (paths, None) with every path committed. Otherwise the table is
-    left exactly as it was, and the result is (None, the robot that found no
-    path), or (None, None) when ``check_deadline`` is set and the deadline
-    passed first."""
+    Returns None with every path committed. Otherwise the table is left
+    exactly as it was, and the result is the robot it stopped at: the one
+    that found no path or, when ``check_deadline`` is set and the deadline
+    passed, the one it did not try."""
     vertex = table.vertex
     starts = ctx.start_cells
     for i in robots:
         vertex[(starts[i], 0)] = starts[i]
-    paths: dict[int, list[Pixel]] = {}
-    failed = None
-    for robot in robots:
+    for k, robot in enumerate(robots):
         if check_deadline and ctx.out_of_time():
             break
         del vertex[(starts[robot], 0)]
         path = plan_single(ctx.instance, robot, table, objective, field=ctx.fields[robot])
         if path is None:
-            failed = robot
             break
         table.add_path(robot, path)
-        paths[robot] = path
     else:
-        return paths, None
-    for robot in paths:
-        table.remove_path(robot)
-    for i in robots:   # the start entries of robots never reached
+        return None
+    for i in robots[:k]:
+        table.remove_path(i)
+    for i in robots[k:]:   # the start entries of robots never reached
         vertex.pop((starts[i], 0), None)
-    return None, failed
+    return robot
 
 
-def paths_to_schedule(instance: Instance, paths: dict[int, Sequence[Pixel]]) -> Schedule:
-    """Assemble per-robot paths (positions at times 0..T_i) into a schedule,
-    padding finished robots with WAIT and trimming trailing all-WAIT steps."""
-    n = instance.n_robots
-    length = max(len(paths[i]) for i in range(n)) - 1
-    steps = []
-    for t in range(length):
-        moves = []
-        for i in range(n):
-            path = paths[i]
-            if t + 1 < len(path):
-                moves.append(Direction.between(path[t], path[t + 1]))
-            else:
-                moves.append(Direction.WAIT)
-        steps.append(tuple(moves))
+def paths_to_schedule(instance: Instance, window: tuple[int, int, int, int],
+                      paths: dict[int, list[int]]) -> Schedule:
+    """Assemble per-robot paths, the cell ids of ``window``'s frame at times
+    0..T_i, into a schedule: each move is read off the difference of two
+    consecutive ids, finished robots are padded with WAIT, and trailing
+    all-WAIT steps are trimmed."""
+    step_of = {0: Direction.WAIT, **_move_offsets(window)}
+    moves = [[step_of[b - a] for a, b in zip(paths[i], paths[i][1:])]
+             for i in range(instance.n_robots)]
+    steps = [tuple(m[t] if t < len(m) else Direction.WAIT for m in moves)
+             for t in range(max(map(len, moves)))]
     while steps and all(not m.is_move for m in steps[-1]):
         steps.pop()
     return Schedule(instance_name=instance.name, steps=tuple(steps))
 
 
-def _path_stats(path: Sequence[Pixel]) -> tuple[int, int]:
+def _path_stats(path: Sequence[int]) -> tuple[int, int]:
     """(moves, last active time) of one path."""
     moves = 0
     last = 0
@@ -443,7 +437,7 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     n = instance.n_robots
     lb_value = ctx.lb_makespan if objective is Objective.MAX else ctx.lb_total
 
-    best_paths: Optional[dict] = None
+    best_table: Optional[ReservationTable] = None
     best_value: Optional[int] = None
 
     base_order = sorted(range(n), key=lambda i: (-ctx.per_robot[i], i))
@@ -460,36 +454,36 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
         table = ReservationTable(ctx.window)
         lifted: set[int] = set()
         while True:
-            paths, failed = _plan_robots(ctx, table, order, objective,
-                                         attempt > 0 or bool(lifted))
-            if (paths is not None or failed is None or failed in lifted
-                    or ctx.out_of_time()):
+            stopped = _plan_robots(ctx, table, order, objective,
+                                   attempt > 0 or bool(lifted))
+            if stopped is None or stopped in lifted or ctx.out_of_time():
                 break
-            lifted.add(failed)
-            order.remove(failed)
-            order.insert(0, failed)
-        if paths is None:
+            lifted.add(stopped)
+            order.remove(stopped)
+            order.insert(0, stopped)
+        if stopped is not None:
             continue
-        stats = {i: _path_stats(paths[i]) for i in paths}
-        value = _value_from_stats(stats, objective)
+        value = _value_from_stats({i: _path_stats(p) for i, p in table.paths.items()},
+                                  objective)
         if best_value is None or value < best_value:
-            best_paths, best_table, best_value = paths, table, value
+            best_table, best_value = table, value
             telemetry.append(TelemetryRecord(time.monotonic() - ctx.started, value,
                                              "restart"))
         if best_value == lb_value:
             break
 
-    if best_paths is None:
+    if best_table is None:
         limits = (f"before the {config.time_limit} s time limit" if ctx.out_of_time()
                   else "within restart limits")
         return SolveResult(objective, None, None, None, telemetry,
                            failure_reason=f"no feasible schedule {limits}", bounds=bounds)
 
+    best_paths = best_table.paths
     if best_value > lb_value and config.anneal_iterations > 0 and not ctx.out_of_time():
-        best_paths, best_value = _anneal(ctx, config, rng, best_paths, best_table,
-                                         best_value, lb_value, telemetry)
+        best_paths, best_value = _anneal(ctx, config, rng, best_table, best_value,
+                                         lb_value, telemetry)
 
-    schedule = paths_to_schedule(instance, best_paths)
+    schedule = paths_to_schedule(instance, ctx.window, best_paths)
     report = validate_schedule(instance, schedule)
     if not report.feasible:
         raise RuntimeError(
@@ -501,38 +495,37 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
 
 
 def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
-            paths: dict, table: ReservationTable, value: int, lb_value: int,
+            table: ReservationTable, value: int, lb_value: int,
             telemetry: list[TelemetryRecord]) -> tuple[dict, int]:
-    """Improve ``paths``, committed in ``table``, by replanning
-    ``_K_REPLAN`` robots at a time; returns the best paths and their value.
-    A failed or rejected move puts the old paths back."""
+    """Improve the paths committed in ``table``, whose objective is
+    ``value``, by replanning ``_K_REPLAN`` robots at a time; returns the best
+    paths and their value. A failed or rejected move puts the old paths
+    back."""
     objective = config.objective
-    current = dict(paths)
-    stats = {i: _path_stats(p) for i, p in current.items()}
+    stats = {i: _path_stats(p) for i, p in table.paths.items()}
     cur_value = best_value = value
-    best_paths = dict(current)
+    best_paths = dict(table.paths)
 
     temp = _AUTO_TEMP_FACTOR * value
     for _ in range(config.anneal_iterations):
         if ctx.out_of_time():
             break
         chosen = _pick_robots(rng, stats, ctx.per_robot, objective, cur_value)
+        old_paths = {i: table.paths[i] for i in chosen}
         for i in chosen:
             table.remove_path(i)
         rng.shuffle(chosen)
-        new_paths, _ = _plan_robots(ctx, table, chosen, objective, False)
-        if new_paths is not None:
+        if _plan_robots(ctx, table, chosen, objective, False) is None:
             old_stats = {i: stats[i] for i in chosen}
-            stats.update((i, _path_stats(p)) for i, p in new_paths.items())
+            stats.update((i, _path_stats(table.paths[i])) for i in chosen)
             new_value = _value_from_stats(stats, objective)
             delta = new_value - cur_value
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                current.update(new_paths)
                 cur_value = new_value
                 temp *= _COOLING
                 if cur_value < best_value:
                     best_value = cur_value
-                    best_paths = dict(current)
+                    best_paths = dict(table.paths)
                     telemetry.append(TelemetryRecord(time.monotonic() - ctx.started,
                                                      best_value, "anneal"))
                     if best_value == lb_value:
@@ -542,5 +535,5 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
             for i in chosen:
                 table.remove_path(i)
         for i in chosen:
-            table.add_path(i, current[i])
+            table.add_path(i, old_paths[i])
     return best_paths, best_value

@@ -120,23 +120,22 @@ def _step_violation(obstacles: frozenset, positions: Sequence[Pixel],
     return Violation(step=step_index, rule=rule, robots=robots)
 
 
-def search_window(instance: Instance, margin: int = 1) -> tuple[int, int, int, int]:
+def search_window(instance: Instance) -> tuple[int, int, int, int]:
     """Inclusive rectangle (x0, y0, x1, y1) that provably contains some
     shortest obstacle-avoiding path for every robot.
 
     The rectangle is the bounding box of obstacles, starts and targets,
-    inflated by ``margin``. Any walk can be clamped coordinate-wise onto the
-    box inflated by 1: clamping never lengthens the walk, keeps consecutive
-    cells adjacent (the unclamped coordinate is shared, the clamped one moves
-    by at most 1) and relocates cells only into the obstacle-free ring just
-    outside the box. The default margin of 1 therefore suffices; the test
-    suite cross-checks it against a margin of 60.
+    inflated by 1. Any walk can be clamped coordinate-wise onto it:
+    clamping never lengthens the walk, keeps consecutive cells adjacent (the
+    unclamped coordinate is shared, the clamped one moves by at most 1) and
+    relocates cells only into the obstacle-free ring just outside the box.
+    The test suite cross-checks it against a box inflated by 60.
     """
     xs = [p.x for p in instance.starts] + [p.x for p in instance.targets]
     ys = [p.y for p in instance.starts] + [p.y for p in instance.targets]
     xs += [p.x for p in instance.obstacles]
     ys += [p.y for p in instance.obstacles]
-    return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+    return (min(xs) - 1, min(ys) - 1, max(xs) + 1, max(ys) + 1)
 
 
 def cell_id(window: tuple[int, int, int, int], pixel) -> int:
@@ -145,13 +144,6 @@ def cell_id(window: tuple[int, int, int, int], pixel) -> int:
     and ``c - stride`` (W), where ``stride = y1 - y0 + 3``."""
     x0, y0, _, y1 = window
     return (pixel[0] - x0 + 1) * (y1 - y0 + 3) + pixel[1] - y0 + 1
-
-
-def cell_pixel(window: tuple[int, int, int, int], cell: int) -> Pixel:
-    """The pixel whose :func:`cell_id` in ``window``'s frame is ``cell``."""
-    x0, y0, _, y1 = window
-    x, y = divmod(cell, y1 - y0 + 3)
-    return Pixel(x + x0 - 1, y + y0 - 1)
 
 
 def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],

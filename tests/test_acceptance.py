@@ -296,7 +296,8 @@ def test_lower_bounds_insensitive_to_window_growth():
         targets = rng.sample(cells, n)
         cases.append(make_instance(starts, targets))
     for inst in cases:
-        wide = search_window(inst, 60)
+        x0, y0, x1, y1 = search_window(inst)
+        wide = (x0 - 59, y0 - 59, x1 + 59, y1 + 59)
         assert lower_bounds(inst) == bounds_from_maps(
             inst, wide, (distance_map(inst.obstacles, wide, t) for t in inst.targets))
     print(f"PASS window-margin: bounds stable for {len(cases)} instances")

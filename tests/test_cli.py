@@ -223,6 +223,97 @@ def test_non_utf8_file_exits_two(command, line_files, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, broken", [
+    ("validate", "instance"),
+    ("validate", "solution"),
+    ("solve", "instance"),
+    ("solve", "config"),
+    ("generate", "config"),
+    ("score", "instance"),
+    ("score", "solution"),
+    ("score", "unnamed solution"),
+    ("render", "instance"),
+    ("render", "solution"),
+    ("features", "instance"),
+    ("select", "features"),
+])
+def test_broken_input_file_is_named_once(command, broken, line_files, tmp_path, capsys):
+    # a cut JSON file, or a config or CSV that does not parse: the message
+    # starts with the path of the broken file, and names it only there
+    ipath, spath = line_files
+    text = {"instance": open(ipath).read()[:25], "solution": open(spath).read()[:30],
+            "unnamed solution": "[]\n", "config": "no equals sign\n",
+            "features": "name,n_robots\n"}[broken]
+    instances, team = tmp_path / "instances", tmp_path / "team"
+    for folder, good in ((instances, ipath), (team, spath)):
+        folder.mkdir()
+        shutil.copy(good, folder)
+    if command == "score":   # break one file of a directory
+        folder = instances if broken == "instance" else team
+        bad = write(folder / f"line.{broken.split()[-1]}.json", text)
+    else:
+        bad = write(tmp_path / "broken.txt", text)
+    out = str(tmp_path / "out")
+    argv = {
+        ("validate", "instance"): ["validate", bad, spath],
+        ("validate", "solution"): ["validate", ipath, bad],
+        ("solve", "instance"): ["solve", bad, "-o", out],
+        ("solve", "config"): ["solve", ipath, "-o", out, "--config", bad],
+        ("generate", "config"): ["generate", bad, out],
+        ("render", "instance"): ["render", bad, out],
+        ("render", "solution"): ["render", ipath, out, "--solution", bad],
+        ("features", "instance"): ["features", bad],
+        ("select", "features"): ["select", bad, "-k", "1"],
+    }.get((command, broken), ["score", "--instances", str(instances), "--objective", "max",
+                              "--output", out, str(team)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count(bad) == 1, err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
+def score_argv(tmp_path, *teams):
+    """A score command line over one solved instance, and its output directory."""
+    instances = tmp_path / "instances"
+    instances.mkdir(exist_ok=True)
+    write(instances / "line.instance.json",
+          emit_instance(make_instance([(0, 0)], [(2, 0)], name="line")))
+    out = tmp_path / "scores"
+    return ["score", "--instances", str(instances), "--objective", "max",
+            "--output", str(out), *map(str, teams)], out
+
+
+def test_score_rejects_a_missing_team_directory(tmp_path, capsys):
+    team = tmp_path / "team"
+    team.mkdir()
+    write(team / "line.solution.json", emit_solution(schedule("line", "E", "E")))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv, out = score_argv(tmp_path, team, empty)
+    assert main(argv) == 0
+    assert "empty: 0.0000 / 1" in capsys.readouterr().out
+    shutil.rmtree(out)
+    missing = tmp_path / "nosuchteam"
+    argv, out = score_argv(tmp_path, team, missing)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {missing}: not a directory\n"
+    assert not out.exists()
+
+
+def test_score_rejects_team_directories_with_one_name(tmp_path, capsys):
+    # both would report as "team"; the later one used to replace the other
+    first, second = tmp_path / "team", tmp_path / "other" / "team"
+    for team, rows in ((first, "EE"), (second, "E.E")):
+        team.mkdir(parents=True)
+        write(team / "line.solution.json", emit_solution(schedule("line", *rows)))
+    for teams in ((first, second), (second, first)):
+        argv, out = score_argv(tmp_path, *teams)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: duplicate team name 'team' in {teams[0]} and {teams[1]}\n")
+        assert not out.exists()
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_writes_solution_and_telemetry(line_files, tmp_path, capsys):
@@ -374,7 +465,7 @@ def test_generate_rejects_non_finite_values(tmp_path, capsys, key, value):
     outdir = tmp_path / "out"
     assert main(["generate", config, str(outdir)]) == 2
     assert capsys.readouterr().err == (
-        f"error: generator config: {key} must be finite, got {float(value)!r}\n")
+        f"error: {config}: generator config: {key} must be finite, got {float(value)!r}\n")
     assert not outdir.exists()
 
 
@@ -422,7 +513,7 @@ def test_select_rejects_bad_features_csv(tmp_path, capsys, text, message):
     feats = write(tmp_path / "features.csv", text.format(header=header))
     assert main(["select", feats, "-k", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: features CSV: ") and message in err
+    assert err.startswith(f"error: {feats}: features CSV: ") and message in err
 
 
 def test_render_writes_svg(line_files, tmp_path, capsys):

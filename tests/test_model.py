@@ -27,14 +27,6 @@ def test_direction_displacements_are_fixed():
     assert not WAIT.is_move
 
 
-def test_direction_between():
-    assert Direction.between(Pixel(2, 2), Pixel(3, 2)) is E
-    assert Direction.between(Pixel(2, 2), Pixel(2, 1)) is S
-    assert Direction.between(Pixel(2, 2), Pixel(2, 2)) is WAIT
-    with pytest.raises(ValueError):
-        Direction.between(Pixel(0, 0), Pixel(1, 1))
-
-
 def test_pixel_translated():
     # a pixel moves by its direction's displacement, one robot per entry of a step
     c = (Pixel(0, 0), Pixel(3, -2), Pixel(-1, -1), Pixel(-4, 6), Pixel(5, 5))

@@ -14,11 +14,11 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from conftest import make_instance, seal
+from conftest import cell_pixel, make_instance, seal
 import gridmotion.solve as solve_module
 from gridmotion.formats import emit_solution
 from gridmotion.generate import GeneratorParams, generate
-from gridmotion.model import Objective, Pixel, apply_step
+from gridmotion.model import Direction, Objective, apply_step
 from gridmotion.solve import (
     ReservationTable,
     SolverConfig,
@@ -29,19 +29,21 @@ from gridmotion.solve import (
 )
 from gridmotion.validate import (
     cell_id,
-    cell_pixel,
     lower_bounds,
     search_window,
     validate_schedule,
 )
 
 
-def pixels(*coords):
-    return [Pixel(x, y) for x, y in coords]
+def ids(window, *coords):
+    """The cell ids of ``coords`` in ``window``'s frame: a path as the
+    solver holds it."""
+    return [cell_id(window, c) for c in coords]
 
 
-def as_tuples(path):
-    return [tuple(p) for p in path]
+def as_tuples(window, path):
+    """A path of cell ids as (x, y) tuples."""
+    return [cell_pixel(window, c) for c in path]
 
 
 # ---------------------------------------------------------------- rooms
@@ -108,16 +110,19 @@ def cell(x, y):
     return cell_id(WINDOW, (x, y))
 
 
+def path(*coords):
+    return ids(WINDOW, *coords)
+
+
 def table_state(table):
     """Copies of every reservation a table holds."""
     return (dict(table.vertex), dict(table.parked),
-            {r: list(cells) for r, cells in table._paths.items()}, table.horizon)
+            {r: list(cells) for r, cells in table.paths.items()}, table.horizon)
 
 
 def test_table_records_vertices_edges_and_parking():
     table = ReservationTable(WINDOW)
-    path = pixels((0, 0), (1, 0), (1, 0), (2, 0))
-    table.add_path(3, path)
+    table.add_path(3, path((0, 0), (1, 0), (1, 0), (2, 0)))
 
     assert table.blocked_at(cell(0, 0), 0)
     assert not table.blocked_at(cell(0, 0), 1)
@@ -143,8 +148,8 @@ def test_table_records_vertices_edges_and_parking():
 
 def test_table_remove_restores_empty_state():
     table = ReservationTable(WINDOW)
-    keep = pixels((5, 5), (5, 6))
-    gone = pixels((0, 0), (1, 0), (2, 0))
+    keep = path((5, 5), (5, 6))
+    gone = path((0, 0), (1, 0), (2, 0))
     table.add_path(0, keep)
     table.add_path(1, gone)
     table.remove_path(1)
@@ -162,50 +167,42 @@ def test_table_remove_restores_empty_state():
 
 def test_table_rejects_conflicting_reservations():
     table = ReservationTable(WINDOW)
-    table.add_path(0, pixels((0, 0), (1, 0)))
+    table.add_path(0, path((0, 0), (1, 0)))
     with pytest.raises(ValueError):
-        table.add_path(1, pixels((2, 0), (1, 0)))   # same pixel, same time
+        table.add_path(1, path((2, 0), (1, 0)))   # same pixel, same time
     table2 = ReservationTable(WINDOW)
-    table2.add_path(0, pixels((0, 0), (1, 0)))
+    table2.add_path(0, path((0, 0), (1, 0)))
     with pytest.raises(ValueError):
-        table2.add_path(1, pixels((1, 1), (1, 0), (1, 0)))  # parks on a parked pixel
+        table2.add_path(1, path((1, 1), (1, 0), (1, 0)))  # parks on a parked pixel
 
 
 def test_table_rejected_path_writes_nothing():
     table = ReservationTable(WINDOW)
-    table.add_path(0, pixels((1, 0), (2, 0)))
+    table.add_path(0, path((1, 0), (2, 0)))
     before = table_state(table)
     with pytest.raises(ValueError, match="t=1"):
-        table.add_path(1, pixels((0, 0), (2, 0)))   # (0, 0) is free at t=0
+        table.add_path(1, path((0, 0), (2, 0)))   # (0, 0) is free at t=0
     # through the pixel robot 0 is parked on from t=1
     with pytest.raises(ValueError, match="t=2"):
-        table.add_path(1, pixels((0, 0), (1, 0), (2, 0), (3, 0)))
+        table.add_path(1, path((0, 0), (1, 0), (2, 0), (3, 0)))
     assert table_state(table) == before
     assert len(table.vertex) == 2
 
 
 def test_table_rejects_parking_where_a_later_path_passes():
     table = ReservationTable(WINDOW)
-    table.add_path(0, pixels((3, 0), (2, 0), (1, 0), (0, 0)))
+    table.add_path(0, path((3, 0), (2, 0), (1, 0), (0, 0)))
     with pytest.raises(ValueError, match="after t=1"):
-        table.add_path(1, pixels((1, 1), (1, 0)))
+        table.add_path(1, path((1, 1), (1, 0)))
     assert table.last_visit(cell(1, 1)) == -1
-
-
-def test_table_rejects_paths_outside_its_window():
-    # ids are unique only inside the frame: (0, 10) shares its id with (1, -2)
-    table = ReservationTable(WINDOW)
-    with pytest.raises(ValueError, match="leaves the window"):
-        table.add_path(0, pixels((0, 9), (0, 10)))
-    assert not table.vertex
 
 
 def test_table_horizon_is_the_last_arrival():
     table = ReservationTable(WINDOW)
     assert table.horizon == 0
-    table.add_path(0, pixels((0, 0), (1, 0), (2, 0)))
-    table.add_path(1, pixels((5, 5), (5, 6), (5, 7), (5, 8), (5, 9)))
-    table.add_path(2, pixels((9, 0), (9, 1)))
+    table.add_path(0, path((0, 0), (1, 0), (2, 0)))
+    table.add_path(1, path((5, 5), (5, 6), (5, 7), (5, 8), (5, 9)))
+    table.add_path(2, path((9, 0), (9, 1)))
     assert table.horizon == 4
     table.remove_path(2)
     assert table.horizon == 4
@@ -231,13 +228,13 @@ def test_plan_single_straight_line_both_objectives():
     for objective in (Objective.MAX, Objective.SUM):
         table = ReservationTable(search_window(inst))
         path = plan_single(inst, 0, table, objective)
-        assert as_tuples(path) == [(0, 0), (1, 0), (2, 0)]
+        assert as_tuples(table.window, path) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_plan_single_rejects_reserved_start():
     inst = make_instance([(0, 0)], [(2, 0)])
     table = ReservationTable(search_window(inst))
-    table.add_path(5, pixels((0, 0)))
+    table.add_path(5, ids(table.window, (0, 0)))
     with pytest.raises(ValueError):
         plan_single(inst, 0, table, Objective.MAX)
 
@@ -247,15 +244,17 @@ def test_plan_single_lands_after_the_last_visit_to_its_target():
     # the robot parks there at t=4 at the earliest, stepping aside to the
     # south and entering behind it (MAX), or at t=5 with its single move (SUM)
     inst = make_instance([(0, 0), (4, 0)], [(1, 0), (1, 1)])
-    committed = pixels((4, 0), (3, 0), (2, 0), (1, 0), (1, 1))
+    window = search_window(inst)
+    committed = ids(window, (4, 0), (3, 0), (2, 0), (1, 0), (1, 1))
     expected = {Objective.MAX: [(0, 0), (1, 0), (1, -1), (1, -1), (1, 0)],
                 Objective.SUM: [(0, 0)] * 5 + [(1, 0)]}
     for objective, cells in expected.items():
-        table = ReservationTable(search_window(inst))
+        table = ReservationTable(window)
         table.add_path(1, committed)
         path = plan_single(inst, 0, table, objective)
-        assert as_tuples(path) == cells
-        report = validate_schedule(inst, paths_to_schedule(inst, {0: path, 1: committed}))
+        assert as_tuples(window, path) == cells
+        report = validate_schedule(
+            inst, paths_to_schedule(inst, window, {0: path, 1: committed}))
         assert report.feasible
 
 
@@ -265,7 +264,7 @@ def test_plan_single_boxed_in_start_fails():
     # stay
     inst = make_instance([(0, 0), (2, 0)], [(3, 0), (0, 0)], [(0, 1), (0, -1), (-1, 0)])
     table = ReservationTable(search_window(inst))
-    table.add_path(1, pixels((2, 0), (1, 0), (0, 0)))
+    table.add_path(1, ids(table.window, (2, 0), (1, 0), (0, 0)))
     assert plan_single(inst, 0, table, Objective.MAX) is None
 
 
@@ -300,7 +299,7 @@ def test_plan_single_walled_in_by_parked_robots_returns_none(monkeypatch):
     for objective in Objective:
         table = ReservationTable(search_window(inst))
         for robot, path in enumerate(walls_in.values(), start=1):
-            table.add_path(robot, pixels(*path))
+            table.add_path(robot, ids(table.window, *path))
         pushes[0] = 0
         assert plan_single(inst, 0, table, objective) is None
         assert 0 < pushes[0] <= 10 * len(pocket)
@@ -331,7 +330,7 @@ def random_committed_case(seed):
                        if c in free]
             walk.append(rng.choice(options))
         try:
-            table.add_path(robot, pixels(*walk))
+            table.add_path(robot, ids(window, *walk))
         except ValueError:
             continue
         walks.append(walk)
@@ -358,7 +357,8 @@ def test_plan_single_cost_matches_a_time_expanded_search():
             found += 1
             moves = sum(a != b for a, b in zip(path, path[1:]))
             assert (len(path) - 1, moves) == expected, (seed, objective)
-            assert (path[0], path[-1]) == (inst.starts[0], inst.targets[0])
+            assert (path[0], path[-1]) == tuple(ids(table.window, inst.starts[0],
+                                                    inst.targets[0]))
     assert compared >= 100 and found >= 80
 
 
@@ -375,33 +375,36 @@ def test_plan_single_waits_until_target_is_free_forever():
     # MAX makes it by looping south and entering behind the occupant's exit
     # (same-direction train); SUM keeps the single move and lands at t=4.
     inst = make_instance([(1, 0), (4, 0)], [(2, 0), (2, 1)])
-    table = ReservationTable(search_window(inst))
-    table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (2, 1)))
+    window = search_window(inst)
+    table = ReservationTable(window)
+    table.add_path(1, ids(window, (4, 0), (3, 0), (2, 0), (2, 1)))
     fast = plan_single(inst, 0, table, Objective.MAX)
-    assert as_tuples(fast) == [(1, 0), (1, -1), (2, -1), (2, 0)]
+    assert as_tuples(window, fast) == [(1, 0), (1, -1), (2, -1), (2, 0)]
     lazy = plan_single(inst, 0, table, Objective.SUM)
-    assert as_tuples(lazy) == [(1, 0), (1, 0), (1, 0), (1, 0), (2, 0)]
+    assert as_tuples(window, lazy) == [(1, 0), (1, 0), (1, 0), (1, 0), (2, 0)]
 
 
 def test_plan_single_takes_objective_names():
     # "sum" must plan for SUM like Objective.SUM, not fall through to MAX
     inst = make_instance([(1, 0), (4, 0)], [(2, 0), (2, 1)])
-    table = ReservationTable(search_window(inst))
-    table.add_path(1, pixels((4, 0), (3, 0), (2, 0), (2, 1)))
+    window = search_window(inst)
+    table = ReservationTable(window)
+    table.add_path(1, ids(window, (4, 0), (3, 0), (2, 0), (2, 1)))
     for objective in Objective:
         assert (plan_single(inst, 0, table, objective.value)
                 == plan_single(inst, 0, table, objective))
-    assert as_tuples(plan_single(inst, 0, table, "sum")) == [(1, 0)] * 4 + [(2, 0)]
+    assert as_tuples(window, plan_single(inst, 0, table, "sum")) == [(1, 0)] * 4 + [(2, 0)]
 
 
 def test_plan_single_vacates_in_direction_of_incoming_robot():
     # Robot 1 is committed to move west into our start pixel at the first
     # step. We must leave west too; waiting or stepping aside is a collision.
     inst = make_instance([(0, 0), (1, 0)], [(0, 1), (0, 0)])
-    table = ReservationTable(search_window(inst))
-    table.add_path(1, pixels((1, 0), (0, 0), (0, 0)))
+    window = search_window(inst)
+    table = ReservationTable(window)
+    table.add_path(1, ids(window, (1, 0), (0, 0), (0, 0)))
     path = plan_single(inst, 0, table, Objective.MAX)
-    assert as_tuples(path) == [(0, 0), (-1, 0), (-1, 1), (0, 1)]
+    assert as_tuples(window, path) == [(0, 0), (-1, 0), (-1, 1), (0, 1)]
 
 
 def test_plan_single_trains_behind_committed_robot():
@@ -413,10 +416,10 @@ def test_plan_single_trains_behind_committed_robot():
     for objective in (Objective.MAX, Objective.SUM):
         table = ReservationTable(search_window(inst))
         leader = plan_single(inst, 1, table, objective)
-        assert as_tuples(leader) == [(1, 1), (1, 0), (2, 0), (3, 0)]
+        assert as_tuples(table.window, leader) == [(1, 1), (1, 0), (2, 0), (3, 0)]
         table.add_path(1, leader)
         follower = plan_single(inst, 0, table, objective)
-        assert as_tuples(follower) == [(0, 0), (0, 0), (1, 0), (2, 0)]
+        assert as_tuples(table.window, follower) == [(0, 0), (0, 0), (1, 0), (2, 0)]
         _, _, per_robot = lower_bounds(inst)
         assert len(follower) - 1 == per_robot[0] + 1
 
@@ -427,13 +430,14 @@ def test_plan_single_head_on_corridor_reverses_into_bay():
     free = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (2, 1)]
     inst = make_instance([(0, 0), (4, 0)], [(4, 0), (2, 1)], seal(free),
                          name="headon")
-    table = ReservationTable(search_window(inst))
+    window = search_window(inst)
+    table = ReservationTable(window)
     p1 = plan_single(inst, 1, table, Objective.MAX)
-    assert as_tuples(p1) == [(4, 0), (3, 0), (2, 0), (2, 1)]
+    assert as_tuples(window, p1) == [(4, 0), (3, 0), (2, 0), (2, 1)]
     table.add_path(1, p1)
     p0 = plan_single(inst, 0, table, Objective.MAX)
-    assert as_tuples(p0) == [(0, 0), (1, 0), (1, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
-    sched = paths_to_schedule(inst, {0: p0, 1: p1})
+    assert as_tuples(window, p0) == [(0, 0), (1, 0), (1, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+    sched = paths_to_schedule(inst, window, {0: p0, 1: p1})
     report = validate_schedule(inst, sched)
     assert report.feasible and report.makespan == 6
 
@@ -457,19 +461,38 @@ def test_plan_single_search_follows_the_path_not_the_square(monkeypatch):
 
 def test_paths_to_schedule_pads_and_trims():
     inst = make_instance([(0, 0), (5, 5)], [(1, 0), (5, 5)])
-    sched = paths_to_schedule(inst, {
-        0: pixels((0, 0), (1, 0), (1, 0)),   # trailing wait gets trimmed
-        1: pixels((5, 5)),                   # finished robot padded with waits
+    window = search_window(inst)
+    sched = paths_to_schedule(inst, window, {
+        0: ids(window, (0, 0), (1, 0), (1, 0)),   # trailing wait gets trimmed
+        1: ids(window, (5, 5)),                   # finished robot padded with waits
     })
-    from gridmotion.model import Direction
     assert len(sched.steps) == 1
     assert sched.steps[0] == (Direction.EAST, Direction.WAIT)
 
 
 def test_paths_to_schedule_all_parked_is_empty():
     inst = make_instance([(0, 0)], [(0, 0)])
-    sched = paths_to_schedule(inst, {0: pixels((0, 0))})
+    window = search_window(inst)
+    sched = paths_to_schedule(inst, window, {0: ids(window, (0, 0))})
     assert sched.steps == ()
+
+
+def test_paths_to_schedule_reads_each_offset_as_its_direction():
+    # a window with a negative origin, 4 wide and 7 high: a column of the
+    # frame is stride = 7 + 2 = 9 ids long, and an offset map built on the
+    # width (4 + 2 = 6) would not know the E and W moves
+    inst = make_instance([(-3, -4), (-2, 0)], [(-2, -3), (-3, 0)])
+    window = search_window(inst)
+    assert window == (-4, -5, -1, 1)
+    walks = {0: ids(window, (-3, -4), (-3, -3), (-2, -3), (-2, -4), (-2, -4), (-3, -4),
+                    (-3, -3), (-2, -3)),
+             1: ids(window, (-2, 0), (-3, 0))}
+    sched = paths_to_schedule(inst, window, walks)
+    N, S, E, W, WAIT = (Direction.NORTH, Direction.SOUTH, Direction.EAST, Direction.WEST,
+                        Direction.WAIT)
+    assert [step[0] for step in sched.steps] == [N, E, S, WAIT, W, N, E]
+    assert [step[1] for step in sched.steps] == [W] + [WAIT] * 6
+    assert validate_schedule(inst, sched).feasible
 
 
 # ------------------------------------------------- prioritized planning
@@ -479,8 +502,9 @@ def plan_in_order(inst, order):
     None when some robot finds no path."""
     ctx = solve_module._SolveContext(inst)
     table = ReservationTable(ctx.window)
-    paths, _ = solve_module._plan_robots(ctx, table, order, Objective.MAX, False)
-    return None if paths is None else paths_to_schedule(inst, paths)
+    if solve_module._plan_robots(ctx, table, order, Objective.MAX, False) is not None:
+        return None
+    return paths_to_schedule(inst, ctx.window, table.paths)
 
 
 def test_prioritized_plan_single_robot_meets_its_bound():
@@ -530,8 +554,7 @@ def test_failed_plan_robots_leaves_the_table_as_it_was(monkeypatch):
                          [(2, 0), (0, 0), (6, 5), (6, 6)], seal(free))
     ctx = solve_module._SolveContext(inst)
     table = ReservationTable(ctx.window)
-    paths, _ = solve_module._plan_robots(ctx, table, [2], Objective.MAX, False)
-    assert paths is not None
+    assert solve_module._plan_robots(ctx, table, [2], Objective.MAX, False) is None
     before = table_state(table)
     planned = []
     real_plan_single = solve_module.plan_single
@@ -543,7 +566,7 @@ def test_failed_plan_robots_leaves_the_table_as_it_was(monkeypatch):
 
     monkeypatch.setattr(solve_module, "plan_single", recording)
     result = solve_module._plan_robots(ctx, table, [0, 1, 3], Objective.MAX, False)
-    assert result == (None, 1)
+    assert result == 1
     assert planned == [(0, True), (1, False)]
     assert table_state(table) == before
 
@@ -557,10 +580,10 @@ def record_plan_robots(monkeypatch, fail=False):
 
     def recording(ctx, table, robots, objective, check_deadline):
         if fail:
-            result = (None, robots[0])
+            result = robots[0]
         else:
             result = real_plan_robots(ctx, table, robots, objective, check_deadline)
-        calls.append((list(robots), result[0] is not None))
+        calls.append((list(robots), result is None))
         return result
 
     monkeypatch.setattr(solve_module, "_plan_robots", recording)
@@ -578,11 +601,11 @@ def anneal_and_restore(monkeypatch, inst, order, value, lb_value):
     calls = record_plan_robots(monkeypatch)
     for seed in range(8):
         table = ReservationTable(ctx.window)
-        paths, _ = real_plan_robots(ctx, table, order, Objective.MAX, False)
+        assert real_plan_robots(ctx, table, order, Objective.MAX, False) is None
         before = table_state(table)
-        best, best_value = solve_module._anneal(ctx, config, random.Random(seed), paths,
-                                                table, value, lb_value, [])
-        assert (best, best_value) == (paths, value)
+        best, best_value = solve_module._anneal(ctx, config, random.Random(seed), table,
+                                                value, lb_value, [])
+        assert (best, best_value) == (before[2], value)
         assert table_state(table) == before
     return calls
 
@@ -606,8 +629,8 @@ def test_failed_anneal_replan_leaves_the_table_as_it_was(monkeypatch):
 def rebuilt(table):
     """A fresh table holding the same committed paths."""
     fresh = ReservationTable(table.window)
-    for robot, cells in table._paths.items():
-        fresh.add_path(robot, [cell_pixel(table.window, c) for c in cells])
+    for robot, cells in table.paths.items():
+        fresh.add_path(robot, list(cells))
     return fresh
 
 
@@ -623,8 +646,8 @@ def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
         table = ReservationTable(ctx.window)
         for _ in range(30):
             objective = rng.choice(list(Objective))
-            committed = sorted(table._paths)
-            unplanned = [i for i in range(inst.n_robots) if i not in table._paths]
+            committed = sorted(table.paths)
+            unplanned = [i for i in range(inst.n_robots) if i not in table.paths]
             action = rng.random()
             if unplanned and action < 0.5:
                 robots = rng.sample(unplanned, rng.randint(1, len(unplanned)))
@@ -632,26 +655,24 @@ def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
                 # how many robots are tried before the deadline, often all
                 budget = max(len(robots) - rng.randint(0, 2), 0)
                 ctx.out_of_time = lambda: next(ticks) >= budget
-                paths, failed = solve_module._plan_robots(ctx, table, robots, objective, True)
-                if paths is not None:
+                stopped = solve_module._plan_robots(ctx, table, robots, objective, True)
+                if stopped is None:
                     outcomes["planned"] += 1
-                elif failed is None:
+                elif robots.index(stopped) == budget:   # never tried
                     outcomes["cut"] += 1
                 else:   # "failed early" leaves robots it never reached
-                    outcomes["failed" if failed == robots[-1] else "failed early"] += 1
+                    outcomes["failed" if stopped == robots[-1] else "failed early"] += 1
             elif committed and action < 0.75:
                 table.remove_path(rng.choice(committed))
                 outcomes["removed"] += 1
             elif committed:
-                paths = {i: [cell_pixel(ctx.window, c) for c in table._paths[i]]
-                         for i in committed}
-                stats = {i: solve_module._path_stats(p) for i, p in paths.items()}
+                stats = {i: solve_module._path_stats(p) for i, p in table.paths.items()}
                 value = solve_module._value_from_stats(stats, objective)
                 if value == 0:
                     continue   # the annealer never starts from the bound 0
                 ctx.out_of_time = lambda: False
                 solve_module._anneal(ctx, SolverConfig(objective=objective, anneal_iterations=3),
-                                     rng, paths, table, value, -1, [])
+                                     rng, table, value, -1, [])
                 outcomes["annealed"] += 1
             assert table_state(table) == table_state(rebuilt(table))
     assert min(outcomes[k] for k in ("planned", "failed early", "cut", "removed",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from conftest import bounds_of, make_instance, schedule, seal, step
+from conftest import bounds_of, cell_pixel, make_instance, schedule, seal, step
 from gridmotion.model import (
     Direction,
     Pixel,
@@ -18,7 +18,6 @@ from gridmotion.validate import (
     Violation,
     bounds_from_maps,
     cell_id,
-    cell_pixel,
     check_step,
     distance_map,
     lower_bounds,
@@ -425,7 +424,8 @@ def test_lower_bounds_agree_with_margin_one_distance_maps():
             assert got.value.robot == err.robot and str(got.value) == str(err)
             continue
         assert lower_bounds(inst) == expected, inst
-        tight = search_window(inst, 0)
+        x0, y0, x1, y1 = window
+        tight = (x0 + 1, y0 + 1, x1 - 1, y1 - 1)   # the bounding box itself
         inside = [distance_map(inst.obstacles, tight, t) for t in inst.targets]
         via_ring += any(read(m, tight, s) != d
                         for s, m, d in zip(inst.starts, inside, expected[2]))
@@ -434,10 +434,9 @@ def test_lower_bounds_agree_with_margin_one_distance_maps():
 
 def test_search_window_contains_everything_with_margin():
     inst = make_instance([(0, 0)], [(9, 3)], [(4, 4)])
-    xmin, ymin, xmax, ymax = search_window(inst)
-    assert xmin < 0 and ymin < 0 and xmax > 9 and ymax > 4
-    forced = search_window(inst, margin=30)
-    assert forced == (-30, -30, 39, 34)
+    # the bounding box (0, 0, 9, 4) of starts, targets and obstacles,
+    # inflated by one cell
+    assert search_window(inst) == (-1, -1, 10, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +446,8 @@ def test_search_window_contains_everything_with_margin():
 def configurations_to_schedule(name, path):
     steps = []
     for before, after in zip(path, path[1:]):
-        moves = tuple(Direction.between(Pixel(*b), Pixel(*a))
-                      for b, a in zip(before, after))
+        moves = tuple(Direction((ax - bx, ay - by))
+                      for (bx, by), (ax, ay) in zip(before, after))
         steps.append(moves)
     return Schedule(instance_name=name, steps=tuple(steps))
 
