@@ -104,6 +104,12 @@ def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
     return out
 
 
+def _manifest(names) -> str:
+    """A selection manifest: one instance name per line, and no line at all
+    when nothing is selected."""
+    return "".join(f"{name}\n" for name in names)
+
+
 def _check_select_count(k: int, candidates: int) -> None:
     if not 0 <= k <= candidates:
         raise FormatError(f"cannot select {k} from {candidates} candidates")
@@ -133,8 +139,7 @@ def cmd_generate(args) -> int:
     print(f"generated {len(names)} instance(s) in {outdir}")
     if args.select is not None:
         picks = select_diverse([f for _, f in feature_rows], args.select)
-        manifest = "\n".join(names[i] for i in picks) + "\n"
-        _write(outdir / "selected.txt", manifest)
+        _write(outdir / "selected.txt", _manifest(names[i] for i in picks))
         print(f"selected {len(picks)} diverse instance(s) -> selected.txt")
     return 0
 
@@ -227,14 +232,15 @@ def _load_instances_dir(path, strict: bool):
 
 
 def _parse_team_solution(text: str, instances: dict, strict: bool):
-    """A team's solution file, parsed for the instance it names."""
+    """A team's solution file, decoded once and parsed for the instance it
+    names."""
     data = json.loads(text)
     if not isinstance(data, dict) or not isinstance(data.get("instance"), str):
         raise FormatError("solution file must name its instance")
     inst = instances.get(data["instance"])
     if inst is None:
         raise FormatError(f"unknown instance {data['instance']!r}")
-    return parse_solution(text, inst.n_robots, strict=strict)
+    return parse_solution(data, inst.n_robots, strict=strict)
 
 
 def cmd_score(args) -> int:
@@ -319,7 +325,7 @@ def cmd_select(args) -> int:
     rows = _load(args.features, _parse_features_csv)
     _check_select_count(args.k, len(rows))
     picks = select_diverse([f for _, f in rows], args.k)
-    manifest = "\n".join(rows[i][0] for i in picks) + "\n"
+    manifest = _manifest(rows[i][0] for i in picks)
     if args.output:
         _write(args.output, manifest)
         print(f"wrote {args.output}")

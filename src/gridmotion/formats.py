@@ -94,13 +94,16 @@ def emit_instance(instance: Instance) -> str:
     )
 
 
-def parse_solution(text: str, n_robots: int, strict: bool = False) -> Schedule:
-    """Parse a solution file for an instance with ``n_robots`` robots. Robots
-    absent from a step wait during that step."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"solution file is not valid JSON: {err}") from None
+def parse_solution(source: str | dict, n_robots: int, strict: bool = False) -> Schedule:
+    """Parse a solution file for an instance with ``n_robots`` robots, given
+    its text or the JSON object that text decodes to. Robots absent from a
+    step wait during that step."""
+    data = source
+    if isinstance(source, str):
+        try:
+            data = json.loads(source)
+        except json.JSONDecodeError as err:
+            raise FormatError(f"solution file is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise FormatError("solution file must be a JSON object")
     _check_unknown_keys(data, _SOLUTION_KEYS, "solution file", strict)

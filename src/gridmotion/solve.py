@@ -13,7 +13,8 @@ not-yet-planned robots to move in concert; each holds its start pixel at
 time 0 with no departure recorded, so no one enters it at time 1. The search
 has no time horizon: once every committed path has arrived the table stops
 changing, so it prunes what can no longer pay and ends on its own. Each
-priority order is planned in one pass.
+priority order is planned in one pass. A planned path ends on its last move,
+so the table's last arrival is the makespan; SUM counts moves per robot.
 
 Local search then repeatedly erases two robots, replans them in
 random order, and accepts the result by a simulated-annealing criterion
@@ -36,7 +37,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import Direction, Instance, Objective, Schedule
@@ -132,7 +133,8 @@ class ReservationTable:
     time 1. ``parked`` maps each final cell to its arrival time, and
     ``horizon`` is the last arrival of any committed path (0 when there is
     none): from then on only parked robots hold cells, and nothing in the
-    table changes with time.
+    table changes with time. Paths from :func:`plan_single` end on their
+    last move, so ``horizon`` is also the makespan of the committed paths.
     """
 
     def __init__(self, window: tuple[int, int, int, int]):
@@ -181,8 +183,7 @@ class ReservationTable:
 
 
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
-                objective: Objective, field: Optional[list] = None
-                ) -> Optional[list[int]]:
+                objective: Objective, *, field: list) -> Optional[list[int]]:
     """Cheapest space-time path for one robot against committed reservations.
 
     Path cost is (arrival, moves) for MAX and (moves, arrival) for SUM,
@@ -191,34 +192,36 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     or None when no path reaches the target at any time. The robot may
     end only at a time after which no committed path visits the target
     again, because arrival parks it there forever; a target parked on for
-    good fails at once.
+    good fails at once. A returned path longer than one cell ends on a
+    move: waiting into the target at ``t`` would mean holding it at
+    ``t - 1``, the last time a committed robot visits it.
 
     The search runs over the cell ids of ``table.window``; ``field`` is the
-    robot's :func:`distance_map` there (flooded when None), negative on
-    walls. The heap orders states by the two cost keys, each plus the
-    field's distance ``h`` to the target, then by ``h``: among states of
-    equal cost the one nearest the target is expanded first, so on an open
-    grid the search follows one shortest path instead of sweeping every tied
-    one. An insertion counter settles the rest, so results are deterministic.
+    robot's :func:`distance_map` there, negative on walls. The heap orders
+    states by the two cost keys, each plus the field's distance ``h`` to the
+    target, then by ``h``: among states of equal cost the one nearest the
+    target is expanded first, so on an open grid the search follows one
+    shortest path instead of sweeping every tied one. An insertion counter
+    settles the rest, so results are deterministic.
 
     No horizon is needed. Let ``still`` be the later of ``table.horizon``
     and the first time the target stays free, and at least 1 (unplanned
     robots hold their starts at time 0). From ``still`` on nothing in the
     table changes with time, so a state there is worse than one on the same
     cell at an earlier or equal time with no more moves, under either cost.
-    Hence no wait is pushed from ``still`` on, and a move into a cell at or
-    after ``still`` is dropped when such a state was already expanded there.
-    Each cell is then entered a bounded number of times, and the search
-    ends: None means that no path exists at any time.
+    Hence a wait, the offset 0 tried after N, S, E and W, is offered only
+    before ``still``, and a move into a cell at or after ``still`` is
+    dropped when such a state was already expanded there. Each cell is then
+    entered a bounded number of times, and the search ends: None means that
+    no path exists at any time.
     """
     window = table.window
     start = cell_id(window, instance.starts[robot])
     goal = cell_id(window, instance.targets[robot])
     if table.blocked_at(start, 0):
         raise ValueError(f"start of robot {robot} is reserved at time 0")
-    if field is None:
-        field = distance_map(instance.obstacles, window, instance.targets[robot])
     moves = tuple(_move_offsets(window))
+    moves_or_wait = moves + (0,)
     vertex = table.vertex
     parked = table.parked
     sum_objective = Objective(objective) is Objective.SUM
@@ -259,7 +262,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
         # (p, t) is free, so an entry at (p, t+1) is a robot entering from
         # a neighbour
         incoming = vertex.get((p, nt))
-        for d in moves:
+        for d in (moves_or_wait if t < still else moves):
             q = p + d
             h = field[q]
             if h < 0:
@@ -278,7 +281,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             # we must vacate it in that robot's direction
             if incoming is not None and p - incoming != d:
                 continue
-            nmoves = moves_in + 1
+            nmoves = moves_in + (d != 0)
             old = best_next.get(q)
             if old is not None and old <= nmoves:
                 continue
@@ -293,18 +296,6 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             else:
                 f1, f2 = nt + h, nmoves + h
             heapq.heappush(heap, (f1, f2, h, next(counter), q, nt, nmoves))
-        # waiting in place, which only delays once the table is still
-        if t < still and not table.blocked_at(p, nt):
-            old = best_next.get(p)
-            if old is None or old > moves_in:
-                best_next[p] = moves_in
-                parent_next[p] = p
-                h = field[p]
-                if sum_objective:
-                    f1, f2 = moves_in + h, nt + h
-                else:
-                    f1, f2 = nt + h, moves_in + h
-                heapq.heappush(heap, (f1, f2, h, next(counter), p, nt, moves_in))
     return None
 
 
@@ -363,46 +354,33 @@ def paths_to_schedule(instance: Instance, window: tuple[int, int, int, int],
                       paths: dict[int, list[int]]) -> Schedule:
     """Assemble per-robot paths, the cell ids of ``window``'s frame at times
     0..T_i, into a schedule: each move is read off the difference of two
-    consecutive ids, finished robots are padded with WAIT, and trailing
-    all-WAIT steps are trimmed."""
+    consecutive ids, and finished robots are padded with WAIT. The schedule
+    is as long as the longest path, so paths that end on their last move,
+    as :func:`plan_single` returns them, give no trailing all-WAIT step."""
     step_of = {0: Direction.WAIT, **_move_offsets(window)}
     moves = [[step_of[b - a] for a, b in zip(paths[i], paths[i][1:])]
              for i in range(instance.n_robots)]
     steps = [tuple(m[t] if t < len(m) else Direction.WAIT for m in moves)
              for t in range(max(map(len, moves)))]
-    while steps and all(not m.is_move for m in steps[-1]):
-        steps.pop()
     return Schedule(instance_name=instance.name, steps=tuple(steps))
 
 
-def _path_stats(path: Sequence[int]) -> tuple[int, int]:
-    """(moves, last active time) of one path."""
-    moves = 0
-    last = 0
-    for t in range(1, len(path)):
-        if path[t] != path[t - 1]:
-            moves += 1
-            last = t
-    return moves, last
+def _moves(path: Sequence[int]) -> int:
+    """Moves along a path of cell ids: its steps that change cell."""
+    return sum(a != b for a, b in zip(path, path[1:]))
 
 
-def _value_from_stats(stats: dict[int, tuple[int, int]], objective: Objective) -> int:
-    if objective is Objective.MAX:
-        return max((s[1] for s in stats.values()), default=0)
-    return sum(s[0] for s in stats.values())
-
-
-def _pick_robots(rng: random.Random, stats: dict[int, tuple[int, int]],
+def _pick_robots(rng: random.Random, paths: dict[int, list[int]], moves: dict[int, int],
                  per_robot_lb: Sequence[int], objective: Objective,
                  current_value: int) -> list[int]:
-    indices = sorted(stats)
+    indices = sorted(paths)
     if objective is Objective.MAX:
         weights = [
-            _CRITICAL_WEIGHT if stats[i][1] == current_value else 1.0
+            _CRITICAL_WEIGHT if len(paths[i]) - 1 == current_value else 1.0
             for i in indices
         ]
     else:
-        weights = [1.0 + max(0, stats[i][0] - per_robot_lb[i]) for i in indices]
+        weights = [1.0 + max(0, moves[i] - per_robot_lb[i]) for i in indices]
     chosen: list[int] = []
     for _ in range(min(_K_REPLAN, len(indices))):
         pick = rng.choices(range(len(indices)), weights)[0]
@@ -463,8 +441,8 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
             order.insert(0, stopped)
         if stopped is not None:
             continue
-        value = _value_from_stats({i: _path_stats(p) for i, p in table.paths.items()},
-                                  objective)
+        value = (table.horizon if objective is Objective.MAX
+                 else sum(map(_moves, table.paths.values())))
         if best_value is None or value < best_value:
             best_table, best_value = table, value
             telemetry.append(TelemetryRecord(time.monotonic() - ctx.started, value,
@@ -502,7 +480,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
     paths and their value. A failed or rejected move puts the old paths
     back."""
     objective = config.objective
-    stats = {i: _path_stats(p) for i, p in table.paths.items()}
+    moves = {i: _moves(p) for i, p in table.paths.items()}
     cur_value = best_value = value
     best_paths = dict(table.paths)
 
@@ -510,17 +488,18 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
     for _ in range(config.anneal_iterations):
         if ctx.out_of_time():
             break
-        chosen = _pick_robots(rng, stats, ctx.per_robot, objective, cur_value)
+        chosen = _pick_robots(rng, table.paths, moves, ctx.per_robot, objective, cur_value)
         old_paths = {i: table.paths[i] for i in chosen}
         for i in chosen:
             table.remove_path(i)
         rng.shuffle(chosen)
         if _plan_robots(ctx, table, chosen, objective, False) is None:
-            old_stats = {i: stats[i] for i in chosen}
-            stats.update((i, _path_stats(table.paths[i])) for i in chosen)
-            new_value = _value_from_stats(stats, objective)
+            new_moves = {i: _moves(table.paths[i]) for i in chosen}
+            new_value = (table.horizon if objective is Objective.MAX
+                         else cur_value + sum(new_moves[i] - moves[i] for i in chosen))
             delta = new_value - cur_value
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                moves.update(new_moves)
                 cur_value = new_value
                 temp *= _COOLING
                 if cur_value < best_value:
@@ -531,7 +510,6 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
                     if best_value == lb_value:
                         break
                 continue
-            stats.update(old_stats)
             for i in chosen:
                 table.remove_path(i)
         for i in chosen:

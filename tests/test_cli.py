@@ -3,9 +3,10 @@ main(argv) against temp directories, apart from the launch checks: a
 subprocess smoke test runs the CLI as ``python -m gridmotion``, a second
 one runs the installed ``gridmotion`` console script and is skipped where
 no such script is on PATH, and an entry-point check reads pyproject.toml
-to confirm that the script and ``python -m`` call the same function. One
-more subprocess imports ``gridmotion.cli`` and checks that every function
-perfbench's traced run wraps is still found there."""
+to confirm that the script and ``python -m`` call the same function. Two
+more subprocesses serve perfbench's traced run: one checks that every
+function it wraps is still found after importing ``gridmotion.cli``, the
+other runs a traced solve and turns its spans into per-layer metrics."""
 
 import json
 import os
@@ -314,6 +315,29 @@ def test_score_rejects_team_directories_with_one_name(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_score_decodes_each_team_solution_once(tmp_path, monkeypatch):
+    # the instance a solution names is read off the same decoded object
+    # that becomes its schedule; a second json.loads of the file is waste
+    texts = {"team": emit_solution(schedule("line", "E", "E")),
+             "other": emit_solution(schedule("line", "E", ".", "E"))}
+    for team, text in texts.items():
+        (tmp_path / team).mkdir()
+        write(tmp_path / team / "line.solution.json", text)
+    decoded = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        decoded.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    argv, out = score_argv(tmp_path, *(tmp_path / team for team in texts))
+    assert main(argv) == 0
+    assert [decoded.count(text) for text in texts.values()] == [1, 1]
+    assert (out / "totals.csv").read_text().splitlines()[1:] == [
+        "other,0.666667,1", "team,1.000000,1"]
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_writes_solution_and_telemetry(line_files, tmp_path, capsys):
@@ -387,6 +411,24 @@ def test_generate_select_writes_manifest(tmp_path):
     assert len(names) == 2
     for name in names:
         assert (outdir / f"{name}.instance.json").exists()
+
+
+def test_empty_selection_writes_an_empty_manifest(tmp_path, capsys):
+    # one name per line, so selecting none gives no line, not a blank one
+    config = write(tmp_path / "batch.cfg", GRID_CONFIG)
+    outdir = tmp_path / "instances"
+    assert main(["generate", config, str(outdir), "--select", "0"]) == 0
+    assert (outdir / "selected.txt").read_text() == ""
+    capsys.readouterr()
+    files = sorted(str(f) for f in outdir.glob("*.instance.json"))
+    feats = str(tmp_path / "features.csv")
+    assert main(["features", *files, "-o", feats]) == 0
+    manifest = tmp_path / "picks.txt"
+    assert main(["select", feats, "-k", "0", "-o", str(manifest)]) == 0
+    assert manifest.read_text() == ""
+    capsys.readouterr()
+    assert main(["select", feats, "-k", "0"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("k", ["-1", "6"])
@@ -585,6 +627,30 @@ def test_perfbench_span_targets_resolve_after_cli_import():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_perfbench_traced_solve_reads_its_spans(line_files, tmp_path):
+    # the traced benchmark notes each plan_single call by its arguments; a
+    # distance field passed by position reads there as a horizon, and
+    # turning the spans into per-layer metrics then fails
+    ipath, _ = line_files
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(run_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, str(root / "perfbench"), os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, gridmotion.cli, spans\n"
+            "tracer = spans.Tracer()\n"
+            "tracer.install()\n"
+            "status = gridmotion.cli.main(sys.argv[1:])\n"
+            "tracer.remove()\n"
+            "metrics = spans.per_layer(tracer.spans, 1)\n"
+            "print(status, metrics['solve.calls'] == 1,"
+            " metrics['solve.plan_single.calls'] > 0)")
+    argv = ["solve", ipath, "-o", str(tmp_path / "out.json"), "--anneal-iterations", "10"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True True"
 
 
 @pytest.mark.skipif(shutil.which("gridmotion") is None,

@@ -18,7 +18,7 @@ from conftest import cell_pixel, make_instance, seal
 import gridmotion.solve as solve_module
 from gridmotion.formats import emit_solution
 from gridmotion.generate import GeneratorParams, generate
-from gridmotion.model import Direction, Objective, apply_step
+from gridmotion.model import Direction, Objective, apply_step, schedule_objectives
 from gridmotion.solve import (
     ReservationTable,
     SolverConfig,
@@ -29,6 +29,7 @@ from gridmotion.solve import (
 )
 from gridmotion.validate import (
     cell_id,
+    distance_map,
     lower_bounds,
     search_window,
     validate_schedule,
@@ -44,6 +45,13 @@ def ids(window, *coords):
 def as_tuples(window, path):
     """A path of cell ids as (x, y) tuples."""
     return [cell_pixel(window, c) for c in path]
+
+
+def plan(inst, robot, table, objective):
+    """plan_single with the robot's distance field flooded over the table's
+    window, as the solver floods it once per run."""
+    field = distance_map(inst.obstacles, table.window, inst.targets[robot])
+    return plan_single(inst, robot, table, objective, field=field)
 
 
 # ---------------------------------------------------------------- rooms
@@ -227,7 +235,7 @@ def test_plan_single_straight_line_both_objectives():
     inst = make_instance([(0, 0)], [(2, 0)])
     for objective in (Objective.MAX, Objective.SUM):
         table = ReservationTable(search_window(inst))
-        path = plan_single(inst, 0, table, objective)
+        path = plan(inst, 0, table, objective)
         assert as_tuples(table.window, path) == [(0, 0), (1, 0), (2, 0)]
 
 
@@ -236,7 +244,7 @@ def test_plan_single_rejects_reserved_start():
     table = ReservationTable(search_window(inst))
     table.add_path(5, ids(table.window, (0, 0)))
     with pytest.raises(ValueError):
-        plan_single(inst, 0, table, Objective.MAX)
+        plan(inst, 0, table, Objective.MAX)
 
 
 def test_plan_single_lands_after_the_last_visit_to_its_target():
@@ -251,7 +259,7 @@ def test_plan_single_lands_after_the_last_visit_to_its_target():
     for objective, cells in expected.items():
         table = ReservationTable(window)
         table.add_path(1, committed)
-        path = plan_single(inst, 0, table, objective)
+        path = plan(inst, 0, table, objective)
         assert as_tuples(window, path) == cells
         report = validate_schedule(
             inst, paths_to_schedule(inst, window, {0: path, 1: committed}))
@@ -265,7 +273,7 @@ def test_plan_single_boxed_in_start_fails():
     inst = make_instance([(0, 0), (2, 0)], [(3, 0), (0, 0)], [(0, 1), (0, -1), (-1, 0)])
     table = ReservationTable(search_window(inst))
     table.add_path(1, ids(table.window, (2, 0), (1, 0), (0, 0)))
-    assert plan_single(inst, 0, table, Objective.MAX) is None
+    assert plan(inst, 0, table, Objective.MAX) is None
 
 
 def count_pushes(monkeypatch, limit=math.inf):
@@ -301,7 +309,7 @@ def test_plan_single_walled_in_by_parked_robots_returns_none(monkeypatch):
         for robot, path in enumerate(walls_in.values(), start=1):
             table.add_path(robot, ids(table.window, *path))
         pushes[0] = 0
-        assert plan_single(inst, 0, table, objective) is None
+        assert plan(inst, 0, table, objective) is None
         assert 0 < pushes[0] <= 10 * len(pocket)
 
 
@@ -347,7 +355,7 @@ def test_plan_single_cost_matches_a_time_expanded_search():
             continue
         inst, table, free, walks = case
         for objective in Objective:
-            path = plan_single(inst, 0, table, objective)
+            path = plan(inst, 0, table, objective)
             expected = oracles.single_robot_optimum(
                 inst.starts[0], inst.targets[0], free, walks, objective.value)
             compared += 1
@@ -355,6 +363,9 @@ def test_plan_single_cost_matches_a_time_expanded_search():
                 assert expected is None, (seed, objective)
                 continue
             found += 1
+            # the solver reads the makespan off the table's last arrival,
+            # which holds only when no path ends on a wait
+            assert len(path) == 1 or path[-1] != path[-2], (seed, objective)
             moves = sum(a != b for a, b in zip(path, path[1:]))
             assert (len(path) - 1, moves) == expected, (seed, objective)
             assert (path[0], path[-1]) == tuple(ids(table.window, inst.starts[0],
@@ -366,7 +377,7 @@ def test_plan_single_returns_none_for_walled_target():
     pocket = [(5, 4), (5, 6), (4, 5), (6, 5)]
     inst = make_instance([(0, 0)], [(5, 5)], pocket)
     table = ReservationTable(search_window(inst))
-    assert plan_single(inst, 0, table, Objective.MAX) is None
+    assert plan(inst, 0, table, Objective.MAX) is None
 
 
 def test_plan_single_waits_until_target_is_free_forever():
@@ -378,9 +389,9 @@ def test_plan_single_waits_until_target_is_free_forever():
     window = search_window(inst)
     table = ReservationTable(window)
     table.add_path(1, ids(window, (4, 0), (3, 0), (2, 0), (2, 1)))
-    fast = plan_single(inst, 0, table, Objective.MAX)
+    fast = plan(inst, 0, table, Objective.MAX)
     assert as_tuples(window, fast) == [(1, 0), (1, -1), (2, -1), (2, 0)]
-    lazy = plan_single(inst, 0, table, Objective.SUM)
+    lazy = plan(inst, 0, table, Objective.SUM)
     assert as_tuples(window, lazy) == [(1, 0), (1, 0), (1, 0), (1, 0), (2, 0)]
 
 
@@ -391,9 +402,9 @@ def test_plan_single_takes_objective_names():
     table = ReservationTable(window)
     table.add_path(1, ids(window, (4, 0), (3, 0), (2, 0), (2, 1)))
     for objective in Objective:
-        assert (plan_single(inst, 0, table, objective.value)
-                == plan_single(inst, 0, table, objective))
-    assert as_tuples(window, plan_single(inst, 0, table, "sum")) == [(1, 0)] * 4 + [(2, 0)]
+        assert (plan(inst, 0, table, objective.value)
+                == plan(inst, 0, table, objective))
+    assert as_tuples(window, plan(inst, 0, table, "sum")) == [(1, 0)] * 4 + [(2, 0)]
 
 
 def test_plan_single_vacates_in_direction_of_incoming_robot():
@@ -403,7 +414,7 @@ def test_plan_single_vacates_in_direction_of_incoming_robot():
     window = search_window(inst)
     table = ReservationTable(window)
     table.add_path(1, ids(window, (1, 0), (0, 0), (0, 0)))
-    path = plan_single(inst, 0, table, Objective.MAX)
+    path = plan(inst, 0, table, Objective.MAX)
     assert as_tuples(window, path) == [(0, 0), (-1, 0), (-1, 1), (0, 1)]
 
 
@@ -415,10 +426,10 @@ def test_plan_single_trains_behind_committed_robot():
                          name="shaft")
     for objective in (Objective.MAX, Objective.SUM):
         table = ReservationTable(search_window(inst))
-        leader = plan_single(inst, 1, table, objective)
+        leader = plan(inst, 1, table, objective)
         assert as_tuples(table.window, leader) == [(1, 1), (1, 0), (2, 0), (3, 0)]
         table.add_path(1, leader)
-        follower = plan_single(inst, 0, table, objective)
+        follower = plan(inst, 0, table, objective)
         assert as_tuples(table.window, follower) == [(0, 0), (0, 0), (1, 0), (2, 0)]
         _, _, per_robot = lower_bounds(inst)
         assert len(follower) - 1 == per_robot[0] + 1
@@ -432,10 +443,10 @@ def test_plan_single_head_on_corridor_reverses_into_bay():
                          name="headon")
     window = search_window(inst)
     table = ReservationTable(window)
-    p1 = plan_single(inst, 1, table, Objective.MAX)
+    p1 = plan(inst, 1, table, Objective.MAX)
     assert as_tuples(window, p1) == [(4, 0), (3, 0), (2, 0), (2, 1)]
     table.add_path(1, p1)
-    p0 = plan_single(inst, 0, table, Objective.MAX)
+    p0 = plan(inst, 0, table, Objective.MAX)
     assert as_tuples(window, p0) == [(0, 0), (1, 0), (1, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
     sched = paths_to_schedule(inst, window, {0: p0, 1: p1})
     report = validate_schedule(inst, sched)
@@ -452,22 +463,22 @@ def test_plan_single_search_follows_the_path_not_the_square(monkeypatch):
                          name="diagonal")
     for objective in (Objective.MAX, Objective.SUM):
         pushes[0] = 0
-        path = plan_single(inst, 0, ReservationTable(search_window(inst)), objective)
+        path = plan(inst, 0, ReservationTable(search_window(inst)), objective)
         assert len(path) - 1 == 200
         assert pushes[0] <= 10 * 200
 
 
 # ------------------------------------------------- paths_to_schedule
 
-def test_paths_to_schedule_pads_and_trims():
-    inst = make_instance([(0, 0), (5, 5)], [(1, 0), (5, 5)])
+def test_paths_to_schedule_pads_finished_robots():
+    inst = make_instance([(0, 0), (5, 5)], [(1, 1), (5, 5)])
     window = search_window(inst)
     sched = paths_to_schedule(inst, window, {
-        0: ids(window, (0, 0), (1, 0), (1, 0)),   # trailing wait gets trimmed
-        1: ids(window, (5, 5)),                   # finished robot padded with waits
+        0: ids(window, (0, 0), (1, 0), (1, 0), (1, 1)),   # ends on its move
+        1: ids(window, (5, 5)),                            # padded with waits
     })
-    assert len(sched.steps) == 1
-    assert sched.steps[0] == (Direction.EAST, Direction.WAIT)
+    assert sched.steps == ((Direction.EAST, Direction.WAIT), (Direction.WAIT, Direction.WAIT),
+                           (Direction.NORTH, Direction.WAIT))
 
 
 def test_paths_to_schedule_all_parked_is_empty():
@@ -634,16 +645,28 @@ def rebuilt(table):
     return fresh
 
 
+def table_objectives(inst, table):
+    """(makespan, total distance) of the schedule of the table's committed
+    paths alone, as the validator scores it."""
+    paths = dict(enumerate(table.paths[i] for i in sorted(table.paths)))
+    if not paths:
+        return 0, 0
+    committed = SimpleNamespace(name=inst.name, n_robots=len(paths))
+    return schedule_objectives(paths_to_schedule(committed, table.window, paths))
+
+
 def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
     # a seeded mix of _plan_robots calls, some failing and some cut short by
     # the deadline, path removals and annealing moves; after each step the
-    # table must hold exactly what its committed paths alone would write
+    # table must hold exactly what its committed paths alone would write,
+    # and the objective the solver reads off it must be the schedule's
     outcomes = collections.Counter()
     for seed in range(6):
         rng = random.Random(seed)
         inst = generate(GeneratorParams(7, 7, 0.35, obstacle_count=2, seed=seed)).instance
         ctx = solve_module._SolveContext(inst)
         table = ReservationTable(ctx.window)
+        objectives = (0, 0)
         for _ in range(30):
             objective = rng.choice(list(Objective))
             committed = sorted(table.paths)
@@ -666,8 +689,7 @@ def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
                 table.remove_path(rng.choice(committed))
                 outcomes["removed"] += 1
             elif committed:
-                stats = {i: solve_module._path_stats(p) for i, p in table.paths.items()}
-                value = solve_module._value_from_stats(stats, objective)
+                value = objectives[objective is Objective.SUM]
                 if value == 0:
                     continue   # the annealer never starts from the bound 0
                 ctx.out_of_time = lambda: False
@@ -675,6 +697,8 @@ def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
                                      rng, table, value, -1, [])
                 outcomes["annealed"] += 1
             assert table_state(table) == table_state(rebuilt(table))
+            objectives = (table.horizon, sum(map(solve_module._moves, table.paths.values())))
+            assert objectives == table_objectives(inst, table)
     assert min(outcomes[k] for k in ("planned", "failed early", "cut", "removed",
                                      "annealed")) > 0, outcomes
 
