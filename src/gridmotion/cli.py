@@ -21,7 +21,9 @@ from pathlib import Path
 
 from .evaluate import instance_report, score_suites
 from .formats import (
+    SOLVER_FIELDS,
     FormatError,
+    apply_solver_settings,
     emit_instance,
     emit_solution,
     parse_generator_grid,
@@ -34,7 +36,7 @@ from .generate import (GenerationError, InstanceFeatures, WeightMapError, extrac
                        generate, params_slug, select_diverse)
 from .model import Objective
 from .render import render_svg
-from .solve import SolverConfig, solve
+from .solve import solve
 from .validate import UnreachableTargetError, lower_bounds, validate_schedule
 
 SEED_ENV = "GRIDMOTION_SEED"
@@ -117,7 +119,7 @@ def _check_select_count(k: int, candidates: int) -> None:
 
 def cmd_generate(args) -> int:
     combos = _load(args.config, parse_generator_grid, strict=args.strict,
-                   default_seed=_default_seed())
+                   default_seed=_default_seed)
     if args.select is not None:
         _check_select_count(args.select, len(combos))
     names = [params_slug(params) for params in combos]
@@ -145,6 +147,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    objective = None if args.objective is None else parse_objective(args.objective)
     instance = _load(args.instance, parse_instance, strict=args.strict)
     schedule = _load(args.solution, parse_solution, instance.n_robots, strict=args.strict)
     if schedule.instance_name != instance.name:
@@ -153,10 +156,9 @@ def cmd_validate(args) -> int:
     report = validate_schedule(instance, schedule)
     print(f"feasible: {report.feasible}")
     print(f"makespan: {report.makespan}  total_distance: {report.total_distance}")
-    if args.objective:
-        value = (report.makespan if parse_objective(args.objective) is Objective.MAX
-                 else report.total_distance)
-        print(f"objective ({args.objective}): {value}")
+    if objective is not None:
+        value = report.makespan if objective is Objective.MAX else report.total_distance
+        print(f"objective ({objective.value}): {value}")
     try:
         lb_makespan, lb_total, _ = lower_bounds(instance)
     except UnreachableTargetError:
@@ -179,27 +181,13 @@ def _print_stretch(makespan: int, total: int, lb_makespan: int, lb_total: int) -
 
 def cmd_solve(args) -> int:
     instance = _load(args.instance, parse_instance, strict=args.strict)
-    if args.config:
-        config = _load(args.config, parse_solver_config, strict=args.strict)
-    else:
-        config = SolverConfig()
-    overrides = {}
-    if args.objective:
-        overrides["objective"] = parse_objective(args.objective)
-    if args.time_limit is not None:
-        overrides["time_limit"] = args.time_limit or None
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    elif os.environ.get(SEED_ENV) is not None:
-        overrides["seed"] = _default_seed()
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    if args.anneal_iterations is not None:
-        overrides["anneal_iterations"] = args.anneal_iterations
-    try:
-        config = dataclasses.replace(config, **overrides)
-    except ValueError as err:
-        raise FormatError(f"solver config: {err}") from None
+    base = _load(args.config, parse_solver_config, strict=args.strict) if args.config else None
+    # precedence: flags, then GRIDMOTION_SEED for the seed, then the file
+    settings = {key: getattr(args, key) for key in SOLVER_FIELDS
+                if getattr(args, key) is not None}
+    if "seed" not in settings and SEED_ENV in os.environ:
+        settings["seed"] = str(_default_seed())
+    config = apply_solver_settings(settings, base)
 
     result = solve(instance, config)
     if args.telemetry:
@@ -360,19 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a solution against an instance")
     p.add_argument("instance")
     p.add_argument("solution")
-    p.add_argument("--objective", choices=("max", "sum"), default=None,
-                   help="also print the value under this objective")
+    p.add_argument("--objective", default=None,
+                   help="max or sum: also print the value under this objective")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="compute a schedule for an instance")
+    p = sub.add_parser(
+        "solve", help="compute a schedule for an instance",
+        description="Each solver flag takes a value as the solver config key of its "
+                    "name does (docs/FORMATS.md) and overrides --config: --time-limit "
+                    "none lifts its limit.")
     p.add_argument("instance")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--objective", choices=("max", "sum"), default=None)
-    p.add_argument("--time-limit", type=float, default=None,
-                   help="seconds; 0 lifts a limit set by --config")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--anneal-iterations", type=int, default=None)
+    for key in SOLVER_FIELDS:
+        p.add_argument("--" + key.replace("_", "-"), help=f"as '{key} = ...' in --config")
     p.add_argument("--config", default=None, help="solver config file")
     p.add_argument("--telemetry", default=None,
                    help="write improvement records as JSON lines")
@@ -381,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score solution suites against instances")
     p.add_argument("--instances", required=True, help="directory of *.instance.json")
     p.add_argument("suites", nargs="+", help="one directory of *.solution.json per team")
-    p.add_argument("--objective", choices=("max", "sum"), required=True)
+    p.add_argument("--objective", required=True, help="max or sum")
     p.add_argument("--output", required=True, help="directory for CSV reports")
     p.add_argument("--instance-report", action="store_true",
                    help="also write per-instance difficulty summary")

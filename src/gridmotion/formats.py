@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import MISSING, fields
-from typing import Any, Mapping, Optional, get_type_hints
+from dataclasses import MISSING, fields, replace
+from typing import Any, Callable, Mapping, Optional, get_type_hints
 
 from .generate import GeneratorParams
 from .model import Direction, Instance, Objective, Schedule
@@ -65,8 +65,6 @@ def parse_instance(text: str, strict: bool = False) -> Instance:
     for key in _INSTANCE_KEYS:
         if key not in data:
             raise FormatError(f"instance file: missing key {key!r}")
-    if not isinstance(data["name"], str):
-        raise FormatError("instance file: name must be a string")
     try:
         return Instance(
             name=data["name"],
@@ -179,18 +177,34 @@ def _parse_kv_lines(text: str, what: str) -> dict[str, list[str]]:
     return out
 
 
+def _read_value(kind, key: str, text: str, what: str):
+    """``text`` read as the value of the field ``key`` of type ``kind``: int,
+    float and str by the type, an Objective in any case, and "none" (any
+    case) for None where the type is Optional[float]."""
+    if kind == Optional[float]:
+        if text.lower() == "none":
+            return None
+        kind = float
+    try:
+        return parse_objective(text) if kind is Objective else kind(text)
+    except ValueError:
+        raise FormatError(f"{what}: bad {kind.__name__.lower()} value for {key!r}: "
+                          f"{text!r}") from None
+
+
 # field name -> type, in declaration order
 _GRID_FIELDS = get_type_hints(GeneratorParams)
 _GRID_REQUIRED = [f.name for f in fields(GeneratorParams) if f.default is MISSING]
 
 
 def parse_generator_grid(text: str, strict: bool = False,
-                         default_seed: int = 0) -> list[GeneratorParams]:
+                         default_seed: Callable[[], int] = lambda: 0) -> list[GeneratorParams]:
     """Expand a generator config into the Cartesian product of its value
     lists. Every GeneratorParams field accepts a list of values; ``seed``
-    participates in the product like any other field and defaults to a single
-    seed when omitted. Expansion order follows the field order of
-    GeneratorParams, last field varying fastest."""
+    participates in the product like any other field, and when it is
+    omitted ``default_seed()``, called only then, gives the single seed.
+    Expansion order follows the field order of GeneratorParams, last field
+    varying fastest."""
     raw = _parse_kv_lines(text, "generator config")
     _check_unknown_keys(raw, _GRID_FIELDS, "generator config", strict)
     missing = [key for key in _GRID_REQUIRED if key not in raw]
@@ -198,17 +212,12 @@ def parse_generator_grid(text: str, strict: bool = False,
         raise FormatError(
             f"generator config: missing required key(s) {', '.join(map(repr, missing))}")
     grids = []
-    for field_name in _GRID_FIELDS:
-        if field_name in raw:
-            caster = _GRID_FIELDS[field_name]
-            try:
-                grids.append([(field_name, caster(v)) for v in raw[field_name]])
-            except ValueError:
-                raise FormatError(
-                    f"generator config: bad {caster.__name__} value for "
-                    f"{field_name!r}") from None
-        elif field_name == "seed":
-            grids.append([("seed", default_seed)])
+    for key, kind in _GRID_FIELDS.items():
+        if key in raw:
+            grids.append([(key, _read_value(kind, key, v, "generator config"))
+                          for v in raw[key]])
+        elif key == "seed":
+            grids.append([("seed", default_seed())])
     combos = []
     for combo in itertools.product(*grids):
         try:
@@ -218,32 +227,32 @@ def parse_generator_grid(text: str, strict: bool = False,
     return combos
 
 
-_SOLVER_FIELDS = get_type_hints(SolverConfig)
+# the solver settings, each read from one text value: field name -> type
+SOLVER_FIELDS = get_type_hints(SolverConfig)
+
+
+def apply_solver_settings(settings: Mapping[str, str],
+                          base: Optional[SolverConfig] = None) -> SolverConfig:
+    """``base`` (the defaults when None) with each ``{key: text}`` setting
+    read as the value of its SolverConfig field."""
+    values = {key: _read_value(SOLVER_FIELDS[key], key, text, "solver config")
+              for key, text in settings.items()}
+    try:
+        return replace(base or SolverConfig(), **values)
+    except ValueError as err:
+        raise FormatError(f"solver config: {err}") from None
 
 
 def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
-    """Single-valued key-value solver config. ``time_limit`` accepts
-    "none" (any case) for its None default."""
+    """Single-valued key-value solver config, each value read by
+    ``apply_solver_settings``."""
     raw = _parse_kv_lines(text, "solver config")
-    _check_unknown_keys(raw, _SOLVER_FIELDS, "solver config", strict)
-    kwargs: dict[str, Any] = {}
-    try:
-        for key, values in raw.items():
-            kind = _SOLVER_FIELDS.get(key)
-            if kind is None:
-                continue
-            if len(values) != 1:
-                raise FormatError(f"solver config: {key!r} takes a single value")
-            value = values[0]
-            if kind is Objective:
-                kwargs[key] = parse_objective(value)
-            elif kind == Optional[float]:
-                kwargs[key] = None if value.lower() == "none" else float(value)
-            else:
-                kwargs[key] = kind(value)
-        return SolverConfig(**kwargs)
-    except ValueError as err:
-        raise FormatError(f"solver config: {err}") from None
+    _check_unknown_keys(raw, SOLVER_FIELDS, "solver config", strict)
+    settings = {key: values for key, values in raw.items() if key in SOLVER_FIELDS}
+    for key, values in settings.items():
+        if len(values) != 1:
+            raise FormatError(f"solver config: {key!r} takes a single value")
+    return apply_solver_settings({key: values[0] for key, values in settings.items()})
 
 
 def parse_objective(value: str) -> Objective:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Instance, Pixel
-from .validate import cell_id, distance_map
+from .validate import cell_id, distance_map, search_window
 
 _TRUNCNORM_DRAWS = 64     # resample budget before clamping into the bounds
 _CLUSTER_WINDOW_RETRIES = 6   # doublings of the window side before new anchors
@@ -243,9 +243,10 @@ def resolve_distribution(spec: str, map_width: int, map_height: int,
 
 def sample_positions(count: int, weights: Optional[np.ndarray],
                      forbidden: set[Pixel] | frozenset[Pixel],
-                     map_width: int, map_height: int,
+                     columns: range, rows: range,
                      rng: np.random.Generator) -> list[Pixel]:
-    """Draw ``count`` distinct free pixels from the map.
+    """Draw ``count`` distinct free pixels from the given columns and rows
+    of the map.
 
     weights None means uniform over eligible pixels; otherwise pixels are
     drawn proportional to their weight (weight-0 pixels are never chosen).
@@ -256,8 +257,8 @@ def sample_positions(count: int, weights: Optional[np.ndarray],
         return []
     support = [
         (x, y)
-        for x in range(map_width)
-        for y in range(map_height)
+        for x in columns
+        for y in rows
         if (x, y) not in forbidden and (weights is None or weights[x, y] > 0)
     ]
     if count > len(support):
@@ -277,16 +278,13 @@ def _cluster_side_pixels(anchor: Pixel, side: int, size: int,
     """Uniformly pick ``size`` distinct eligible pixels from the side x side
     window centered on the anchor, or None when the window is too poor."""
     half = side // 2
-    eligible = [
-        (x, y)
-        for x in range(max(anchor.x - half, 0), min(anchor.x - half + side, map_width))
-        for y in range(max(anchor.y - half, 0), min(anchor.y - half + side, map_height))
-        if (x, y) not in forbidden
-    ]
-    if len(eligible) < size:
+    try:
+        return sample_positions(
+            size, None, forbidden,
+            range(max(anchor.x - half, 0), min(anchor.x - half + side, map_width)),
+            range(max(anchor.y - half, 0), min(anchor.y - half + side, map_height)), rng)
+    except GenerationError:
         return None
-    idx = rng.choice(len(eligible), size=size, replace=False)
-    return [Pixel(*eligible[i]) for i in idx]
 
 
 @dataclass
@@ -294,8 +292,6 @@ class ClusterPlacement:
     starts: list[Pixel]
     targets: list[Pixel]
     n_clusters: int
-    n_clustered_robots: int
-    window_retries: int
 
 
 def place_clusters(params: GeneratorParams, n_robots: int,
@@ -317,8 +313,8 @@ def place_clusters(params: GeneratorParams, n_robots: int,
     starts: list[Pixel] = []
     targets: list[Pixel] = []
     placed_clusters = 0
-    window_retries = 0
     budget = n_robots
+    columns, rows = range(params.map_width), range(params.map_height)
     for _ in range(params.cluster_count):
         if budget <= 0:
             break
@@ -328,9 +324,9 @@ def place_clusters(params: GeneratorParams, n_robots: int,
         placed = None
         for _anchor_try in range(_CLUSTER_ANCHOR_RETRIES):
             anchor_s = sample_positions(1, start_weights, obstacles | set(starts),
-                                        params.map_width, params.map_height, rng)[0]
+                                        columns, rows, rng)[0]
             anchor_t = sample_positions(1, target_weights, obstacles | set(targets),
-                                        params.map_width, params.map_height, rng)[0]
+                                        columns, rows, rng)[0]
             side = math.ceil(math.sqrt(2 * size))
             for _win_try in range(_CLUSTER_WINDOW_RETRIES + 1):
                 got_s = _cluster_side_pixels(anchor_s, side, size, obstacles | set(starts),
@@ -340,7 +336,6 @@ def place_clusters(params: GeneratorParams, n_robots: int,
                 if got_s is not None and got_t is not None:
                     placed = (got_s, got_t)
                     break
-                window_retries += 1
                 side *= 2
             if placed is not None:
                 break
@@ -350,7 +345,7 @@ def place_clusters(params: GeneratorParams, n_robots: int,
         targets.extend(placed[1])
         placed_clusters += 1
         budget -= size
-    return ClusterPlacement(starts, targets, placed_clusters, len(starts), window_retries)
+    return ClusterPlacement(starts, targets, placed_clusters)
 
 
 def params_slug(params: GeneratorParams) -> str:
@@ -382,20 +377,19 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
                     f"density {params.density} x free area {free_area} rounds to 0 robots")
             clusters = place_clusters(params, n_robots, obstacles,
                                       start_weights, target_weights, rng)
-            rest = n_robots - clusters.n_clustered_robots
+            rest = n_robots - len(clusters.starts)
+            columns, rows = range(params.map_width), range(params.map_height)
             starts = clusters.starts + sample_positions(
-                rest, start_weights, obstacles | set(clusters.starts),
-                params.map_width, params.map_height, rng)
+                rest, start_weights, obstacles | set(clusters.starts), columns, rows, rng)
             targets = clusters.targets + sample_positions(
-                rest, target_weights, obstacles | set(clusters.targets),
-                params.map_width, params.map_height, rng)
+                rest, target_weights, obstacles | set(clusters.targets), columns, rows, rng)
             instance = Instance(name=params_slug(params), starts=tuple(starts),
                                 targets=tuple(targets), obstacles=obstacles)
             features = InstanceFeatures(
                 n_robots=n_robots,
                 density=n_robots / free_area,
                 n_clusters=clusters.n_clusters,
-                n_clustered_robots=clusters.n_clustered_robots,
+                n_clustered_robots=len(clusters.starts),
                 volume=volume,
                 free_area=free_area,
             )
@@ -413,11 +407,8 @@ def extract_features(instance: Instance) -> InstanceFeatures:
     fields are 0 and flagged unknown. ``generate`` returns the features of
     the instances it makes."""
     n = instance.n_robots
-    xs = [p.x for p in instance.starts] + [p.x for p in instance.targets] \
-        + [p.x for p in instance.obstacles]
-    ys = [p.y for p in instance.starts] + [p.y for p in instance.targets] \
-        + [p.y for p in instance.obstacles]
-    volume = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+    x0, y0, x1, y1 = search_window(instance)   # the bounding box inflated by 1
+    volume = (x1 - x0 - 1) * (y1 - y0 - 1)
     free_area = volume - len(instance.obstacles)
     return InstanceFeatures(n, n / free_area, 0, 0, volume, free_area,
                             cluster_info_known=False)

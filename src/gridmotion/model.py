@@ -62,8 +62,8 @@ class Instance:
     obstacles: frozenset[Pixel]
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError("instance name must be a string")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError("instance name must be a non-empty string")
         object.__setattr__(self, "starts", _as_pixels(self.starts))
         object.__setattr__(self, "targets", _as_pixels(self.targets))
         object.__setattr__(self, "obstacles", frozenset(_as_pixels(self.obstacles)))

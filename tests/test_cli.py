@@ -8,8 +8,11 @@ more subprocesses serve perfbench's traced run: one checks that every
 function it wraps is still found after importing ``gridmotion.cli``, the
 other runs a traced solve and turns its spans into per-layer metrics."""
 
+import dataclasses
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_instance, schedule, seal
+import gridmotion.cli as cli_module
 import gridmotion.solve as solve_module
 import gridmotion.validate as validate_module
 from gridmotion import __main__ as run_module
@@ -79,6 +83,37 @@ def test_generate_solve_validate_score_pipeline(tmp_path, capsys):
     totals = (scores / "totals.csv").read_text().splitlines()
     assert totals[0] == "team,total,instances"
     assert totals[1] == "solo,5.000000,5"
+
+
+def readme_quick_start():
+    """(argv, output lines) for each ``$`` command of README's command-line
+    quick start, continuation lines joined and blank lines dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command-line quick start")[1].split("\n## ")[0]
+    commands = []
+    for block in section.split("```")[1::2]:
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *output = chunk.replace("\\\n", " ").splitlines()
+            commands.append((shlex.split(command), [line for line in output if line]))
+    return commands
+
+
+def test_readme_quick_start_prints_what_it_quotes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRIDMOTION_SEED", raising=False)
+    commands = readme_quick_start()
+    assert [argv[:2] for argv, _ in commands] == [
+        ["cat", "batch.cfg"], ["gridmotion", "generate"], ["mkdir", "team_a"],
+        ["gridmotion", "solve"], ["gridmotion", "validate"], ["gridmotion", "score"],
+        ["gridmotion", "render"]]
+    for argv, output in commands:
+        if argv[0] == "cat":    # the config file, as the README shows it
+            (tmp_path / argv[1]).write_text("\n".join(output) + "\n", encoding="utf-8")
+        elif argv[0] == "mkdir":
+            (tmp_path / argv[1]).mkdir()
+        else:
+            assert main(argv[1:]) == 0, argv
+            assert capsys.readouterr().out.splitlines() == output, argv
 
 
 def test_score_instance_report_table(tmp_path):
@@ -188,6 +223,15 @@ def test_validate_warns_on_name_mismatch(line_files, tmp_path, capsys):
                   emit_solution(schedule("elsewhere", "E", "E")))
     assert main(["validate", ipath, other]) == 0
     assert "warning: solution names instance 'elsewhere'" in capsys.readouterr().err
+
+
+def test_empty_instance_name_exits_two(tmp_path, capsys):
+    ipath = write(tmp_path / "blank.instance.json",
+                  '{"name": "", "starts": [[0, 0]], "targets": [[1, 0]], "obstacles": []}')
+    out = tmp_path / "out.json"
+    assert main(["solve", ipath, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {ipath}: instance file: ")
+    assert not out.exists()
 
 
 def test_validate_truncated_file_exits_two(line_files, tmp_path, capsys):
@@ -401,6 +445,96 @@ def test_solve_is_deterministic_for_fixed_seed(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+# per SolverConfig field: a good text value, a bad one and the type it names
+SOLVER_VALUES = {"objective": ("SUM", "median", "objective"),
+                 "time_limit": ("2.5", "soon", "float"), "restarts": ("3", "x", "int"),
+                 "anneal_iterations": ("17", "1.5", "int"), "seed": ("9", "x", "int")}
+
+
+class _Stop(Exception):
+    pass
+
+
+def solver_config_of(monkeypatch, argv):
+    """The SolverConfig that ``main(argv)`` hands the solver."""
+    seen = []
+
+    def fake_solve(instance, config):
+        seen.append(config)
+        raise _Stop
+
+    monkeypatch.setattr(cli_module, "solve", fake_solve)
+    with pytest.raises(_Stop):
+        main(argv)
+    return seen[0]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("key", SOLVER_VALUES)
+def test_solve_flag_reads_like_a_config_line(key, line_files, tmp_path, monkeypatch):
+    ipath, _ = line_files
+    monkeypatch.delenv("GRIDMOTION_SEED", raising=False)
+    cfg = write(tmp_path / "solver.cfg", f"{key} = {SOLVER_VALUES[key][0]}\n")
+    argv = ["solve", ipath, "-o", str(tmp_path / "out.json")]
+    from_flag = solver_config_of(monkeypatch, [*argv, flag(key), SOLVER_VALUES[key][0]])
+    from_file = solver_config_of(monkeypatch, [*argv, "--config", cfg])
+    assert from_flag == from_file != solve_module.SolverConfig()
+
+
+@pytest.mark.parametrize("key", SOLVER_VALUES)
+def test_bad_solve_flag_names_its_key_like_a_config_line(key, line_files, tmp_path, capsys):
+    ipath, _ = line_files
+    _, bad, kind = SOLVER_VALUES[key]
+    cfg = write(tmp_path / "solver.cfg", f"{key} = {bad}\n")
+    argv = ["solve", ipath, "-o", str(tmp_path / "out.json")]
+    message = f"solver config: bad {kind} value for '{key}': '{bad}'\n"
+    assert main([*argv, flag(key), bad]) == 2
+    assert capsys.readouterr().err == f"error: {message}"
+    assert main([*argv, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_time_limit_flag_none_lifts_a_config_limit(line_files, tmp_path, monkeypatch, capsys):
+    ipath, _ = line_files
+    cfg = write(tmp_path / "solver.cfg", "time_limit = 5\nrestarts = 2\n")
+    argv = ["solve", ipath, "-o", str(tmp_path / "out.json"), "--config", cfg]
+    assert solver_config_of(monkeypatch, argv).time_limit == 5.0
+    for spelling in ("none", "None"):
+        config = solver_config_of(monkeypatch, [*argv, "--time-limit", spelling])
+        assert config.time_limit is None and config.restarts == 2
+    # 0 is no spelling of "no limit", in a flag as in a file
+    assert main([*argv, "--time-limit", "0"]) == 2
+    assert "time_limit must be positive or None" in capsys.readouterr().err
+
+
+def test_objective_flag_takes_any_case(line_files, tmp_path, capsys):
+    ipath, spath = line_files
+    out = tmp_path / "team" / "line.solution.json"
+    out.parent.mkdir()
+    assert main(["solve", ipath, "-o", str(out), "--objective", "MAX"]) == 0
+    assert "max objective 2" in capsys.readouterr().out
+    assert main(["validate", ipath, str(out), "--objective", "Sum"]) == 0
+    assert "objective (sum): 2" in capsys.readouterr().out
+    assert main(["score", "--instances", str(tmp_path), "--objective", "MAX",
+                 "--output", str(tmp_path / "report"), str(out.parent)]) == 0
+    assert "team: 1.0000 / 1" in capsys.readouterr().out
+    assert main(["validate", ipath, spath, "--objective", "median"]) == 2
+    assert "objective must be 'max' or 'sum'" in capsys.readouterr().err
+
+
+def test_solve_help_lists_one_flag_per_config_field(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    listed = re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, flags=re.M)
+    settings = [f for f in listed if f not in ("-h", "-o", "--config", "--telemetry")]
+    fields = dataclasses.fields(solve_module.SolverConfig)
+    assert settings == [flag(f.name) for f in fields] == [flag(key) for key in SOLVER_VALUES]
+
+
 # -------------------------------------------------------------- generate
 
 def test_generate_select_writes_manifest(tmp_path):
@@ -457,6 +591,15 @@ def test_bad_environment_seed_exits_two(tmp_path, monkeypatch, capsys):
                    "map_width = 8\nmap_height = 8\ndensity = 0.1\n")
     assert main(["generate", config, str(tmp_path / "out")]) == 2
     assert "GRIDMOTION_SEED" in capsys.readouterr().err
+
+
+def test_environment_seed_is_read_only_when_the_config_omits_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("GRIDMOTION_SEED", "many")
+    config = write(tmp_path / "one.cfg",
+                   "map_width = 8\nmap_height = 8\ndensity = 0.1\nseed = 4\n")
+    assert main(["generate", config, str(tmp_path / "out")]) == 0
+    (name,) = [f.name for f in (tmp_path / "out").glob("*.instance.json")]
+    assert "-s4-" in name
 
 
 def test_generate_rejects_duplicate_combos(tmp_path, capsys):

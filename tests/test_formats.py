@@ -206,7 +206,7 @@ def test_corrupted_solution_corpus_never_parses():
 
 def test_grid_minimal_config_single_combo():
     combos = parse_generator_grid(
-        "map_width = 8\nmap_height = 8\ndensity = 0.1\n", default_seed=7)
+        "map_width = 8\nmap_height = 8\ndensity = 0.1\n", default_seed=lambda: 7)
     assert combos == [GeneratorParams(map_width=8, map_height=8, density=0.1,
                                       seed=7)]
 
