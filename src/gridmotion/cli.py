@@ -14,9 +14,11 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 from .evaluate import instance_report, score_suites
@@ -59,13 +61,19 @@ def _default_seed() -> int:
 def _load(path, parse, *args, **kwargs):
     """``parse`` applied to the text of the file at ``path``. A file that is
     not UTF-8 text, or that ``parse`` rejects, raises FormatError with the
-    path in front of the message."""
+    path in front of the message; each warning the parse raises is printed
+    to stderr as ``warning: <path>: <message>``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return parse(text, *args, **kwargs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = parse(text, *args, **kwargs)
     except (UnicodeDecodeError, FormatError, json.JSONDecodeError) as err:
         raise FormatError(f"{path}: {err}") from None
+    for warning in caught:
+        print(f"warning: {path}: {warning.message}", file=sys.stderr)
+    return value
 
 
 def _write(path, text: str) -> None:
@@ -88,6 +96,18 @@ def _features_csv(rows: list[tuple[str, InstanceFeatures]]) -> str:
         for name, f in rows))
 
 
+def _feature_value(key: str, kind, cell: str):
+    """A features CSV cell: a flag is 0 or 1, a number must be finite."""
+    if kind is bool:
+        if cell not in ("0", "1"):
+            raise ValueError(f"{key} must be 0 or 1, got {cell!r}")
+        return cell == "1"
+    value = kind(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {cell!r}")
+    return value
+
+
 def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -99,8 +119,8 @@ def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
             if len(row) != len(_FEATURE_COLUMNS):
                 raise ValueError(f"{len(row)} cells, expected {len(_FEATURE_COLUMNS)}")
             out.append((row[0], InstanceFeatures(*(
-                bool(int(cell)) if kind is bool else kind(cell)
-                for kind, cell in zip(_FEATURE_TYPES.values(), row[1:])))))
+                _feature_value(key, kind, cell)
+                for (key, kind), cell in zip(_FEATURE_TYPES.items(), row[1:])))))
         except ValueError as err:
             raise FormatError(f"features CSV: bad row: {err}") from None
     return out

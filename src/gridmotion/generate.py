@@ -8,7 +8,8 @@ Pipeline for one instance:
      (hole filling), so the remaining free space is one connected region;
   3. place robot clusters: paired start/target anchors drawn from the
      configured distributions, robots packed into square windows around the
-     anchors, windows doubled while placement fails;
+     anchors, windows doubled while placement fails (``place_clusters``
+     returns the starts, the targets and the number of clusters placed);
   4. place the remaining robots by sampling starts and, independently,
      targets from the configured distributions.
 
@@ -57,7 +58,7 @@ class GeneratorParams:
     raster whose values weight the map pixels. Obstacle side lengths and
     cluster sizes are truncated normals; obstacle sides truncate to
     [1, map dimension], cluster sizes to [1, n_robots]. Density, means and
-    stddevs must be finite.
+    stddevs must be finite, and the seed >= 0, as numpy takes no negative seed.
     """
 
     map_width: int
@@ -86,6 +87,8 @@ class GeneratorParams:
             raise ValueError("counts must be >= 0")
         if self.obstacle_size_stddev < 0 or self.cluster_size_stddev < 0:
             raise ValueError("stddevs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.obstacle_count and self.obstacle_size_mean <= 0:
             raise ValueError("obstacle_size_mean must be > 0")
         if self.cluster_count and self.cluster_size_mean <= 0:
@@ -133,19 +136,17 @@ class GenerationResult:
 def truncated_normal_int(rng: np.random.Generator, mean: float, stddev: float,
                          lo: int, hi: int) -> int:
     """Integer truncated normal: resample until the rounded draw lands in
-    [lo, hi], clamping after a fixed budget. stddev 0 degenerates to the
-    clamped rounded mean."""
+    [lo, hi], then after a fixed budget clamp the last draw (the mean when
+    stddev is 0, which draws nothing) into the bounds."""
     if lo > hi:
         raise ValueError(f"empty truncation interval [{lo}, {hi}]")
     value = mean
-    for _ in range(_TRUNCNORM_DRAWS):
-        value = rng.normal(mean, stddev) if stddev > 0 else mean
-        iv = int(round(value))
-        if lo <= iv <= hi:
-            return iv
-        if stddev == 0:
-            break
-    return min(hi, max(lo, int(round(value))))
+    for _ in range(_TRUNCNORM_DRAWS if stddev > 0 else 0):
+        # clamped one past the bounds first, so an infinite draw rounds too
+        value = min(hi + 1, max(lo - 1, rng.normal(mean, stddev)))
+        if lo <= round(value) <= hi:
+            return round(value)
+    return round(min(hi, max(lo, value)))
 
 
 def _rect_pixels(ax: int, ay: int, w: int, h: int,
@@ -272,8 +273,8 @@ def sample_positions(count: int, weights: Optional[np.ndarray],
     return [Pixel(*support[i]) for i in idx]
 
 
-def _cluster_side_pixels(anchor: Pixel, side: int, size: int,
-                         forbidden: set[Pixel], map_width: int, map_height: int,
+def _cluster_side_pixels(anchor: Pixel, side: int, size: int, forbidden: set[Pixel],
+                         params: GeneratorParams,
                          rng: np.random.Generator) -> Optional[list[Pixel]]:
     """Uniformly pick ``size`` distinct eligible pixels from the side x side
     window centered on the anchor, or None when the window is too poor."""
@@ -281,28 +282,44 @@ def _cluster_side_pixels(anchor: Pixel, side: int, size: int,
     try:
         return sample_positions(
             size, None, forbidden,
-            range(max(anchor.x - half, 0), min(anchor.x - half + side, map_width)),
-            range(max(anchor.y - half, 0), min(anchor.y - half + side, map_height)), rng)
+            range(max(anchor.x - half, 0), min(anchor.x - half + side, params.map_width)),
+            range(max(anchor.y - half, 0), min(anchor.y - half + side, params.map_height)),
+            rng)
     except GenerationError:
         return None
 
 
-@dataclass
-class ClusterPlacement:
-    starts: list[Pixel]
-    targets: list[Pixel]
-    n_clusters: int
+def _cluster_pixels(params: GeneratorParams, size: int,
+                    taken_s: set[Pixel], taken_t: set[Pixel],
+                    start_weights: Optional[np.ndarray],
+                    target_weights: Optional[np.ndarray],
+                    rng: np.random.Generator) -> tuple[list[Pixel], list[Pixel]]:
+    """The starts and the targets of one cluster of ``size`` robots, clear
+    of the pixels taken on each side."""
+    columns, rows = range(params.map_width), range(params.map_height)
+    for _ in range(_CLUSTER_ANCHOR_RETRIES):
+        anchor_s = sample_positions(1, start_weights, taken_s, columns, rows, rng)[0]
+        anchor_t = sample_positions(1, target_weights, taken_t, columns, rows, rng)[0]
+        side = math.ceil(math.sqrt(2 * size))
+        for _ in range(_CLUSTER_WINDOW_RETRIES + 1):
+            got_s = _cluster_side_pixels(anchor_s, side, size, taken_s, params, rng)
+            got_t = _cluster_side_pixels(anchor_t, side, size, taken_t, params, rng)
+            if got_s is not None and got_t is not None:
+                return got_s, got_t
+            side *= 2
+    raise GenerationError("cluster placement failed after anchor retries")
 
 
 def place_clusters(params: GeneratorParams, n_robots: int,
                    obstacles: frozenset[Pixel],
                    start_weights: Optional[np.ndarray],
                    target_weights: Optional[np.ndarray],
-                   rng: np.random.Generator) -> ClusterPlacement:
-    """Place ``cluster_count`` robot clusters. Cluster sizes are truncated
-    normals over [1, n_robots], clamped to the remaining robot budget. Starts
-    and targets of a cluster are index-aligned: the i-th start placed pairs
-    with the i-th target placed.
+                   rng: np.random.Generator) -> tuple[list[Pixel], list[Pixel], int]:
+    """Place up to ``cluster_count`` robot clusters and return their starts,
+    their targets and the number of clusters placed. Cluster sizes are
+    truncated normals over [1, n_robots], clamped to the robots not yet
+    placed; placement stops once none are left. Starts and targets are
+    index-aligned: the i-th start placed pairs with the i-th target placed.
 
     A cluster samples one start anchor and one target anchor from the
     configured distributions, then packs its robots into square windows of
@@ -312,40 +329,18 @@ def place_clusters(params: GeneratorParams, n_robots: int,
     """
     starts: list[Pixel] = []
     targets: list[Pixel] = []
-    placed_clusters = 0
-    budget = n_robots
-    columns, rows = range(params.map_width), range(params.map_height)
-    for _ in range(params.cluster_count):
-        if budget <= 0:
-            break
-        size = truncated_normal_int(rng, params.cluster_size_mean,
-                                    params.cluster_size_stddev, 1, n_robots)
-        size = min(size, budget)
-        placed = None
-        for _anchor_try in range(_CLUSTER_ANCHOR_RETRIES):
-            anchor_s = sample_positions(1, start_weights, obstacles | set(starts),
-                                        columns, rows, rng)[0]
-            anchor_t = sample_positions(1, target_weights, obstacles | set(targets),
-                                        columns, rows, rng)[0]
-            side = math.ceil(math.sqrt(2 * size))
-            for _win_try in range(_CLUSTER_WINDOW_RETRIES + 1):
-                got_s = _cluster_side_pixels(anchor_s, side, size, obstacles | set(starts),
-                                             params.map_width, params.map_height, rng)
-                got_t = _cluster_side_pixels(anchor_t, side, size, obstacles | set(targets),
-                                             params.map_width, params.map_height, rng)
-                if got_s is not None and got_t is not None:
-                    placed = (got_s, got_t)
-                    break
-                side *= 2
-            if placed is not None:
-                break
-        if placed is None:
-            raise GenerationError("cluster placement failed after anchor retries")
-        starts.extend(placed[0])
-        targets.extend(placed[1])
-        placed_clusters += 1
-        budget -= size
-    return ClusterPlacement(starts, targets, placed_clusters)
+    n_clusters = 0
+    while n_clusters < params.cluster_count and len(starts) < n_robots:
+        size = min(truncated_normal_int(rng, params.cluster_size_mean,
+                                        params.cluster_size_stddev, 1, n_robots),
+                   n_robots - len(starts))
+        got_s, got_t = _cluster_pixels(params, size, obstacles | set(starts),
+                                       obstacles | set(targets),
+                                       start_weights, target_weights, rng)
+        starts += got_s
+        targets += got_t
+        n_clusters += 1
+    return starts, targets, n_clusters
 
 
 def params_slug(params: GeneratorParams) -> str:
@@ -375,24 +370,18 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
             if n_robots < 1:
                 raise GenerationError(
                     f"density {params.density} x free area {free_area} rounds to 0 robots")
-            clusters = place_clusters(params, n_robots, obstacles,
-                                      start_weights, target_weights, rng)
-            rest = n_robots - len(clusters.starts)
+            starts, targets, n_clusters = place_clusters(
+                params, n_robots, obstacles, start_weights, target_weights, rng)
+            n_clustered = len(starts)
             columns, rows = range(params.map_width), range(params.map_height)
-            starts = clusters.starts + sample_positions(
-                rest, start_weights, obstacles | set(clusters.starts), columns, rows, rng)
-            targets = clusters.targets + sample_positions(
-                rest, target_weights, obstacles | set(clusters.targets), columns, rows, rng)
+            starts += sample_positions(n_robots - n_clustered, start_weights,
+                                       obstacles | set(starts), columns, rows, rng)
+            targets += sample_positions(n_robots - n_clustered, target_weights,
+                                        obstacles | set(targets), columns, rows, rng)
             instance = Instance(name=params_slug(params), starts=tuple(starts),
                                 targets=tuple(targets), obstacles=obstacles)
-            features = InstanceFeatures(
-                n_robots=n_robots,
-                density=n_robots / free_area,
-                n_clusters=clusters.n_clusters,
-                n_clustered_robots=len(clusters.starts),
-                volume=volume,
-                free_area=free_area,
-            )
+            features = InstanceFeatures(n_robots, n_robots / free_area, n_clusters,
+                                        n_clustered, volume, free_area)
             return GenerationResult(instance=instance, features=features)
         except GenerationError as err:
             last_error = err
@@ -431,11 +420,8 @@ def select_diverse(candidates: Sequence[InstanceFeatures], k: int) -> list[int]:
     matrix = np.array([c.vector() for c in candidates], dtype=float)
     lo = matrix.min(axis=0)
     hi = matrix.max(axis=0)
-    keep = hi > lo
-    if keep.any():
-        norm = (matrix[:, keep] - lo[keep]) / (hi[keep] - lo[keep])
-    else:
-        norm = np.zeros((len(candidates), 1))
+    keep = hi > lo   # with no column kept, every distance is 0
+    norm = (matrix[:, keep] - lo[keep]) / (hi[keep] - lo[keep])
     first = int(np.argmax(matrix[:, 0]))   # most robots, ties to lowest index
     selected = [first]
     min_dist = np.linalg.norm(norm - norm[first], axis=1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .model import Instance, Schedule, apply_step
-from .validate import RULE_TARGET, Violation
+from .validate import Violation
 
 _CELL = 16
 _PAD = 8
@@ -36,9 +36,8 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
         for step in schedule.steps:
             configs.append(apply_step(configs[-1], step))
     last = len(configs) - 1
-    times = sorted({*range(0, last + 1, frame_every), last})
-    if violation is not None:
-        times = sorted({*times, min(violation.step, last)})
+    marked = set() if violation is None else {min(violation.step, last)}
+    times = sorted({*range(0, last + 1, frame_every), last, *marked})
 
     xs = [p.x for c in configs for p in c]
     ys = [p.y for c in configs for p in c]
@@ -51,11 +50,22 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
     frame_w = grid_w + _PAD
     frame_h = grid_h + _LABEL_H + _PAD
 
+    def corner(p):
+        return (p.x - x0) * _CELL, (y1 - p.y) * _CELL   # svg y grows downward
+
     def cell_rect(p, fill, extra=""):
-        sx = (p.x - x0) * _CELL
-        sy = (y1 - p.y) * _CELL   # svg y grows downward
+        sx, sy = corner(p)
         return (f'<rect x="{sx}" y="{sy}" width="{_CELL}" height="{_CELL}" '
                 f'{extra}fill="{fill}"/>')
+
+    # background, obstacles and target outlines: the same in every frame
+    static = [f'<rect x="0" y="0" width="{grid_w}" height="{grid_h}" '
+              f'fill="{_COLOR_GRIDBG}"/>',
+              *(cell_rect(p, _COLOR_OBSTACLE) for p in sorted(instance.obstacles))]
+    for sx, sy in map(corner, instance.targets):
+        static.append(f'<rect x="{sx + 1.5}" y="{sy + 1.5}" width="{_CELL - 3}" '
+                      f'height="{_CELL - 3}" fill="none" stroke="{_COLOR_TARGET}" '
+                      f'stroke-width="1.5"/>')
 
     cols = min(len(times), _FRAMES_PER_ROW)
     rows = (len(times) + cols - 1) // cols
@@ -67,9 +77,6 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
         f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">',
         f'<rect width="{total_w}" height="{total_h}" fill="#ffffff"/>',
     ]
-    marked = set()
-    if violation is not None:
-        marked = set(violation.robots)
     for k, t in enumerate(times):
         ox = _PAD + (k % cols) * frame_w
         oy = _PAD + (k // cols) * frame_h
@@ -77,25 +84,11 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
         parts.append(f'<text x="0" y="{_LABEL_H - 5}" font-family="monospace" '
                      f'font-size="11" fill="#000000">t={t}</text>')
         parts.append(f'<g transform="translate(0,{_LABEL_H})">')
-        parts.append(f'<rect x="0" y="0" width="{grid_w}" height="{grid_h}" '
-                     f'fill="{_COLOR_GRIDBG}"/>')
-        for p in sorted(instance.obstacles):
-            parts.append(cell_rect(p, _COLOR_OBSTACLE))
-        for p in instance.targets:
-            sx = (p.x - x0) * _CELL
-            sy = (y1 - p.y) * _CELL
-            parts.append(f'<rect x="{sx + 1.5}" y="{sy + 1.5}" width="{_CELL - 3}" '
-                         f'height="{_CELL - 3}" fill="none" stroke="{_COLOR_TARGET}" '
-                         f'stroke-width="1.5"/>')
-        for p in configs[t]:
-            parts.append(cell_rect(p, _COLOR_ROBOT, 'opacity="0.9" '))
-        if violation is not None and (
-                t == min(violation.step, last)
-                or (violation.rule == RULE_TARGET and t == last)):
-            for i in marked:
-                p = configs[t][i]
-                sx = (p.x - x0) * _CELL
-                sy = (y1 - p.y) * _CELL
+        parts += static
+        parts += (cell_rect(p, _COLOR_ROBOT, 'opacity="0.9" ') for p in configs[t])
+        if t in marked:
+            for i in set(violation.robots):   # the set's order is in the output bytes
+                sx, sy = corner(configs[t][i])
                 parts.append(f'<line x1="{sx}" y1="{sy}" x2="{sx + _CELL}" '
                              f'y2="{sy + _CELL}" stroke="{_COLOR_MARK}" stroke-width="2"/>')
                 parts.append(f'<line x1="{sx + _CELL}" y1="{sy}" x2="{sx}" '

@@ -225,6 +225,32 @@ def test_validate_warns_on_name_mismatch(line_files, tmp_path, capsys):
     assert "warning: solution names instance 'elsewhere'" in capsys.readouterr().err
 
 
+def with_meta(text):
+    """A JSON file's text with an extra, unknown "meta" key."""
+    return json.dumps({**json.loads(text), "meta": "x"})
+
+
+def test_unknown_key_warnings_name_their_file(tmp_path, capsys, recwarn):
+    # one line per file; a Python warning would show once per source line
+    instances, team = tmp_path / "instances", tmp_path / "team"
+    instances.mkdir()
+    team.mkdir()
+    files = []
+    for name in ("one", "two"):
+        inst = make_instance([(0, 0)], [(2, 0)], name=name)
+        files.append(write(instances / f"{name}.instance.json",
+                           with_meta(emit_instance(inst))))
+    for name in ("one", "two"):
+        files.append(write(team / f"{name}.solution.json",
+                           with_meta(emit_solution(schedule(name, "E", "E")))))
+    assert main(["score", "--instances", str(instances), "--objective", "max",
+                 "--output", str(tmp_path / "scores"), str(team)]) == 0
+    what = ["instance file"] * 2 + ["solution file"] * 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {path}: {kind}: unknown key(s) 'meta'" for path, kind in zip(files, what)]
+    assert not recwarn.list
+
+
 def test_empty_instance_name_exits_two(tmp_path, capsys):
     ipath = write(tmp_path / "blank.instance.json",
                   '{"name": "", "starts": [[0, 0]], "targets": [[1, 0]], "obstacles": []}')
@@ -654,12 +680,39 @@ def test_generate_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert not outdir.exists()
 
 
-def test_strict_mode_rejects_unknown_config_keys(tmp_path):
+def test_strict_mode_rejects_unknown_config_keys(tmp_path, capsys):
     config = write(tmp_path / "odd.cfg",
                    "map_width = 8\nmap_height = 8\ndensity = 0.1\nnoise = 1\n")
-    with pytest.warns(UserWarning):
-        assert main(["generate", config, str(tmp_path / "a")]) == 0
+    assert main(["generate", config, str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {config}: generator config: unknown key(s) 'noise'\n")
     assert main(["--strict", "generate", config, str(tmp_path / "b")]) == 2
+
+
+@pytest.mark.parametrize("seed_line, environment", [
+    ("seed = 4 -1\n", None), ("", "-3")], ids=["config", "environment"])
+def test_negative_generator_seed_exits_two(tmp_path, monkeypatch, capsys,
+                                          seed_line, environment):
+    if environment is None:
+        monkeypatch.delenv("GRIDMOTION_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GRIDMOTION_SEED", environment)
+    config = write(tmp_path / "neg.cfg",
+                   "map_width = 8\nmap_height = 8\ndensity = 0.1\n" + seed_line)
+    outdir = tmp_path / "out"
+    assert main(["generate", config, str(outdir)]) == 2
+    seed = environment or "-1"
+    assert capsys.readouterr().err == (
+        f"error: {config}: generator config: seed must be >= 0, got {seed}\n")
+    assert not outdir.exists()
+
+
+def test_generate_takes_a_huge_finite_stddev(tmp_path):
+    # most obstacle side draws overflow to infinity before they are clamped
+    config = write(tmp_path / "wide.cfg", "map_width = 8\nmap_height = 8\ndensity = 0.1\n"
+                   "obstacle_count = 3\nobstacle_size_stddev = 1e308\nseed = 1 2 3 4 5 6\n")
+    assert main(["generate", config, str(tmp_path / "out")]) == 0
+    assert len(list((tmp_path / "out").glob("*.instance.json"))) == 6
 
 
 # ------------------------------------------------- features / select / render
@@ -691,7 +744,11 @@ def test_features_to_stdout_and_select_roundtrip(tmp_path, capsys):
     ("name,n_robots,density\na,1,0.1\n", "unexpected header"),
     ("{header}\na,1,0.1,0,0,100,99\n", "bad row: 7 cells, expected 8"),
     ("{header}\na,1,0.1,0,0,100,99,1\nb,1,dense,0,0,100,99,1\n", "bad row: could not"),
-], ids=["header", "short-row", "non-numeric"])
+    ("{header}\na,1,nan,0,0,100,99,1\n", "bad row: density must be finite, got 'nan'"),
+    ("{header}\na,1,inf,0,0,100,99,1\n", "bad row: density must be finite, got 'inf'"),
+    ("{header}\na,1,0.1,0,0,100,99,2\n",
+     "bad row: cluster_info_known must be 0 or 1, got '2'"),
+], ids=["header", "short-row", "non-numeric", "nan", "inf", "flag-2"])
 def test_select_rejects_bad_features_csv(tmp_path, capsys, text, message):
     header = "name,n_robots,density,n_clusters,n_clustered_robots,volume,free_area," \
              "cluster_info_known"

@@ -48,6 +48,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GeneratorParams(map_width=5, map_height=5, density=0.5,
                         start_distribution="gaussian")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        GeneratorParams(map_width=5, map_height=5, density=0.5, seed=-1)
 
 
 def test_truncated_normal_respects_bounds():
@@ -65,6 +67,8 @@ def test_truncated_normal_degenerate_cases():
     assert truncated_normal_int(rng, -5.0, 0.1, 1, 10) == 1
     with pytest.raises(ValueError):
         truncated_normal_int(rng, 3.0, 1.0, 5, 4)
+    # most draws overflow to +-inf; they count as out of range, then clamp
+    assert all(1 <= truncated_normal_int(rng, 3, 1e308, 1, 8) <= 8 for _ in range(50))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +252,12 @@ def test_cluster_of_four_fits_initial_window():
     params = GeneratorParams(map_width=12, map_height=12, density=0.05,
                              cluster_count=1, cluster_size_mean=4.0,
                              cluster_size_stddev=0.0, seed=5)
-    pl = place_clusters(params, 4, frozenset(), None, None,
-                        np.random.default_rng(5))
-    assert pl.n_clusters == 1
-    assert len(pl.starts) == len(pl.targets) == 4
+    starts, targets, n_clusters = place_clusters(params, 4, frozenset(), None, None,
+                                                 np.random.default_rng(5))
+    assert n_clusters == 1
+    assert len(starts) == len(targets) == 4
     # side ceil(sqrt(8)) = 3, so each group spans at most a 3x3 box
-    for group in (pl.starts, pl.targets):
+    for group in (starts, targets):
         xs = [p.x for p in group]
         ys = [p.y for p in group]
         assert max(xs) - min(xs) <= 2 and max(ys) - min(ys) <= 2
@@ -264,32 +268,32 @@ def test_cluster_window_grows_in_a_corridor():
     params = GeneratorParams(map_width=9, map_height=3, density=0.5,
                              cluster_count=1, cluster_size_mean=4.0,
                              cluster_size_stddev=0.0, seed=3)
-    pl = place_clusters(params, 4, corridor_obs, None, None,
-                        np.random.default_rng(3))
-    assert len(pl.starts) == 4
+    starts, targets, _ = place_clusters(params, 4, corridor_obs, None, None,
+                                        np.random.default_rng(3))
+    assert len(starts) == 4
     # the initial 3x3 window clips to 3 cells, so each group spans more columns
-    for group in (pl.starts, pl.targets):
+    for group in (starts, targets):
         assert max(p.x for p in group) - min(p.x for p in group) >= 3
-    assert all(p.y == 1 for p in pl.starts)
-    assert all(p.y == 1 for p in pl.targets)
+    assert all(p.y == 1 for p in starts)
+    assert all(p.y == 1 for p in targets)
 
 
 def test_cluster_of_size_one():
     params = GeneratorParams(map_width=6, map_height=6, density=0.05,
                              cluster_count=1, cluster_size_mean=1.0,
                              cluster_size_stddev=0.0, seed=1)
-    pl = place_clusters(params, 3, frozenset(), None, None,
-                        np.random.default_rng(1))
-    assert len(pl.starts) == len(pl.targets) == 1
+    starts, targets, _ = place_clusters(params, 3, frozenset(), None, None,
+                                        np.random.default_rng(1))
+    assert len(starts) == len(targets) == 1
 
 
 def test_cluster_budget_clamps_to_robot_count():
     params = GeneratorParams(map_width=10, map_height=10, density=0.05,
                              cluster_count=3, cluster_size_mean=4.0,
                              cluster_size_stddev=0.0, seed=2)
-    pl = place_clusters(params, 5, frozenset(), None, None,
-                        np.random.default_rng(2))
-    assert len(pl.starts) <= 5
+    starts, _, _ = place_clusters(params, 5, frozenset(), None, None,
+                                  np.random.default_rng(2))
+    assert len(starts) <= 5
 
 
 def test_cluster_placement_failure_raises():
