@@ -22,9 +22,10 @@ from .solve import SolverConfig
 _INSTANCE_KEYS = ("name", "starts", "targets", "obstacles")
 _SOLUTION_KEYS = ("instance", "steps")
 # a solution file names each move by one letter; WAIT is encoded by omission
-_LETTER = {Direction.NORTH: "N", Direction.SOUTH: "S", Direction.EAST: "E",
-           Direction.WEST: "W"}
-_FROM_LETTER = {v: k for k, v in _LETTER.items()}
+_FROM_LETTER = {"N": Direction.NORTH, "S": Direction.SOUTH, "E": Direction.EAST,
+                "W": Direction.WEST}
+# keyed by displacement, so writing a file hashes no Direction
+_LETTER = {d.value: letter for letter, d in _FROM_LETTER.items()}
 
 
 class FormatError(ValueError):
@@ -112,41 +113,50 @@ def parse_solution(source: str | dict, n_robots: int, strict: bool = False) -> S
         raise FormatError("solution file: instance must be a string")
     if not isinstance(data["steps"], list):
         raise FormatError("solution file: steps must be a list")
+    robot_of = {str(i): i for i in range(n_robots)}   # the canonical keys
     steps = []
     for idx, raw in enumerate(data["steps"]):
         if not isinstance(raw, dict):
             raise FormatError(f"solution file: step {idx} must be an object")
         moves = [Direction.WAIT] * n_robots
-        for key, letter in raw.items():
-            if not isinstance(key, str) or not key.isdigit() or str(int(key)) != key:
-                raise FormatError(
-                    f"solution file: step {idx}: robot index {key!r} is not a "
-                    f"canonical decimal string")
-            robot = int(key)
-            if robot >= n_robots:
-                raise FormatError(
-                    f"solution file: step {idx}: robot index {robot} out of range "
-                    f"(instance has {n_robots} robots)")
-            if not isinstance(letter, str):
-                raise FormatError(f"solution file: step {idx}: move must be a string")
-            try:
-                moves[robot] = _FROM_LETTER[letter]
-            except KeyError:
-                raise FormatError(f"solution file: step {idx}: unknown direction "
-                                  f"letter: {letter!r}") from None
+        try:
+            for key, letter in raw.items():
+                moves[robot_of[key]] = _FROM_LETTER[letter]
+        except (KeyError, TypeError):   # TypeError: an unhashable letter
+            raise _entry_error(idx, raw, n_robots) from None
         steps.append(tuple(moves))
     return Schedule(instance_name=data["instance"], steps=tuple(steps))
 
 
+def _entry_error(idx: int, raw: dict, n_robots: int) -> FormatError:
+    """The error for the first entry of step ``idx`` whose robot key is not
+    a canonical decimal below ``n_robots`` or whose move is not a direction
+    letter; an entry's key is checked before its move."""
+    for key, letter in raw.items():
+        if not isinstance(key, str) or not key.isdigit() or str(int(key)) != key:
+            return FormatError(f"solution file: step {idx}: robot index {key!r} is not a "
+                               f"canonical decimal string")
+        if int(key) >= n_robots:
+            return FormatError(f"solution file: step {idx}: robot index {key} out of range "
+                               f"(instance has {n_robots} robots)")
+        if not isinstance(letter, str):
+            return FormatError(f"solution file: step {idx}: move must be a string")
+        if letter not in _FROM_LETTER:
+            return FormatError(f"solution file: step {idx}: unknown direction "
+                               f"letter: {letter!r}")
+    raise AssertionError("every entry of the step is well formed")
+
+
 def emit_solution(schedule: Schedule) -> str:
+    wait = Direction.WAIT
     lines = ["{", f'  "instance": {json.dumps(schedule.instance_name)},']
     if not schedule.steps:
         lines.append('  "steps": []')
     else:
         lines.append('  "steps": [')
         for si, step in enumerate(schedule.steps):
-            moving = [(i, _LETTER[m]) for i, m in enumerate(step) if m.is_move]
-            body = ", ".join(f'"{i}": "{letter}"' for i, letter in moving)
+            body = ", ".join([f'"{i}": "{_LETTER[m._value_]}"'
+                              for i, m in enumerate(step) if m is not wait])
             comma = "," if si + 1 < len(schedule.steps) else ""
             lines.append("    {" + body + "}" + comma)
         lines.append("  ]")

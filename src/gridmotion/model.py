@@ -7,6 +7,13 @@ immutable value, and every function is pure. Motion legality is deliberately
 *not* checked here; ``apply_step`` performs a plain translation so that
 callers (the validator, the renderer) can also step through illegal
 schedules. See :mod:`gridmotion.validate` for the rules.
+
+Loops that run once per robot per step (here, in the validator and in the
+solution-file reader and writer) do no Enum attribute or hash work: they
+tell WAIT apart by identity (``m is Direction.WAIT``) and read a move's
+displacement from the member's ``_value_``. Direction keeps Enum's own
+hash and equality, so set and dict order, and with it every output byte,
+stays the same from run to run.
 """
 
 from __future__ import annotations
@@ -36,10 +43,6 @@ class Direction(Enum):
     EAST = (1, 0)
     WEST = (-1, 0)
     WAIT = (0, 0)
-
-    @property
-    def is_move(self) -> bool:
-        return self is not Direction.WAIT
 
 
 def _as_pixels(points: Iterable[Sequence[int]]) -> tuple[Pixel, ...]:
@@ -127,11 +130,17 @@ def check_moves(step: Sequence[Direction]) -> None:
 
 def apply_step(positions: Sequence[Pixel], step: Sequence[Direction]) -> tuple[Pixel, ...]:
     """Translate every robot by its move. No legality checking on purpose,
-    not even distinctness: after a colliding step two robots share a pixel."""
+    not even distinctness: after a colliding step two robots share a pixel.
+
+    Only moving robots get a new Pixel; a waiting robot keeps the one it
+    has. Per robot the work is an identity test against WAIT and, for a
+    mover, a read of its displacement off ``_value_`` and a Pixel built by
+    ``tuple.__new__``, which skips NamedTuple's Python-level constructor."""
     if len(positions) != len(step):
         raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
-    return tuple([Pixel(x + dx, y + dy)
-                  for (x, y), (dx, dy) in zip(positions, [m.value for m in step])])
+    wait, new = Direction.WAIT, tuple.__new__
+    return tuple([p if m is wait else new(Pixel, (p[0] + m._value_[0], p[1] + m._value_[1]))
+                  for p, m in zip(positions, step)])
 
 
 def schedule_objectives(schedule: Schedule) -> tuple[int, int]:

@@ -28,7 +28,6 @@ from .model import (
     Instance,
     Pixel,
     Schedule,
-    apply_step,
     check_moves,
     schedule_objectives,
 )
@@ -83,39 +82,65 @@ def check_step(instance: Instance, positions: Sequence[Pixel], step: Sequence[Di
     obstacle).
     """
     check_moves(step)
-    dests = apply_step(positions, step)
-    if len(set(positions)) != len(positions):
+    if len(positions) != len(step):
+        raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
+    occupant = dict(zip(positions, range(len(positions))))
+    if len(occupant) != len(positions):
         raise ValueError("configuration has overlapping robots")
     for p in positions:
         if p in instance.obstacles:
             raise ValueError(f"configuration places a robot on obstacle {tuple(p)}")
-    return _step_violation(instance.obstacles, positions, step, dests, step_index)
+    return _step_violation(instance.obstacles, list(positions), occupant, step, step_index)
 
 
-def _step_violation(obstacles: frozenset, positions: Sequence[Pixel],
-                    moves: Sequence[Direction], dests: tuple[Pixel, ...],
-                    step_index: int) -> Optional[Violation]:
-    """R1, R2 and R3 for robots moving from ``positions`` (pairwise distinct,
-    none on an obstacle) to ``dests``, ranked as :func:`check_step` says."""
-    found: list[tuple[int, int, tuple[int, ...], str]] = []
-    if not obstacles.isdisjoint(dests):
-        found += [(i, _RULE_RANK[RULE_OBSTACLE], (i,), RULE_OBSTACLE)
-                  for i, d in enumerate(dests) if d in obstacles]
-    if len(set(dests)) != len(dests):
-        by_dest: dict[Pixel, list[int]] = {}
-        for i, d in enumerate(dests):
-            by_dest.setdefault(d, []).append(i)
-        found += [(group[0], _RULE_RANK[RULE_OVERLAP], tuple(group), RULE_OVERLAP)
-                  for group in by_dest.values() if len(group) > 1]
-    occupant = dict(zip(positions, range(len(positions))))
-    for i, (d, m) in enumerate(zip(dests, moves)):
-        j = occupant.get(d, i)   # a waiting robot's destination is its own pixel
-        if j != i and moves[j] is not m:
+def _step_violation(obstacles: frozenset, positions: list, occupant: dict,
+                    step: Sequence[Direction], step_index: int) -> Optional[Violation]:
+    """R1, R2 and R3 for ``step`` from a valid configuration: ``positions``
+    holds each robot's pixel and ``occupant`` maps each of those pixels back
+    to its robot. A legal step is applied to both in place and None is
+    returned; otherwise both are left alone and the violation that ranks
+    first, as :func:`check_step` says, is returned.
+
+    Only robots that move are looked at. A waiting robot breaks a rule only
+    when a mover enters its pixel, and that mover's own check sees it: its
+    destination is occupied by a robot that does not move the same way (R3)
+    and is shared with that robot (R2). So the rules reduce to, per mover:
+    the destination is no obstacle, no other mover claims it, and whoever
+    stands on it moves the same way. ``found`` and ``shared`` fill only
+    when a rule breaks, so a legal step costs the three look-ups per mover
+    and nothing per waiting robot but an identity test.
+    """
+    wait = Direction.WAIT
+    claimed = {}   # destination -> the first mover that claims it
+    found = []     # (lowest robot, rule rank, robots, rule), one per breach
+    shared = {}    # destination -> robots ending on it, once two do
+    for i, m in enumerate(step):
+        if m is wait:
+            continue
+        x, y = positions[i]
+        dx, dy = m._value_
+        d = (x + dx, y + dy)
+        if d in obstacles:
+            found.append((i, _RULE_RANK[RULE_OBSTACLE], (i,), RULE_OBSTACLE))
+        j = occupant.get(d)
+        if j is not None and step[j] is not m:
             robots = (i, j) if i < j else (j, i)
             found.append((robots[0], _RULE_RANK[RULE_TRAIN], robots, RULE_TRAIN))
-
-    if not found:
+            if step[j] is wait:   # j stays put, so its destination is d too
+                shared.setdefault(d, {i}).add(j)
+        k = claimed.setdefault(d, i)
+        if k != i:
+            shared.setdefault(d, {k}).add(i)
+    if not found and not shared:   # every mover claimed its own destination
+        for i in claimed.values():
+            del occupant[positions[i]]
+        occupant.update(claimed)
+        for d, i in claimed.items():
+            positions[i] = d
         return None
+    for group in shared.values():
+        robots = tuple(sorted(group))
+        found.append((robots[0], _RULE_RANK[RULE_OVERLAP], robots, RULE_OVERLAP))
     _, _, robots, rule = min(found)
     return Violation(step=step_index, rule=rule, robots=robots)
 
@@ -263,19 +288,23 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     schedule's instance name is not compared, so schedules can be replayed
     against compatible instances on purpose. Lower bounds are
     :func:`lower_bounds`' job.
+
+    The replay keeps each robot's pixel and a map from pixel to robot, and
+    updates both in place, so a step's work follows the robots that move:
+    a waiting robot costs one identity test against WAIT, and no loop reads
+    ``Direction.value`` or hashes a Direction (see :mod:`gridmotion.model`).
     """
     if schedule.width is not None and schedule.width != instance.n_robots:
         raise ValueError(
             f"schedule width {schedule.width} != instance robot count {instance.n_robots}")
     violation: Optional[Violation] = None
     # Instance checked the starts, and R1 + R2 guard every configuration a legal step reaches
-    positions = instance.starts
+    positions = list(instance.starts)
+    occupant = dict(zip(positions, range(len(positions))))
     for idx, step in enumerate(schedule.steps):
-        dests = apply_step(positions, step)
-        violation = _step_violation(instance.obstacles, positions, step, dests, idx)
+        violation = _step_violation(instance.obstacles, positions, occupant, step, idx)
         if violation is not None:
             break
-        positions = dests
     if violation is None:
         mismatched = tuple(i for i, (p, t) in enumerate(zip(positions, instance.targets))
                            if p != t)

@@ -238,3 +238,22 @@ def single_robot_optimum(start, goal, free, paths, objective):
         return min(found)
     moves, arrival = min((m, t) for t, m in found)
     return arrival, moves
+
+
+def ranked_violation(before, moves, obstacles):
+    """(rule, robots) of the breach of R1-R3 that ranks first when every
+    robot ``i`` at ``before[i]`` moves by the offset ``moves[i]``, or None
+    when the step is legal. Every robot is compared with every other, so
+    waiting robots are looked at as often as moving ones. Candidates rank by
+    their lowest robot, then R1 < R2 < R3, then the robot tuple."""
+    after = [(x + dx, y + dy) for (x, y), (dx, dy) in zip(before, moves)]
+    found = [(i, "R1", (i,)) for i, d in enumerate(after) if d in set(obstacles)]
+    for d in set(after):
+        group = tuple(i for i, e in enumerate(after) if e == d)
+        if len(group) > 1:
+            found.append((group[0], "R2", group))
+    for i, d in enumerate(after):
+        for j, p in enumerate(before):
+            if j != i and p == d and moves[j] != moves[i]:
+                found.append((min(i, j), "R3", (min(i, j), max(i, j))))
+    return min(found)[1:] if found else None

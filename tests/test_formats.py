@@ -139,6 +139,29 @@ def test_solution_rejects_out_of_range_robot_and_bad_moves():
             parse_solution(text, n_robots=2)
 
 
+
+def test_solution_entry_errors_keep_their_text_and_order():
+    def error(step1, n_robots=2):
+        with pytest.raises(FormatError) as err:
+            parse_solution({"instance": "ref", "steps": [{"0": "E"}, step1]}, n_robots)
+        return str(err.value)
+
+    at = "solution file: step 1: "
+    for key in ("01", "+1", " 1", "-0", "\u0661", 1, True):
+        assert error({key: "N"}) == f"{at}robot index {key!r} is not a canonical decimal string"
+    assert error({"2": "N"}) == f"{at}robot index 2 out of range (instance has 2 robots)"
+    assert error({"3": "N"}, 3) == f"{at}robot index 3 out of range (instance has 3 robots)"
+    for letter in (None, 5, ["N"]):
+        assert error({"1": letter}) == f"{at}move must be a string"
+    for letter in ("X", "n", "", "NN"):
+        assert error({"1": letter}) == f"{at}unknown direction letter: {letter!r}"
+    # within an entry the key is checked first; across entries, the first bad one reports
+    assert error({"1": "N", "7": "Q"}) == f"{at}robot index 7 out of range (instance has 2 robots)"
+    assert error({"01": None}) == f"{at}robot index '01' is not a canonical decimal string"
+    assert error({"1": "Q", "01": "N"}) == f"{at}unknown direction letter: 'Q'"
+    with pytest.raises(FormatError, match="^solution file: step 0: robot index '01' is not"):
+        parse_solution('{"instance": "ref", "steps": [{"1": "N", "01": "Q"}]}', 2)
+
 def test_solution_unknown_key_modes():
     text = REF_SOLUTION_TEXT.replace('  "instance"', '  "extra": 1,\n  "instance"')
     with pytest.warns(UserWarning, match="unknown key"):

@@ -23,8 +23,8 @@ def test_direction_displacements_are_fixed():
     assert W.value == (-1, 0)
     assert WAIT.value == (0, 0)
     assert len(Direction) == 5
-    assert all(d.is_move for d in (N, S, E, W))
-    assert not WAIT.is_move
+    assert all(d is not Direction.WAIT for d in (N, S, E, W))
+    assert Direction((0, 0)) is Direction.WAIT
 
 
 def test_pixel_translated():

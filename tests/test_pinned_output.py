@@ -5,12 +5,14 @@ the value itself where it is short), so a change to the generator's draw
 order, a feature value, a pick or a single SVG byte shows here."""
 
 import hashlib
+import json
+import random
 
 import numpy as np
 import pytest
 
 from conftest import make_instance, schedule
-from gridmotion.formats import emit_instance
+from gridmotion.formats import emit_instance, emit_solution, parse_solution
 from gridmotion.generate import (GenerationError, GeneratorParams, InstanceFeatures,
                                  generate, select_diverse, truncated_normal_int)
 from gridmotion.render import render_svg
@@ -137,3 +139,167 @@ def test_svg_renders_are_pinned():
         got = tuple(sha1(render_svg(instance, sched, every, violation if marked else None))
                     for every in (1, 3))
         assert got == PINNED_SVGS[name], name
+
+
+# ---------------------------------------------------------------------------
+# long walk schedules: solution bytes, replay reports and renders
+
+_OFFSET = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0), ".": (0, 0)}
+
+
+def _walk(seed, side, n, n_steps, pad):
+    """A seeded random walk of ``n`` robots on a ``side`` x ``side`` map with
+    ``side`` obstacles: each robot moves, or not, into a pixel that is free
+    and unclaimed at that step, so every step is legal. ``pad`` all-wait
+    steps go in the middle and ``pad`` more at the end. Returns the instance
+    whose targets are where the walk ends, the rows and every configuration
+    the rows reach (plain tuples, one per row boundary)."""
+    rng = random.Random(seed)
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    rng.shuffle(cells)
+    starts, obstacles = cells[:n], set(cells[n:n + side])
+    pos, rows = list(starts), []
+    for _ in range(n_steps):
+        occupied, claimed, row = set(pos), set(), ["."] * n
+        for i in rng.sample(range(n), n):
+            x, y = pos[i]
+            options = [c for c, (dx, dy) in _OFFSET.items() if c != "."
+                       and 0 <= x + dx < side and 0 <= y + dy < side
+                       and (x + dx, y + dy) not in obstacles | occupied | claimed]
+            if options and rng.random() < 0.5:
+                row[i] = rng.choice(options)
+                claimed.add((x + _OFFSET[row[i]][0], y + _OFFSET[row[i]][1]))
+        pos = [(x + _OFFSET[c][0], y + _OFFSET[c][1]) for (x, y), c in zip(pos, row)]
+        rows.append("".join(row))
+    half = len(rows) // 2
+    rows = rows[:half] + ["." * n] * pad + rows[half:] + ["." * n] * pad
+    configs = [list(starts)]
+    for row in rows:
+        configs.append([(x + _OFFSET[c][0], y + _OFFSET[c][1])
+                        for (x, y), c in zip(configs[-1], row)])
+    return make_instance(starts, pos, obstacles, name=f"walk-{seed}"), rows, configs
+
+
+# (seed, map side, robots, walk steps, padding)
+WALK_CORPUS = ((1, 10, 20, 200, 6), (2, 12, 30, 240, 12), (3, 8, 24, 220, 3),
+               (4, 14, 40, 200, 9))
+
+
+def _walks():
+    return [_walk(*key) for key in WALK_CORPUS]
+
+
+def _with_row(rows, at, moves):
+    """``rows`` with row ``at`` replaced by one where only ``moves``
+    ({robot: letter}) move."""
+    row = ["."] * len(rows[at])
+    for i, c in moves.items():
+        row[i] = c
+    return rows[:at] + ["".join(row)] + rows[at + 1:]
+
+
+def _neighbour(config, i, cells):
+    """(letter, cells[q]) for the first direction in NSEW order whose
+    neighbour q of robot i's pixel is a key of ``cells``, or None."""
+    x, y = config[i]
+    for c in "NSEW":
+        q = (x + _OFFSET[c][0], y + _OFFSET[c][1])
+        if q in cells:
+            return c, cells[q]
+    return None
+
+
+def _broken_variants(inst, rows, configs):
+    """Named schedules that break one rule (or several) at some step of the
+    walk, found by scanning the configurations from a third of the way in."""
+    out = {}
+    n = inst.n_robots
+    walls = dict.fromkeys(inst.obstacles)
+    perpendicular = {"N": "E", "S": "W", "E": "N", "W": "S"}
+    opposite = {"N": "S", "S": "N", "E": "W", "W": "E"}
+    for at in range(len(rows) // 3, len(rows)):
+        config = configs[at]
+        where = {p: i for i, p in enumerate(config)}
+        free = {(x + dx, y + dy) for x, y in config for dx, dy in _OFFSET.values()}
+        free -= set(where) | inst.obstacles
+        for i in range(n):
+            hit = _neighbour(config, i, where)
+            if hit and "swap" not in out:
+                c, j = hit
+                out["swap"] = _with_row(rows, at, {i: c, j: opposite[c]})
+                out["follow-in"] = _with_row(rows, at, {i: c, j: perpendicular[c]})
+                out["into-waiting"] = _with_row(rows, at, {i: c})
+            wall = _neighbour(config, i, walls)
+            if wall and "obstacle" not in out:
+                out["obstacle"] = _with_row(rows, at, {i: wall[0]})
+            if "shared" not in out:
+                for c in "NSEW":
+                    q = (config[i][0] + 2 * _OFFSET[c][0], config[i][1] + 2 * _OFFSET[c][1])
+                    mid = (config[i][0] + _OFFSET[c][0], config[i][1] + _OFFSET[c][1])
+                    if q in where and mid in free:
+                        out["shared"] = _with_row(rows, at, {i: c, where[q]: opposite[c]})
+                        break
+        # robot 0 waits while a later robot moves into it, and another
+        # robot runs into an obstacle in the same step
+        hit = _neighbour(config, 0, where)
+        if hit and "several" not in out:
+            c, j = hit
+            for k in range(1, n):
+                wall = _neighbour(config, k, walls)
+                if k != j and wall:
+                    out["several"] = _with_row(rows, at, {j: opposite[c], k: wall[0]})
+                    break
+        if len(out) == 6:
+            break
+    out["short"] = rows[:-1 - len(rows) // 2]
+    return out
+
+
+PINNED_WALK_SOLUTIONS = "9fb429a29f7f2f66efd008611d873f4ddc361f7b"
+PINNED_WALK_REPORTS = "7b85dd2a7ce61be8125f14657a27380cf616fd90"
+
+
+def test_walk_solutions_are_pinned():
+    texts = []
+    for inst, rows, _ in _walks():
+        sched = schedule(inst.name, *rows)
+        assert len(rows) >= 200 and inst.n_robots >= 20 and "." * inst.n_robots in rows
+        text = emit_solution(sched)
+        assert parse_solution(text, inst.n_robots, strict=True) == sched
+        assert parse_solution(json.loads(text), inst.n_robots, strict=True) == sched
+        texts.append(text)
+    assert sha1("".join(texts)) == PINNED_WALK_SOLUTIONS
+
+
+def test_walk_reports_are_pinned():
+    reports = []
+    rules = {}
+    for inst, rows, configs in _walks():
+        assert validate_schedule(inst, schedule(inst.name, *rows)).feasible
+        reports.append(validate_schedule(inst, schedule(inst.name, *rows)))
+        for name, broken in _broken_variants(inst, rows, configs).items():
+            report = validate_schedule(inst, schedule(inst.name, *broken))
+            reports.append(report)
+            v = report.first_violation
+            rules.setdefault(name, set()).add(v.rule)
+            if name == "several":
+                # the lowest robot of the first-ranked breach is robot 0, which waits
+                assert v.robots[0] == 0 and broken[v.step][0] == "."
+    assert rules == {"swap": {"R3"}, "follow-in": {"R3"}, "into-waiting": {"R2"},
+                     "shared": {"R2"}, "obstacle": {"R1"}, "several": {"R2"},
+                     "short": {"target"}}
+    assert sha1(repr(reports)) == PINNED_WALK_REPORTS
+
+
+PINNED_WALK_SVGS = ("a4619b920d1f561b86d4d0d6cb1c138510828c43",
+                    "1ae3daffd1e3e7ef7152e4567a127a3ebf0d8d31")
+
+
+def test_walk_renders_are_pinned():
+    inst, rows, configs = _walk(*WALK_CORPUS[0])
+    broken = _broken_variants(inst, rows, configs)["several"]
+    got = []
+    for sched in (schedule(inst.name, *rows), schedule(inst.name, *broken)):
+        violation = validate_schedule(inst, sched).first_violation
+        got.append(sha1(render_svg(inst, sched, 12, violation)))
+    assert tuple(got) == PINNED_WALK_SVGS

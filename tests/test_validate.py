@@ -64,6 +64,12 @@ def test_shared_destination_is_r2():
     v = check_step(inst, config((0, 0), (2, 0)), step("EW"))
     assert v is not None and v.rule == RULE_OVERLAP
     assert v.robots == (0, 1)
+    # robots 3 and 9 meet; the tuple is sorted even where a set of the two is not
+    cells = [(0, 10 + i) for i in range(10)]
+    cells[3], cells[9] = (0, 0), (2, 0)
+    inst = make_instance(cells, [(x + 5, y) for x, y in cells])
+    v = check_step(inst, config(*cells), step("...E.....W"))
+    assert v == Violation(0, RULE_OVERLAP, (3, 9))
 
 
 def test_moving_into_waiting_robot_reports_r2():
@@ -220,20 +226,28 @@ def _random_walk(rng):
     return make_instance(starts, targets, obstacles), schedule("walk", *rows), first_illegal
 
 
+def _step_by_step(inst, sched):
+    """The first violation of ``sched``, found one step at a time by
+    check_step and apply_step; each step's verdict is also compared with
+    the all-pairs ranking of ``oracles.ranked_violation``."""
+    config = inst.starts
+    for idx, s in enumerate(sched.steps):
+        expected = check_step(inst, config, s, step_index=idx)
+        ranked = oracles.ranked_violation(config, [m.value for m in s], inst.obstacles)
+        assert (expected and (expected.rule, expected.robots)) == ranked, (config, s)
+        if expected is not None:
+            return expected
+        config = apply_step(config, s)
+    wrong = tuple(i for i, (p, t) in enumerate(zip(config, inst.targets)) if p != t)
+    return Violation(len(sched.steps), "target", wrong) if wrong else None
+
+
 def test_replay_matches_step_by_step_check_and_oracle():
     rng = random.Random(2103)
     outcomes = {"feasible": 0, "target": 0, "first step": 0, "later step": 0}
     for _ in range(400):
         inst, sched, first_illegal = _random_walk(rng)
-        config, expected = inst.starts, None
-        for idx, s in enumerate(sched.steps):
-            expected = check_step(inst, config, s, step_index=idx)
-            if expected is not None:
-                break
-            config = apply_step(config, s)
-        else:
-            wrong = tuple(i for i, (p, t) in enumerate(zip(config, inst.targets)) if p != t)
-            expected = Violation(len(sched.steps), "target", wrong) if wrong else None
+        expected = _step_by_step(inst, sched)
         got = validate_schedule(inst, sched).first_violation
         assert got == expected, (inst, sched)
         if got is None or got.rule == "target":
@@ -242,6 +256,53 @@ def test_replay_matches_step_by_step_check_and_oracle():
         else:
             assert got.step == first_illegal, (inst, sched)
             outcomes["later step" if got.step else "first step"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+
+def _dense_walk(rng):
+    """Up to 12 robots on a small map with many obstacles, and random steps
+    of which about 30% break a rule under the continuous oracle; also the
+    index of the first such step (None when there is none)."""
+    side = rng.randint(3, 5)
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    rng.shuffle(cells)
+    n = rng.randint(2, min(12, len(cells) - 1))
+    starts = cells[:n]
+    obstacles = [c for c in cells[n:] if rng.random() < 0.4]
+    positions, rows, first_illegal = starts, [], None
+    for idx in range(rng.randint(1, 8)):
+        want_legal = rng.random() >= 0.3
+        for _ in range(40):
+            row = "".join(rng.choice("NSEW..") for _ in range(n))
+            after = [(x + _DELTA[c][0], y + _DELTA[c][1]) for (x, y), c in zip(positions, row)]
+            legal = oracles.continuous_step_legal(positions, after, obstacles)
+            if legal == want_legal:
+                break
+        if not legal and first_illegal is None:
+            first_illegal = idx
+        positions = after
+        rows.append(row)
+    reachable = len(set(positions)) == n and not set(positions) & set(obstacles)
+    targets = positions if reachable and rng.random() < 0.7 else [(x, y + 50) for x, y in starts]
+    return make_instance(starts, targets, obstacles), schedule("dense", *rows), first_illegal
+
+
+def test_dense_replay_matches_step_by_step_check_and_oracle():
+    rng = random.Random(1903)
+    outcomes = dict.fromkeys(("feasible", "target", RULE_OBSTACLE, RULE_OVERLAP,
+                              RULE_TRAIN, "first robot waits"), 0)
+    for _ in range(600):
+        inst, sched, first_illegal = _dense_walk(rng)
+        got = validate_schedule(inst, sched).first_violation
+        assert got == _step_by_step(inst, sched), (inst, sched)
+        if got is None or got.rule == "target":
+            assert first_illegal is None, (inst, sched)
+            outcomes["target" if got else "feasible"] += 1
+        else:
+            assert got.step == first_illegal, (inst, sched)
+            outcomes[got.rule] += 1
+            outcomes["first robot waits"] += sched.steps[got.step][got.robots[0]] is Direction.WAIT
     assert min(outcomes.values()) >= 20, outcomes
 
 
