@@ -25,6 +25,13 @@ lower bound for SUM. Construction and annealing replan through one step,
 :func:`_plan_robots`: plan a list of robots, in order, against the paths
 left in the table, and take back what was added when one of them fails.
 
+For MAX, annealing does not start when a small exact search proves the
+incumbent optimal: some 2 or 3 robots, with every other robot removed,
+cannot all reach their targets one step sooner
+(:func:`_makespan_is_optimal`). Annealing replaces the incumbent only with a
+better schedule, so skipping it changes the time a solve takes, not its
+result. The proof may try ``_PROOF_STEPS`` joint steps per anneal iteration.
+
 Every schedule returned by :func:`solve` is validated in-process first; the
 solver reports an explicit failure rather than emitting an invalid schedule.
 With ``time_limit`` unset, results are deterministic for a fixed seed.
@@ -44,6 +51,7 @@ from .model import Direction, Instance, Objective, Schedule
 from .validate import (
     UnreachableTargetError,
     ValidationReport,
+    _step_violation,
     bounds_from_maps,
     cell_id,
     distance_map,
@@ -55,6 +63,8 @@ _CRITICAL_WEIGHT = 4.0   # sampling weight of makespan-critical robots (MAX)
 _AUTO_TEMP_FACTOR = 0.1  # initial temperature as a fraction of the start value
 _COOLING = 0.995         # temperature factor per accepted move
 _K_REPLAN = 2            # robots erased and replanned per annealing move
+_PROOF_STEPS = 2         # joint steps a makespan proof may try per anneal iteration
+_DIRECTIONS = tuple(Direction)   # iterating the Enum class itself is slow
 
 
 @dataclass
@@ -389,6 +399,96 @@ def _pick_robots(rng: random.Random, paths: dict[int, list[int]], moves: dict[in
     return chosen
 
 
+def _joint_search(ctx: _SolveContext, robots: Sequence[int], deadline: int,
+                  max_steps: int) -> tuple[Optional[bool], int]:
+    """Whether ``robots``, with every other robot removed, can all stand on
+    their targets at time ``deadline``.
+
+    The search is layered by time over the joint configurations of
+    ``robots``, from their starts. A robot may stand on pixel ``c`` at time
+    ``t`` only when ``t`` plus its distance from ``c`` to its target is at
+    most ``deadline``. Inside the window that distance is read off the
+    robot's field, which is exact there (see :func:`search_window`); a
+    negative entry is an obstacle or a cell cut off from the target. On the
+    frame's ring and beyond, where no obstacle lies, it is Manhattan
+    distance, so robots may step out of the window. Each joint step is judged
+    by :func:`gridmotion.validate._step_violation`, the one statement of
+    R1-R3. The robots make it exactly when layer ``deadline`` holds their
+    targets, the only configuration it can hold; waiting on a target is
+    always legal when no one enters it.
+
+    Returns the verdict and the number of joint steps generated. The verdict
+    is None when ``max_steps`` steps did not settle it or the solve's time
+    limit ran out first.
+    """
+    instance = ctx.instance
+    window = ctx.window
+    x0, y0, x1, y1 = window
+    fields = [ctx.fields[i] for i in robots]
+    targets = [instance.targets[i] for i in robots]
+    obstacles = instance.obstacles
+
+    def distance(j: int, x: int, y: int) -> float:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            d = fields[j][cell_id(window, (x, y))]
+            return d if d >= 0 else math.inf
+        tx, ty = targets[j]
+        return abs(x - tx) + abs(y - ty)
+
+    layer = {tuple(instance.starts[i] for i in robots)}
+    steps = 0
+    for t in range(1, deadline + 1):
+        reached = set()
+        allowed = [{} for _ in robots]   # per robot: pixel -> moves that keep it in time
+        for config in layer:
+            if ctx.out_of_time():
+                return None, steps
+            options = []
+            for j, (x, y) in enumerate(config):
+                moves = allowed[j].get((x, y))
+                if moves is None:
+                    moves = allowed[j][(x, y)] = [
+                        m for m in _DIRECTIONS
+                        if t + distance(j, x + m._value_[0], y + m._value_[1]) <= deadline]
+                options.append(moves)
+            for step in itertools.product(*options):
+                if steps == max_steps:
+                    return None, steps
+                steps += 1
+                positions = list(config)
+                occupant = dict(zip(config, range(len(config))))
+                if _step_violation(obstacles, positions, occupant, step, t - 1) is None:
+                    reached.add(tuple(positions))
+        if not reached:
+            return False, steps
+        layer = reached
+    return tuple(targets) in layer, steps
+
+
+def _makespan_is_optimal(ctx: _SolveContext, order: Sequence[int], makespan: int,
+                         max_steps: int) -> bool:
+    """True when no schedule finishes by time ``makespan - 1`` because some
+    2 or 3 robots, with every other robot removed, cannot all reach their
+    targets by then. Removing robots makes no legal step illegal, so a subset's
+    optimum bounds the instance's.
+
+    ``order`` lists the robots by slack, least first: by descending
+    individual lower bound, then by index. Pairs of them are tried, then
+    triples, in that order. The search stops at the first proof, after
+    ``max_steps`` joint steps in all, or when the solve's time limit runs
+    out."""
+    subsets = itertools.chain(itertools.combinations(order, 2),
+                              itertools.combinations(order, 3))
+    for robots in subsets:
+        reachable, steps = _joint_search(ctx, robots, makespan - 1, max_steps)
+        if reachable is None:
+            return False
+        if not reachable:
+            return True
+        max_steps -= steps
+    return False
+
+
 def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
     """Best-effort schedule for the configured objective.
 
@@ -396,10 +496,13 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     descending individual lower bound, then seeded random permutations), then
     simulated annealing improves the best plan by replanning small robot
     subsets. Each priority order is planned in one pass into an empty table; a
-    robot that finds no path is lifted to the front of its order, once. The
-    incumbent is returned when the time limit expires, which is checked
-    between lifts, restarts, annealing moves and, in every priority order
-    but the first, between robots. Telemetry records every improvement, so
+    robot that finds no path is lifted to the front of its order, once. For
+    MAX, annealing is skipped when the incumbent meets ``lb_makespan`` or
+    when a joint search over 2 or 3 robots proves that no schedule is one
+    step shorter. The incumbent is returned when the time limit expires,
+    which is checked between lifts, restarts, annealing moves, joint
+    configurations of that proof and, in every priority order but the
+    first, between robots. Telemetry records every improvement, so
     the objective column is non-increasing.
     """
     config = config or SolverConfig()
@@ -457,7 +560,11 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
                            failure_reason=f"no feasible schedule {limits}", bounds=bounds)
 
     best_paths = best_table.paths
-    if best_value > lb_value and config.anneal_iterations > 0 and not ctx.out_of_time():
+    # annealing replaces the incumbent only with a better schedule, so for
+    # MAX it is skipped once a small joint search proves that none exists
+    if (best_value > lb_value and config.anneal_iterations > 0 and not ctx.out_of_time()
+            and not (objective is Objective.MAX and _makespan_is_optimal(
+                ctx, base_order, best_value, _PROOF_STEPS * config.anneal_iterations))):
         best_paths, best_value = _anneal(ctx, config, rng, best_table, best_value,
                                          lb_value, telemetry)
 

@@ -861,6 +861,154 @@ def test_solve_result_success_mirrors_schedule():
     assert not ok.success
 
 
+# ------------------------------------------------------ makespan proof
+
+TINY = GeneratorParams(6, 6, density=0.1, seed=3)   # 4 robots, lb_makespan 5, optimum 6
+
+
+def oracle_optimum(inst, margin):
+    """Optimal makespan of ``inst`` by ``oracles.joint_optimal`` over the
+    bounding box grown by ``margin`` cells, or None when there is none. Every
+    schedule of makespan at most ``margin`` stays in that box."""
+    x0, y0, x1, y1 = search_window(inst)   # the box grown by 1
+    m = margin - 1
+    optimum, _ = oracles.joint_optimal([tuple(p) for p in inst.starts],
+                                       [tuple(p) for p in inst.targets],
+                                       inst.obstacles, (x0 - m, y0 - m, x1 + m, y1 + m))
+    return optimum
+
+
+def check_joint_search_against_oracle(inst, margin, verdicts):
+    """Ask the solver's joint search whether all robots of ``inst`` can be
+    on their targets by each deadline from ``lb_makespan`` to ``margin``,
+    with no step cap, and compare with the oracle's optimum over a box that
+    holds every such schedule; counts each verdict in ``verdicts``."""
+    optimum = oracle_optimum(inst, margin)
+    ctx = solve_module._SolveContext(inst)
+    robots = tuple(range(inst.n_robots))
+    for deadline in range(ctx.lb_makespan, margin + 1):
+        reachable, _ = solve_module._joint_search(ctx, robots, deadline, math.inf)
+        assert reachable is (optimum is not None and optimum <= deadline), \
+            (inst, deadline, optimum)
+        verdicts[inst.n_robots, reachable] += 1
+
+
+def test_joint_search_meets_a_deadline_exactly_when_the_oracle_does():
+    verdicts = collections.Counter()
+    # a swap past an L of obstacles: every schedule shorter than 8 leaves
+    # the search window, through the frame's ring and beyond it
+    inst = make_instance([(0, 0), (0, 2)], [(0, 2), (0, 0)], [(0, 1), (1, 0), (1, 1)])
+    assert oracle_optimum(inst, 1) == 8
+    assert oracle_optimum(inst, 6) == 6
+    check_joint_search_against_oracle(inst, 6, verdicts)
+    assert verdicts[2, False] and verdicts[2, True]
+    # pairs on the open plane, near obstacles
+    rng = random.Random(7)
+    cells = [(x, y) for x in range(3) for y in range(3)]
+    for _ in range(15):
+        obstacles = rng.sample(cells, rng.randint(1, 3))
+        free = [c for c in cells if c not in obstacles]
+        inst = make_instance(rng.sample(free, 2), rng.sample(free, 2), obstacles)
+        check_joint_search_against_oracle(inst, lower_bounds(inst)[0] + 2, verdicts)
+    # pairs and triples in sealed rooms
+    for inst, _ in rooms(8, first_seed=20):
+        check_joint_search_against_oracle(inst, lower_bounds(inst)[0] + 2, verdicts)
+    assert min(verdicts[n, r] for n in (2, 3) for r in (False, True)) > 0, verdicts
+
+
+def count_joint_steps(monkeypatch):
+    """Record the configuration of every joint step the makespan proof
+    judges, and the clock reading of every subset search it starts."""
+    steps, searches = [], []
+    real_step_violation = solve_module._step_violation
+    real_joint_search = solve_module._joint_search
+
+    def counting_step_violation(obstacles, positions, occupant, step, step_index):
+        steps.append(tuple(positions))
+        return real_step_violation(obstacles, positions, occupant, step, step_index)
+
+    def recording_joint_search(ctx, robots, deadline, max_steps):
+        searches.append(solve_module.time.monotonic())
+        return real_joint_search(ctx, robots, deadline, max_steps)
+
+    monkeypatch.setattr(solve_module, "_step_violation", counting_step_violation)
+    monkeypatch.setattr(solve_module, "_joint_search", recording_joint_search)
+    return steps, searches
+
+
+def test_solve_proves_the_tiny_instance_optimal_without_annealing(monkeypatch):
+    # every pair of its robots can finish by 5; robots 1, 2 and 3 cannot
+    def no_anneal(*args):
+        raise AssertionError("annealing ran")
+
+    monkeypatch.setattr(solve_module, "_anneal", no_anneal)
+    steps, searches = count_joint_steps(monkeypatch)
+    res = solve(generate(TINY).instance)
+    assert res.value == 6 and res.bounds == (5, 16)
+    assert hashlib.sha1(emit_solution(res.schedule).encode()).hexdigest() == \
+        "f6c7a48fc79a0c40970ad651b1e27c3773144b43"
+    assert [t.phase for t in res.telemetry] == ["restart", "final"]
+    assert len(searches) == 7 and 0 < len(steps) < 2_000
+
+
+@pytest.mark.parametrize("objective, iterations", [("max", 0), ("sum", 200)])
+def test_solve_tries_no_proof_where_annealing_would_not_run(monkeypatch, objective,
+                                                            iterations):
+    steps, searches = count_joint_steps(monkeypatch)
+    res = solve(generate(TINY).instance,
+                SolverConfig(objective=objective, anneal_iterations=iterations))
+    assert res.success and not steps and not searches
+
+
+def test_solve_tries_no_proof_once_the_bound_is_met(monkeypatch):
+    steps, searches = count_joint_steps(monkeypatch)
+    inst = generate(GeneratorParams(6, 6, 0.3, obstacle_count=2, seed=0)).instance
+    res = solve(inst, SolverConfig(anneal_iterations=60))
+    assert res.value == res.bounds[0]
+    assert not steps and not searches
+
+
+def test_solve_proof_stays_within_its_step_cap(monkeypatch):
+    # construction ends at makespan 17 here, and a default solve with 3,000
+    # iterations finds 15, so no subset can prove 17 optimal: the proof
+    # spends its whole cap and fails
+    inst = generate(GeneratorParams(7, 7, 0.4, obstacle_count=3, seed=1)).instance
+    for iterations in (1, 60):
+        steps, searches = count_joint_steps(monkeypatch)
+        res = solve(inst, SolverConfig(restarts=2, anneal_iterations=iterations))
+        assert len(steps) == solve_module._PROOF_STEPS * iterations
+        assert searches and res.value <= 17
+    # the tiny instance's proof needs more steps than one iteration's cap
+    steps, _ = count_joint_steps(monkeypatch)
+    calls = record_plan_robots(monkeypatch)
+    res = solve(generate(TINY).instance, SolverConfig(anneal_iterations=1))
+    assert len(steps) == solve_module._PROOF_STEPS and res.value == 6
+    assert [len(robots) for robots, _ in calls] == [4, 4, 4, 4, 2]   # one annealing move
+
+
+def test_solve_stops_proving_when_the_deadline_passes(monkeypatch):
+    # the fake clock jumps past the 100 s limit at the 100th joint step:
+    # the configuration being expanded finishes its steps, no other one
+    # starts, no further subset is searched and the incumbent is returned
+    now = [0.0]
+    steps, searches = count_joint_steps(monkeypatch)
+    real_step_violation = solve_module._step_violation
+
+    def step_violation_on_a_clock(*args):
+        if len(steps) == 99:
+            now[0] = 1000.0
+        return real_step_violation(*args)
+
+    monkeypatch.setattr(solve_module, "_step_violation", step_violation_on_a_clock)
+    monkeypatch.setattr(solve_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    calls = record_plan_robots(monkeypatch)
+    res = solve(generate(TINY).instance, SolverConfig(time_limit=100.0))
+    assert len(steps) >= 100 and set(steps[99:]) == {steps[99]}
+    assert all(t < 100.0 for t in searches)
+    assert res.value == 6 and [t.phase for t in res.telemetry] == ["restart", "final"]
+    assert all(len(robots) == 4 for robots, _ in calls)   # no annealing move
+
+
 # sha1 of emit_solution for small generated maps under both objectives; any
 # change to the search order or its tie-breaks shows here (the last two maps
 # change when E and W trade places in the move order).
