@@ -16,7 +16,8 @@ Pipeline for one instance:
 The number of robots is round(density * free_area). Every draw comes from one
 numpy Generator seeded from (seed, attempt), so generation is byte-for-byte
 reproducible. Failures (exhausted support, unplaceable cluster) trigger a
-bounded number of deterministic reattempts before an error is raised.
+bounded number of deterministic reattempts before an error is raised; a
+failure before the first draw is final, since a reseed cannot change it.
 """
 
 from __future__ import annotations
@@ -362,6 +363,7 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
     last_error: Exception | None = None
     for attempt in range(_GENERATE_ATTEMPTS):
         rng = np.random.default_rng([params.seed, attempt])
+        seeded = rng.bit_generator.state
         try:
             obstacles = place_obstacles(params, rng)
             volume = params.map_width * params.map_height
@@ -385,9 +387,12 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
             return GenerationResult(instance=instance, features=features)
         except GenerationError as err:
             last_error = err
+            if rng.bit_generator.state == seeded:
+                break   # nothing was drawn, so every reseed fails the same way
+    attempts = attempt + 1
     raise GenerationError(
-        f"generation failed after {_GENERATE_ATTEMPTS} attempts for seed "
-        f"{params.seed}: {last_error}")
+        f"generation failed after {attempts} attempt{'s' if attempts > 1 else ''} "
+        f"for seed {params.seed}: {last_error}")
 
 
 def extract_features(instance: Instance) -> InstanceFeatures:

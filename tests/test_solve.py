@@ -602,28 +602,26 @@ def record_plan_robots(monkeypatch, fail=False):
 
 
 def anneal_and_restore(monkeypatch, inst, order, value, lb_value):
-    """Run one annealing move near zero temperature, for each of 8 seeds,
-    on the plan of ``order`` and check that the move changed nothing; returns
-    the moves' _plan_robots calls as (robots, whether all were planned)."""
+    """Run one improvement move, for each of 8 seeds, on the plan of
+    ``order`` and check that the move changed nothing; returns the moves'
+    _plan_robots calls as (robots, whether all were planned)."""
     ctx = solve_module._SolveContext(inst)
     config = SolverConfig(anneal_iterations=1)
-    monkeypatch.setattr(solve_module, "_AUTO_TEMP_FACTOR", 1e-9)
     real_plan_robots = solve_module._plan_robots
     calls = record_plan_robots(monkeypatch)
     for seed in range(8):
         table = ReservationTable(ctx.window)
         assert real_plan_robots(ctx, table, order, Objective.MAX, False) is None
         before = table_state(table)
-        best, best_value = solve_module._anneal(ctx, config, random.Random(seed), table,
-                                                value, lb_value, [])
-        assert (best, best_value) == (before[2], value)
+        assert solve_module._anneal(ctx, config, random.Random(seed), table,
+                                    value, lb_value, []) == value
         assert table_state(table) == before
     return calls
 
 
 def test_rejected_anneal_move_leaves_the_table_as_it_was(monkeypatch):
     # the leader-first train has makespan 1; a move that replans the
-    # follower first gets makespan 2 and, near zero temperature, is rejected
+    # follower first gets makespan 2, is worse and is rejected
     inst = make_instance([(0, 0), (1, 0)], [(1, 0), (2, 0)])
     assert ([0, 1], True) in anneal_and_restore(monkeypatch, inst, [1, 0], 1, 0)
 
@@ -701,6 +699,34 @@ def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
             assert objectives == table_objectives(inst, table)
     assert min(outcomes[k] for k in ("planned", "failed early", "cut", "removed",
                                      "annealed")) > 0, outcomes
+
+
+def test_anneal_keeps_the_incumbent_in_the_table():
+    # improvement never leaves the table on a schedule worse than the one it
+    # returns: the table's paths score the returned value, no worse than the
+    # value improvement started from, and the table is what they alone write
+    outcomes = collections.Counter()
+    for seed in range(3):
+        for side in (7, 8, 9, 10):
+            inst = generate(GeneratorParams(side, side, 0.25, obstacle_count=3,
+                                            seed=seed)).instance
+            ctx = solve_module._SolveContext(inst)
+            order = sorted(range(inst.n_robots), key=lambda i: (-ctx.per_robot[i], i))
+            for objective in Objective:
+                table = ReservationTable(ctx.window)
+                if solve_module._plan_robots(ctx, table, order, objective, False) is not None:
+                    continue
+                sum_objective = objective is Objective.SUM
+                value = table_objectives(inst, table)[sum_objective]
+                lb_value = ctx.lb_total if sum_objective else ctx.lb_makespan
+                config = SolverConfig(objective=objective, anneal_iterations=100)
+                result = solve_module._anneal(ctx, config, random.Random(seed), table,
+                                              value, lb_value, [])
+                assert table_objectives(inst, table)[sum_objective] == result
+                assert result <= value
+                assert table_state(table) == table_state(rebuilt(table))
+                outcomes["improved" if result < value else "kept"] += 1
+    assert outcomes["improved"] >= 10, outcomes
 
 
 # ---------------------------------------------------------------- solve
@@ -1009,21 +1035,21 @@ def test_solve_stops_proving_when_the_deadline_passes(monkeypatch):
     assert all(len(robots) == 4 for robots, _ in calls)   # no annealing move
 
 
-# sha1 of emit_solution for small generated maps under both objectives; any
-# change to the search order or its tie-breaks shows here (the last two maps
-# change when E and W trade places in the move order).
-# (width, height, density, obstacle_count, seed) -> {objective: sha1}
+# objective value and sha1 of emit_solution for small generated maps under
+# both objectives; any change to the search order or its tie-breaks shows
+# here (the last two maps change when E and W trade places in the move order).
+# (width, height, density, obstacle_count, seed) -> {objective: (value, sha1)}
 PINNED_SCHEDULES = {
-    (6, 6, 0.3, 2, 0): {"max": "d0d5532541238468f49ed6bdbe051d5e27d7bd03",
-                        "sum": "402a07902181c871d43af75f094ecb5ca2c0e05a"},
-    (6, 6, 0.3, 2, 1): {"max": "b8ff7eae28ebda5bb220d902a121fc704b505de8",
-                        "sum": "8afd38184c26d407419e5917402def2248859478"},
-    (7, 7, 0.4, 3, 1): {"max": "cbc458f1194545983ae66f9275a2523e088c8e8f",
-                        "sum": "c8f9f70c1ebf7df59d68d33182e9861a13d8e317"},
-    (8, 8, 0.3, 3, 4): {"max": "92958e99e3a6268247e6e21945222164816a7efa",
-                        "sum": "3e52703b9f1aaa233b0a184ef8cb07b547996283"},
-    (10, 10, 0.3, 3, 0): {"max": "ad1e1dde5c66f1a4233f7eee28c27fa4813d1649",
-                          "sum": "63537bc8748db05bc5bf1c4cb76a14851fadff9d"},
+    (6, 6, 0.3, 2, 0): {"max": (8, "d0d5532541238468f49ed6bdbe051d5e27d7bd03"),
+                        "sum": (33, "ab584f17d2827cf1796ae93533c0dc8dd2b8bf1f")},
+    (6, 6, 0.3, 2, 1): {"max": (9, "90711fa69d74c1dcc438ed0ba5b8ea8bab5a02b9"),
+                        "sum": (27, "46c699c2f831e923bd5aba1faab4814ce16cd03d")},
+    (7, 7, 0.4, 3, 1): {"max": (17, "aa8abc1bd30026b50eafce4fac856ff2903a2965"),
+                        "sum": (81, "4bfeba122dd9a678b98b5c706b30bd33fa07ab53")},
+    (8, 8, 0.3, 3, 4): {"max": (11, "92958e99e3a6268247e6e21945222164816a7efa"),
+                        "sum": (89, "808eb87c2723fa8aca8d3db54d93e5eb22d63271")},
+    (10, 10, 0.3, 3, 0): {"max": (14, "43e8a910522acfa22fa5d6582a83bc44d51132d8"),
+                          "sum": (149, "fb9c1783f7ccae626c9537af36d704db9984c45b")},
 }
 
 
@@ -1032,10 +1058,11 @@ def test_solve_reproduces_pinned_schedules():
     for (w, h, density, count, seed), expected in PINNED_SCHEDULES.items():
         inst = generate(GeneratorParams(w, h, density, obstacle_count=count,
                                         seed=seed)).instance
-        for objective, sha in expected.items():
+        for objective, (value, sha) in expected.items():
             res = solve(inst, SolverConfig(objective=objective, restarts=2,
                                            anneal_iterations=60))
             text = emit_solution(res.schedule)
+            assert res.value == value, (w, h, seed, objective)
             assert hashlib.sha1(text.encode()).hexdigest() == sha, (w, h, seed, objective)
             config = inst.starts
             for step in res.schedule.steps:
