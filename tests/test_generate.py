@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 import oracles
+from gridmotion import generate as generate_module
 from gridmotion.formats import emit_instance
 from gridmotion.generate import (
     GenerationError,
@@ -296,16 +297,43 @@ def test_cluster_budget_clamps_to_robot_count():
     assert len(starts) <= 5
 
 
-def test_cluster_placement_failure_raises():
+def test_cluster_placement_failure_raises(monkeypatch):
     # only two free pixels on the whole map, cluster needs four
     obstacles = frozenset(Pixel(x, y) for x in range(4) for y in range(4)
                           if (x, y) not in ((0, 0), (3, 3)))
     params = GeneratorParams(map_width=4, map_height=4, density=1.0,
                              cluster_count=1, cluster_size_mean=4.0,
                              cluster_size_stddev=0.0, seed=0)
+    counts = []
+    real_sample_positions = generate_module.sample_positions
+
+    def recording(count, *args):
+        counts.append(count)
+        return real_sample_positions(count, *args)
+
+    monkeypatch.setattr(generate_module, "sample_positions", recording)
     with pytest.raises(GenerationError):
         place_clusters(params, 4, obstacles, None, None,
                        np.random.default_rng(0))
+    # no window has room, the whole map included, so no new anchors are drawn
+    assert counts.count(1) == 2
+
+
+@pytest.mark.parametrize("width, height, free", [
+    (8, 8, ((0, 0), (7, 0), (0, 7), (7, 7))),
+    (200, 1, ((0, 0), (1, 0), (198, 0), (199, 0))),
+])
+def test_cluster_window_grows_to_the_whole_map(width, height, free):
+    # the four free pixels lie far apart, so only the whole-map window holds them
+    obstacles = frozenset(Pixel(x, y) for x in range(width) for y in range(height)
+                          if (x, y) not in free)
+    params = GeneratorParams(map_width=width, map_height=height, density=1.0,
+                             cluster_count=1, cluster_size_mean=4.0,
+                             cluster_size_stddev=0.0, seed=0)
+    starts, targets, n_clusters = place_clusters(params, 4, obstacles, None, None,
+                                                 np.random.default_rng(0))
+    assert n_clusters == 1
+    assert cells(starts) == cells(targets) == set(free)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +380,9 @@ def test_generate_with_clusters_bookkeeping():
 
 
 def test_generate_failure_when_density_rounds_to_zero(monkeypatch):
-    # with no obstacle nothing is drawn before the failure, so no reseed
-    # can change it and generation gives up after one attempt
+    # density x map area rounds to 0 robots, and obstacles only lower the
+    # free area, so no reseed can change the failure and generation gives up
+    # after one attempt, with obstacles drawn or not
     seeds = []
     real_default_rng = np.random.default_rng
 
@@ -362,10 +391,13 @@ def test_generate_failure_when_density_rounds_to_zero(monkeypatch):
         return real_default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", recording)
-    params = GeneratorParams(map_width=10, map_height=10, density=0.001, seed=0)
-    with pytest.raises(GenerationError, match="after 1 attempt for seed 0: "):
-        generate(params)
-    assert seeds == [[0, 0]]
+    for params in (GeneratorParams(map_width=10, map_height=10, density=0.001, seed=0),
+                   GeneratorParams(map_width=3, map_height=3, density=0.05,
+                                   obstacle_count=3, seed=0)):
+        seeds.clear()
+        with pytest.raises(GenerationError, match="after 1 attempt for seed 0: "):
+            generate(params)
+        assert seeds == [[0, 0]]
 
 
 def test_generate_failure_when_weight_support_too_small(tmp_path):
@@ -374,8 +406,16 @@ def test_generate_failure_when_weight_support_too_small(tmp_path):
         "9" if i == 5 else "0" for i in range(16)) + "\n", encoding="ascii")
     params = GeneratorParams(map_width=8, map_height=8, density=0.1,
                              start_distribution=f"weights:{pgm}", seed=4)
-    # the starts fail before any draw, so there is no reattempt
+    # with no obstacle and no cluster every attempt sees the same support,
+    # so there is no reattempt, whether the starts or the targets fail
     with pytest.raises(GenerationError, match="after 1 attempt for seed 4: "):
+        generate(params)
+    column = tmp_path / "column.pgm"
+    column.write_text("P2\n1 3 9\n9 0 0\n", encoding="ascii")
+    params = GeneratorParams(map_width=1, map_height=3, density=1.0,
+                             target_distribution=f"weights:{column}")
+    with pytest.raises(GenerationError, match="after 1 attempt for seed 0: cannot place "
+                                              "3 positions, only 1 eligible pixels"):
         generate(params)
 
 

@@ -51,6 +51,13 @@ PINNED_INSTANCES = {
         "67bdb9f4a00451da926ff41802d4ecb5b2783961",
     (3, 3, 0.6, 0, 3, 1.0, U, U, 2):
         "57d6ffcba492a45d9672bc6d20cb08b83f6272e3",
+    # its three clusters need 3, 3 and 4 window sizes
+    (6, 5, 0.9, 6, 3, 3.0, U, U, 0):
+        "ce1b7696c5086f88b808f78c16bb09a335341d0e",
+    (64, 64, 0.9, 20, 6, 3.0, U, U, 0):
+        "7d37e13a4a46202f3aa4e9d15a7e1fc9fbe9fb6a",
+    (16, 12, 0.5, 3, 3, 3.0, U, W, 1):
+        "4798648220ac86ba96d364862f40f5a441a20d34",
 }
 
 
@@ -59,6 +66,23 @@ def test_generated_instances_are_pinned(tmp_path):
     for key, expected in PINNED_INSTANCES.items():
         result = generate(params(*key), base_dir=tmp_path)
         assert sha1(emit_instance(result.instance) + repr(result.features)) == expected, key
+
+
+def test_reseeded_instance_is_pinned(monkeypatch):
+    # the obstacles of the first three attempts cover the whole map, so the
+    # instance comes from attempt 3
+    attempts = []
+    real_default_rng = np.random.default_rng
+
+    def recording(seed):
+        attempts.append(seed[1])
+        return real_default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    result = generate(params(5, 3, 0.5, 10, 3, 1.0, U, U, 0))
+    assert attempts == [0, 1, 2, 3]
+    assert (sha1(emit_instance(result.instance) + repr(result.features))
+            == "32a74dfd508bdb20e4b0974950236292929d69e9")
 
 
 def test_generation_failure_message_is_pinned(tmp_path):
