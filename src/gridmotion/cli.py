@@ -36,7 +36,6 @@ from .formats import (
 )
 from .generate import (GenerationError, InstanceFeatures, WeightMapError, extract_features,
                        generate, params_slug, select_diverse)
-from .model import Objective
 from .render import render_svg
 from .solve import solve
 from .validate import UnreachableTargetError, lower_bounds, validate_schedule
@@ -177,7 +176,7 @@ def cmd_validate(args) -> int:
     print(f"feasible: {report.feasible}")
     print(f"makespan: {report.makespan}  total_distance: {report.total_distance}")
     if objective is not None:
-        value = report.makespan if objective is Objective.MAX else report.total_distance
+        value = objective.of(report.makespan, report.total_distance)
         print(f"objective ({objective.value}): {value}")
     try:
         lb_makespan, lb_total, _ = lower_bounds(instance)

@@ -77,7 +77,7 @@ def score_suites(instances, suites: Mapping[str, Iterable[Schedule]],
             report = validate_schedule(inst, schedule)
             if not report.feasible:
                 continue
-            value = report.makespan if objective is Objective.MAX else report.total_distance
+            value = objective.of(report.makespan, report.total_distance)
             old = values[team].get(inst.name)
             if old is None or value < old:
                 values[team][inst.name] = value

@@ -120,6 +120,10 @@ class Objective(Enum):
     MAX = "max"
     SUM = "sum"
 
+    def of(self, makespan: int, total: int) -> int:
+        """This objective's number for a schedule with that makespan and total."""
+        return makespan if self is Objective.MAX else total
+
 
 def check_moves(step: Sequence[Direction]) -> None:
     """Raise ValueError unless every entry of ``step`` is a Direction."""

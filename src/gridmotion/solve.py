@@ -14,7 +14,7 @@ time 0 with no departure recorded, so no one enters it at time 1. The search
 has no time horizon: once every committed path has arrived the table stops
 changing, so it prunes what can no longer pay and ends on its own. Each
 priority order is planned in one pass. A planned path ends on its last move,
-so the table's last arrival is the makespan; SUM counts moves per robot.
+so the table's last arrival is the makespan; it counts moves per robot for SUM.
 
 Local search then repeatedly erases two robots, replans them in random
 order, and keeps the result when it is no worse; a worse or failed replan
@@ -143,6 +143,8 @@ class ReservationTable:
     none): from then on only parked robots hold cells, and nothing in the
     table changes with time. Paths from :func:`plan_single` end on their
     last move, so ``horizon`` is also the makespan of the committed paths.
+    ``moves`` maps each committed robot to its path's moves (steps that change
+    cell), and :meth:`value` reads either objective off the table.
     """
 
     def __init__(self, window: tuple[int, int, int, int]):
@@ -151,6 +153,7 @@ class ReservationTable:
         self.vertex: dict = {}   # (cell, t) -> the occupant's cell at t-1
         self.parked: dict = {}   # cell -> arrival time
         self.paths: dict = {}    # robot -> its committed cells
+        self.moves: dict = {}    # robot -> moves along its path
 
     def add_path(self, robot: int, cells: list[int]) -> None:
         # check everything before the first write, so a rejected path
@@ -165,10 +168,12 @@ class ReservationTable:
             self.vertex[(c, t)] = cells[t - 1] if t else c
         self.parked[cells[end]] = end
         self.paths[robot] = cells
+        self.moves[robot] = sum(a != b for a, b in zip(cells, cells[1:]))
         self.horizon = max(self.horizon, end)
 
     def remove_path(self, robot: int) -> None:
         path = self.paths.pop(robot)
+        del self.moves[robot]
         for t, c in enumerate(path):
             del self.vertex[(c, t)]
         del self.parked[path[-1]]
@@ -182,12 +187,15 @@ class ReservationTable:
         return arrival is not None and t >= arrival
 
     def last_visit(self, cell: int) -> float:
-        """Last time any committed robot occupies the cell; -1 when never,
-        +inf for parked cells."""
+        """Last time ``vertex`` holds the cell, an unplanned robot's start at
+        time 0 included; -1 when never, +inf for parked cells."""
         if cell in self.parked:
             return math.inf
-        return max((len(cells) - 1 - cells[::-1].index(cell)
-                    for cells in self.paths.values() if cell in cells), default=-1)
+        return next((t for t in range(self.horizon, -1, -1) if (cell, t) in self.vertex), -1)
+
+    def value(self, objective: Objective) -> int:
+        """The committed paths' makespan (MAX) or total moves (SUM)."""
+        return objective.of(self.horizon, sum(self.moves.values()))
 
 
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
@@ -243,19 +251,18 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     # one dict per time step, keyed by cell: a single dict keyed by (cell, t)
     # grows to multi-megabyte tables on wide windows, and their
     # reallocations made peak memory differ from run to run
-    best = [{start: 0}]   # fewest moves to a cell at t
-    parent = [{}]         # cell at t -> cell at t-1
+    best = [{start: (0, None)}]   # cell at t -> (fewest moves, its cell at t-1)
     settled: dict = {}    # cell -> (moves, t) of its first expansion at or after still
     counter = itertools.count()
     heap = [(h0, h0, h0, next(counter), start, 0, 0)]
     while heap:
         _, _, _, _, p, t, moves_in = heapq.heappop(heap)
-        if best[t].get(p) != moves_in:
+        if best[t][p][0] != moves_in:
             continue   # stale heap entry
         if p == goal and t >= goal_free_from:
             path = [p]
             for k in range(t, 0, -1):
-                p = parent[k][p]
+                p = best[k][p][1]
                 path.append(p)
             return path[::-1]
         nt = t + 1
@@ -264,9 +271,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
             settled[p] = (moves_in, t)
         if nt == len(best):
             best.append({})
-            parent.append({})
         best_next = best[nt]
-        parent_next = parent[nt]
         # (p, t) is free, so an entry at (p, t+1) is a robot entering from
         # a neighbour
         incoming = vertex.get((p, nt))
@@ -291,14 +296,13 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 continue
             nmoves = moves_in + (d != 0)
             old = best_next.get(q)
-            if old is not None and old <= nmoves:
+            if old is not None and old[0] <= nmoves:
                 continue
             if late:
                 done = settled.get(q)
                 if done is not None and done[0] <= nmoves and done[1] <= nt:
                     continue
-            best_next[q] = nmoves
-            parent_next[q] = p
+            best_next[q] = (nmoves, p)
             if sum_objective:
                 f1, f2 = nmoves + h, nt + h
             else:
@@ -373,22 +377,16 @@ def paths_to_schedule(instance: Instance, window: tuple[int, int, int, int],
     return Schedule(instance_name=instance.name, steps=tuple(steps))
 
 
-def _moves(path: Sequence[int]) -> int:
-    """Moves along a path of cell ids: its steps that change cell."""
-    return sum(a != b for a, b in zip(path, path[1:]))
-
-
-def _pick_robots(rng: random.Random, paths: dict[int, list[int]], moves: dict[int, int],
-                 per_robot_lb: Sequence[int], objective: Objective,
-                 current_value: int) -> list[int]:
-    indices = sorted(paths)
+def _pick_robots(rng: random.Random, table: ReservationTable,
+                 per_robot_lb: Sequence[int], objective: Objective) -> list[int]:
+    indices = sorted(table.paths)
     if objective is Objective.MAX:
         weights = [
-            _CRITICAL_WEIGHT if len(paths[i]) - 1 == current_value else 1.0
+            _CRITICAL_WEIGHT if len(table.paths[i]) - 1 == table.horizon else 1.0
             for i in indices
         ]
     else:
-        weights = [1.0 + max(0, moves[i] - per_robot_lb[i]) for i in indices]
+        weights = [1.0 + max(0, table.moves[i] - per_robot_lb[i]) for i in indices]
     chosen: list[int] = []
     for _ in range(min(_K_REPLAN, len(indices))):
         pick = rng.choices(range(len(indices)), weights)[0]
@@ -514,10 +512,9 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     telemetry: list[TelemetryRecord] = []
     bounds = (ctx.lb_makespan, ctx.lb_total)
     n = instance.n_robots
-    lb_value = ctx.lb_makespan if objective is Objective.MAX else ctx.lb_total
+    lb_value = objective.of(ctx.lb_makespan, ctx.lb_total)
 
-    best_table: Optional[ReservationTable] = None
-    best_value: Optional[int] = None
+    best: Optional[ReservationTable] = None
 
     base_order = sorted(range(n), key=lambda i: (-ctx.per_robot[i], i))
     for attempt in range(config.restarts):
@@ -542,16 +539,15 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
             order.insert(0, stopped)
         if stopped is not None:
             continue
-        value = (table.horizon if objective is Objective.MAX
-                 else sum(map(_moves, table.paths.values())))
-        if best_value is None or value < best_value:
-            best_table, best_value = table, value
+        value = table.value(objective)
+        if best is None or value < best.value(objective):
+            best = table
             telemetry.append(TelemetryRecord(time.monotonic() - ctx.started, value,
                                              "restart"))
-        if best_value == lb_value:
+        if best.value(objective) == lb_value:
             break
 
-    if best_table is None:
+    if best is None:
         limits = (f"before the {config.time_limit} s time limit" if ctx.out_of_time()
                   else "within restart limits")
         return SolveResult(objective, None, None, None, telemetry,
@@ -559,52 +555,48 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
 
     # improvement never worsens the incumbent, so for MAX it is skipped once
     # a small joint search proves that no better schedule exists
-    if (best_value > lb_value and config.anneal_iterations > 0 and not ctx.out_of_time()
+    value = best.value(objective)
+    if (value > lb_value and config.anneal_iterations > 0 and not ctx.out_of_time()
             and not (objective is Objective.MAX and _makespan_is_optimal(
-                ctx, base_order, best_value, _PROOF_STEPS * config.anneal_iterations))):
-        _anneal(ctx, config, rng, best_table, best_value, lb_value, telemetry)
+                ctx, base_order, value, _PROOF_STEPS * config.anneal_iterations))):
+        _anneal(ctx, config, rng, best, lb_value, telemetry)
 
-    schedule = paths_to_schedule(instance, ctx.window, best_table.paths)
+    schedule = paths_to_schedule(instance, ctx.window, best.paths)
     report = validate_schedule(instance, schedule)
     if not report.feasible:
         raise RuntimeError(
             f"internal error: solver assembled an invalid schedule "
             f"({report.first_violation})")
-    value = report.makespan if objective is Objective.MAX else report.total_distance
+    value = objective.of(report.makespan, report.total_distance)
     telemetry.append(TelemetryRecord(time.monotonic() - ctx.started, value, "final"))
     return SolveResult(objective, schedule, value, report, telemetry, bounds=bounds)
 
 
 def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
-            table: ReservationTable, value: int, lb_value: int,
-            telemetry: list[TelemetryRecord]) -> int:
-    """Improve the paths committed in ``table``, whose objective is
-    ``value``, by replanning ``_K_REPLAN`` robots at a time, and return the
-    table's value. A move is kept when it is no worse; a worse or failed one
-    puts the old paths back, so the table always holds the best schedule."""
+            table: ReservationTable, lb_value: int,
+            telemetry: list[TelemetryRecord]) -> None:
+    """Improve the paths committed in ``table`` by replanning ``_K_REPLAN``
+    robots at a time; :meth:`ReservationTable.value` gives their objective.
+    A move is kept when it is no worse; a worse or failed one puts the old
+    paths back, so the table always holds the best schedule."""
     objective = config.objective
-    moves = {i: _moves(p) for i, p in table.paths.items()}
     for _ in range(config.anneal_iterations):
+        value = table.value(objective)
         if value == lb_value or ctx.out_of_time():
             break
-        chosen = _pick_robots(rng, table.paths, moves, ctx.per_robot, objective, value)
+        chosen = _pick_robots(rng, table, ctx.per_robot, objective)
         old_paths = {i: table.paths[i] for i in chosen}
         for i in chosen:
             table.remove_path(i)
         rng.shuffle(chosen)
         if _plan_robots(ctx, table, chosen, objective, False) is None:
-            new_moves = {i: _moves(table.paths[i]) for i in chosen}
-            new_value = (table.horizon if objective is Objective.MAX
-                         else value + sum(new_moves[i] - moves[i] for i in chosen))
+            new_value = table.value(objective)
             if new_value <= value:
-                moves.update(new_moves)
                 if new_value < value:
                     telemetry.append(TelemetryRecord(time.monotonic() - ctx.started,
                                                      new_value, "anneal"))
-                value = new_value
                 continue
             for i in chosen:
                 table.remove_path(i)
         for i in chosen:
             table.add_path(i, old_paths[i])
-    return value

@@ -84,6 +84,12 @@ def test_generate_solve_validate_score_pipeline(tmp_path, capsys):
     assert totals[0] == "team,total,instances"
     assert totals[1] == "solo,5.000000,5"
 
+    # a second team with the same schedules ties with the first
+    shutil.copytree(team, tmp_path / "twin")
+    assert main(["score", "--instances", str(instances), "--objective", "max",
+                 "--output", str(scores), str(team), str(tmp_path / "twin")]) == 0
+    assert "tie on total: solo, twin" in capsys.readouterr().out.splitlines()
+
 
 def readme_quick_start():
     """(argv, output lines) for each ``$`` command of README's command-line
@@ -215,6 +221,15 @@ def test_validate_names_violated_rule_and_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "feasible: False" in out
     assert "violation: step 0 rule R3 robots [0, 1]" in out
+
+    # a walled-in target has no lower bounds, so none are printed
+    walled = make_instance([(0, 0)], [(2, 0)], seal([(2, 0)]), name="walled")
+    ipath = write(tmp_path / "walled.instance.json", emit_instance(walled))
+    spath = write(tmp_path / "walled.solution.json", emit_solution(schedule("walled")))
+    assert main(["validate", ipath, spath]) == 1
+    out = capsys.readouterr().out
+    assert "feasible: False" in out and "violation: step 0 rule target" in out
+    assert "lb_makespan" not in out
 
 
 def test_validate_warns_on_name_mismatch(line_files, tmp_path, capsys):
@@ -369,6 +384,17 @@ def test_score_rejects_a_missing_team_directory(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {missing}: not a directory\n"
     assert not out.exists()
+    # a solution naming an instance that is not there
+    stray = write(empty / "x.solution.json", emit_solution(schedule("elsewhere", "E")))
+    argv, out = score_argv(tmp_path, team, empty)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {stray}: unknown instance 'elsewhere'\n"
+    assert not out.exists()
+    # an instances directory without instances
+    assert main(["score", "--instances", str(team), "--objective", "max",
+                 "--output", str(out), str(team)]) == 2
+    assert capsys.readouterr().err == f"error: no *.instance.json files in {team}\n"
+    assert not out.exists()
 
 
 def test_score_rejects_team_directories_with_one_name(tmp_path, capsys):
@@ -423,13 +449,18 @@ def test_solve_writes_solution_and_telemetry(line_files, tmp_path, capsys):
     assert all(set(r) == {"time", "objective", "phase"} for r in records)
 
 
-def test_solve_config_file_with_flag_overrides(line_files, tmp_path):
+def test_solve_config_file_with_flag_overrides(line_files, tmp_path, monkeypatch):
     ipath, _ = line_files
-    cfg = write(tmp_path / "solver.cfg", "objective = max\nrestarts = 2\n")
+    cfg = write(tmp_path / "solver.cfg", "objective = max\nrestarts = 2\nseed = 2\n")
     out = tmp_path / "out.solution.json"
     assert main(["solve", ipath, "-o", str(out), "--config", cfg,
                  "--objective", "sum", "--seed", "5"]) == 0
     assert out.exists()
+    # the seed: the flag, then GRIDMOTION_SEED, then the file
+    monkeypatch.setenv("GRIDMOTION_SEED", "7")
+    argv = ["solve", ipath, "-o", str(out), "--config", cfg]
+    assert solver_config_of(monkeypatch, argv).seed == 7
+    assert solver_config_of(monkeypatch, [*argv, "--seed", "5"]).seed == 5
 
 
 def test_solve_refuses_to_write_infeasible(tmp_path, capsys):
@@ -639,6 +670,10 @@ def test_generate_rejects_duplicate_combos(tmp_path, capsys):
         # the duplicate is found before anything is written
         assert not list(outdir.glob("*.instance.json"))
         assert not (outdir / "features.csv").exists()
+    # a valid config that cannot be generated exits 1, not 2
+    config = write(tmp_path / "empty.cfg", "map_width = 3\nmap_height = 3\ndensity = 0.05\n")
+    assert main(["generate", config, str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("generation failed:")
 
 
 @pytest.mark.parametrize("raster", [

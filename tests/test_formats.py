@@ -65,6 +65,11 @@ def test_instance_unknown_key_lenient_warns_strict_raises():
         assert parse_instance(text) == REF
     with pytest.raises(FormatError, match="unknown key"):
         parse_instance(text, strict=True)
+    # a misspelt key warns, then its real name is missing
+    renamed = REF_TEXT.replace('"obstacles"', '"obstacle"')
+    with pytest.warns(UserWarning, match="unknown key"):
+        with pytest.raises(FormatError, match="missing key 'obstacles'"):
+            parse_instance(renamed)
 
 
 def test_instance_boolean_coordinates_rejected():
@@ -203,6 +208,8 @@ SOLUTION_MUTATIONS = [
     REF_SOLUTION_TEXT.replace('"1"', '"02"'),
     REF_SOLUTION_TEXT.replace('"1": "N"', '"7": "N"'),
     "{}\n",
+    "[]\n",
+    '{"instance": "ref", "steps": {}}\n',
 ]
 
 

@@ -51,6 +51,14 @@ def test_params_validation():
                         start_distribution="gaussian")
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         GeneratorParams(map_width=5, map_height=5, density=0.5, seed=-1)
+    for bad, message in (({"obstacle_size_stddev": -1.0}, "stddevs must be >= 0"),
+                         ({"cluster_size_stddev": -0.5}, "stddevs must be >= 0"),
+                         ({"obstacle_count": 1, "obstacle_size_mean": 0.0},
+                          "obstacle_size_mean must be > 0"),
+                         ({"cluster_count": 1, "cluster_size_mean": -2.0},
+                          "cluster_size_mean must be > 0")):
+        with pytest.raises(ValueError, match=message):
+            GeneratorParams(map_width=5, map_height=5, density=0.5, **bad)
 
 
 def test_truncated_normal_respects_bounds():
@@ -167,6 +175,7 @@ def test_load_weight_map_parses_p2(tmp_path):
     "P2\n2 2 9\n1 2 3 10\n",          # sample over maxval
     "P2\n0 2 9\n\n",                  # zero dimension
     "P2\n2 2\n1 2 3 4\n",             # missing maxval
+    "P2\n2 x 9\n1 2 3 4\n",           # non-numeric header
 ])
 def test_load_weight_map_rejects_malformed(tmp_path, text):
     path = _pgm(tmp_path, "bad.pgm", text)

@@ -123,9 +123,10 @@ def path(*coords):
 
 
 def table_state(table):
-    """Copies of every reservation a table holds."""
+    """Copies of every reservation and record a table holds."""
     return (dict(table.vertex), dict(table.parked),
-            {r: list(cells) for r, cells in table.paths.items()}, table.horizon)
+            {r: list(cells) for r, cells in table.paths.items()}, table.horizon,
+            dict(table.moves))
 
 
 def test_table_records_vertices_edges_and_parking():
@@ -226,7 +227,10 @@ def test_table_static_starts_block_time_zero_only():
     table.vertex[(cell(4, 4), 0)] = cell(4, 4)
     assert table.blocked_at(cell(4, 4), 0)
     assert not table.blocked_at(cell(4, 4), 1)
-    assert table.last_visit(cell(4, 4)) == -1
+    # last_visit reads the map, so the hold counts; the solver never asks:
+    # a robot's own hold is gone before it plans, and it enters another
+    # robot's start at t >= 1 anyway
+    assert table.last_visit(cell(4, 4)) == 0
 
 
 # --------------------------------------------------------- plan_single
@@ -603,8 +607,9 @@ def record_plan_robots(monkeypatch, fail=False):
 
 def anneal_and_restore(monkeypatch, inst, order, value, lb_value):
     """Run one improvement move, for each of 8 seeds, on the plan of
-    ``order`` and check that the move changed nothing; returns the moves'
-    _plan_robots calls as (robots, whether all were planned)."""
+    ``order``, whose makespan is ``value``, and check that the move changed
+    nothing; returns the moves' _plan_robots calls as (robots, whether all
+    were planned)."""
     ctx = solve_module._SolveContext(inst)
     config = SolverConfig(anneal_iterations=1)
     real_plan_robots = solve_module._plan_robots
@@ -613,8 +618,9 @@ def anneal_and_restore(monkeypatch, inst, order, value, lb_value):
         table = ReservationTable(ctx.window)
         assert real_plan_robots(ctx, table, order, Objective.MAX, False) is None
         before = table_state(table)
-        assert solve_module._anneal(ctx, config, random.Random(seed), table,
-                                    value, lb_value, []) == value
+        assert table.value(Objective.MAX) == value
+        solve_module._anneal(ctx, config, random.Random(seed), table, lb_value, [])
+        assert table.value(Objective.MAX) == value
         assert table_state(table) == before
     return calls
 
@@ -643,6 +649,16 @@ def rebuilt(table):
     return fresh
 
 
+def last_visit_by_paths(table, cell):
+    """The last time a committed path occupies ``cell``: -1 when never,
+    +inf when one parks there; the oracle of ReservationTable.last_visit
+    while no unplanned robot holds its start."""
+    if cell in table.parked:
+        return math.inf
+    return max((len(cells) - 1 - cells[::-1].index(cell)
+                for cells in table.paths.values() if cell in cells), default=-1)
+
+
 def table_objectives(inst, table):
     """(makespan, total distance) of the schedule of the table's committed
     paths alone, as the validator scores it."""
@@ -657,13 +673,17 @@ def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
     # a seeded mix of _plan_robots calls, some failing and some cut short by
     # the deadline, path removals and annealing moves; after each step the
     # table must hold exactly what its committed paths alone would write,
-    # and the objective the solver reads off it must be the schedule's
+    # the objective the solver reads off it must be the schedule's, and
+    # last_visit must agree with a scan of the committed paths
     outcomes = collections.Counter()
     for seed in range(6):
         rng = random.Random(seed)
         inst = generate(GeneratorParams(7, 7, 0.35, obstacle_count=2, seed=seed)).instance
         ctx = solve_module._SolveContext(inst)
         table = ReservationTable(ctx.window)
+        x0, y0, x1, y1 = ctx.window
+        cells = [cell_id(ctx.window, (x, y)) for x in range(x0, x1 + 1)
+                 for y in range(y0, y1 + 1)]
         objectives = (0, 0)
         for _ in range(30):
             objective = rng.choice(list(Objective))
@@ -692,19 +712,20 @@ def test_table_matches_a_rebuild_after_random_plans_removals_and_moves():
                     continue   # the annealer never starts from the bound 0
                 ctx.out_of_time = lambda: False
                 solve_module._anneal(ctx, SolverConfig(objective=objective, anneal_iterations=3),
-                                     rng, table, value, -1, [])
+                                     rng, table, -1, [])
                 outcomes["annealed"] += 1
             assert table_state(table) == table_state(rebuilt(table))
-            objectives = (table.horizon, sum(map(solve_module._moves, table.paths.values())))
+            objectives = (table.value(Objective.MAX), table.value(Objective.SUM))
             assert objectives == table_objectives(inst, table)
+            assert all(table.last_visit(c) == last_visit_by_paths(table, c) for c in cells)
     assert min(outcomes[k] for k in ("planned", "failed early", "cut", "removed",
                                      "annealed")) > 0, outcomes
 
 
 def test_anneal_keeps_the_incumbent_in_the_table():
     # improvement never leaves the table on a schedule worse than the one it
-    # returns: the table's paths score the returned value, no worse than the
-    # value improvement started from, and the table is what they alone write
+    # started from: the table's own value is the value its paths score, no
+    # worse than before, and the table is what they alone write
     outcomes = collections.Counter()
     for seed in range(3):
         for side in (7, 8, 9, 10):
@@ -720,8 +741,8 @@ def test_anneal_keeps_the_incumbent_in_the_table():
                 value = table_objectives(inst, table)[sum_objective]
                 lb_value = ctx.lb_total if sum_objective else ctx.lb_makespan
                 config = SolverConfig(objective=objective, anneal_iterations=100)
-                result = solve_module._anneal(ctx, config, random.Random(seed), table,
-                                              value, lb_value, [])
+                solve_module._anneal(ctx, config, random.Random(seed), table, lb_value, [])
+                result = table.value(objective)
                 assert table_objectives(inst, table)[sum_objective] == result
                 assert result <= value
                 assert table_state(table) == table_state(rebuilt(table))

@@ -101,6 +101,8 @@ def test_check_step_rejects_inconsistent_inputs():
     for bad in (("E", "E"), (Direction.EAST, (1, 0)), (Direction.EAST, None)):
         with pytest.raises(ValueError, match="must be Direction"):
             check_step(inst, config((0, 0), (1, 0)), bad)
+    with pytest.raises(ValueError, match="schedule width 1 != instance robot count 2"):
+        validate_schedule(inst, schedule(inst.name, "E"))
 
 
 def test_touching_squares_may_stay_touching():
