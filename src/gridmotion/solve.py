@@ -2,19 +2,20 @@
 restarts, followed by local search over two-robot replans.
 
 An initial feasible schedule is built by planning robots one at a time
-against a reservation table, one map from (cell, time) to the cell its
-occupant held a step before. The single-robot search lifts the step rules
-into space-time and reads each of them off that map: a move into a pixel
-that is occupied at departure time is legal only when the committed occupant
-leaves it in the same direction at the same time (chain moves behind
-committed paths), and a robot being planned must vacate a pixel in the
-direction of any committed robot entering it. A robot cannot recruit
-not-yet-planned robots to move in concert; each holds its start pixel at
-time 0 with no departure recorded, so no one enters it at time 1. The search
-has no time horizon: once every committed path has arrived the table stops
-changing, so it prunes what can no longer pay and ends on its own. Each
-priority order is planned in one pass. A planned path ends on its last move,
-so the table's last arrival is the makespan; it counts moves per robot for SUM.
+against a reservation table: one map from (cell, time) to the cell its
+occupant held a step before, and per cell the sorted times it is held. The
+single-robot search runs over safe intervals, the runs of time between a
+cell's holds, so a wait of any length is one edge, and reads each step rule
+off the table: a move into a pixel that is occupied at departure time is
+legal only when the committed occupant leaves it in the same direction at
+the same time (chain moves behind committed paths), and a robot being
+planned must vacate a pixel in the direction of any committed robot
+entering it. A robot cannot recruit not-yet-planned robots to move in
+concert; each holds its start pixel at time 0 with no departure recorded,
+so no one enters it at time 1. The search has no time horizon and ends on
+its own. Each priority order is planned in one pass. A planned path ends on
+its last move, so the table's last arrival is the makespan; it counts moves
+per robot for SUM.
 
 Local search then repeatedly erases two robots, replans them in random
 order, and keeps the result when it is no worse; a worse or failed replan
@@ -39,6 +40,7 @@ With ``time_limit`` unset, results are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 import heapq
 import itertools
 import math
@@ -135,10 +137,11 @@ class ReservationTable:
     One map holds who stands where: ``vertex[(cell, t)]`` is the cell its
     occupant held at ``t - 1``, or ``cell`` itself at ``t = 0``. Every step
     rule reads it: a robot at ``(q, t)`` leaves with displacement ``d``
-    exactly when ``vertex[(q + d, t + 1)] == q``. A robot not planned yet may
-    hold its start at time 0 with ``vertex[(start, 0)] = start`` and no
-    path; no entry at ``t = 1`` points back to it, so no one may enter it at
-    time 1. ``parked`` maps each final cell to its arrival time, and
+    exactly when ``vertex[(q + d, t + 1)] == q``. ``busy[cell]`` lists the
+    times at which ``vertex`` holds the cell, sorted. A robot not planned
+    yet may :meth:`hold` its start at time 0 with no path; no entry at
+    ``t = 1`` points back to it, so no one may enter it at time 1.
+    ``parked`` maps each final cell to its arrival time, and
     ``horizon`` is the last arrival of any committed path (0 when there is
     none): from then on only parked robots hold cells, and nothing in the
     table changes with time. Paths from :func:`plan_single` end on their
@@ -151,9 +154,20 @@ class ReservationTable:
         self.window = window
         self.horizon = 0
         self.vertex: dict = {}   # (cell, t) -> the occupant's cell at t-1
+        self.busy: dict = {}     # cell -> sorted times t with (cell, t) in vertex
         self.parked: dict = {}   # cell -> arrival time
         self.paths: dict = {}    # robot -> its committed cells
         self.moves: dict = {}    # robot -> moves along its path
+
+    def _write(self, cell: int, t: int, came_from: int) -> None:
+        self.vertex[(cell, t)] = came_from
+        insort(self.busy.setdefault(cell, []), t)
+
+    def _erase(self, cell: int, t: int) -> None:
+        del self.vertex[(cell, t)]
+        self.busy[cell].remove(t)
+        if not self.busy[cell]:
+            del self.busy[cell]
 
     def add_path(self, robot: int, cells: list[int]) -> None:
         # check everything before the first write, so a rejected path
@@ -165,7 +179,7 @@ class ReservationTable:
         if self.last_visit(cells[end]) >= end:
             raise ValueError(f"cell {cells[end]} reserved at or after t={end}")
         for t, c in enumerate(cells):
-            self.vertex[(c, t)] = cells[t - 1] if t else c
+            self._write(c, t, cells[t - 1] if t else c)
         self.parked[cells[end]] = end
         self.paths[robot] = cells
         self.moves[robot] = sum(a != b for a, b in zip(cells, cells[1:]))
@@ -175,10 +189,18 @@ class ReservationTable:
         path = self.paths.pop(robot)
         del self.moves[robot]
         for t, c in enumerate(path):
-            del self.vertex[(c, t)]
+            self._erase(c, t)
         del self.parked[path[-1]]
         if len(path) - 1 == self.horizon:
             self.horizon = max((len(p) - 1 for p in self.paths.values()), default=0)
+
+    def hold(self, cell: int) -> None:
+        """Hold ``cell`` at time 0 for a robot not planned yet."""
+        self._write(cell, 0, cell)
+
+    def release(self, cell: int) -> None:
+        """Take back a :meth:`hold`."""
+        self._erase(cell, 0)
 
     def blocked_at(self, cell: int, t: int) -> bool:
         if (cell, t) in self.vertex:
@@ -187,11 +209,12 @@ class ReservationTable:
         return arrival is not None and t >= arrival
 
     def last_visit(self, cell: int) -> float:
-        """Last time ``vertex`` holds the cell, an unplanned robot's start at
-        time 0 included; -1 when never, +inf for parked cells."""
+        """Last time ``vertex`` holds the cell, a :meth:`hold` included; -1
+        when never, +inf for parked cells."""
         if cell in self.parked:
             return math.inf
-        return next((t for t in range(self.horizon, -1, -1) if (cell, t) in self.vertex), -1)
+        times = self.busy.get(cell)
+        return times[-1] if times else -1
 
     def value(self, objective: Objective) -> int:
         """The committed paths' makespan (MAX) or total moves (SUM)."""
@@ -212,24 +235,35 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     move: waiting into the target at ``t`` would mean holding it at
     ``t - 1``, the last time a committed robot visits it.
 
-    The search runs over the cell ids of ``table.window``; ``field`` is the
-    robot's :func:`distance_map` there, negative on walls. The heap orders
-    states by the two cost keys, each plus the field's distance ``h`` to the
-    target, then by ``h``: among states of equal cost the one nearest the
-    target is expanded first, so on an open grid the search follows one
+    The search runs over safe intervals (Phillips and Likhachev, ICRA 2011):
+    interval ``j`` of a cell is the run of times, between the holds in
+    ``table.busy[cell]``, that ends just before hold ``j``. A label
+    ``(cell, arrival, moves, parent)`` may wait on its cell to its
+    interval's last time ``b``, so a wait of any length is one edge. Moving
+    to a neighbour ``q``, it arrives in ``[arrival + 1, b + 1]``; in each
+    interval of ``q`` met there, only the earliest legal arrival ``s`` is
+    generated, as waiting in ``q`` reaches the later ones. R3 cuts two
+    edges at interval ends:
+
+    - ``q`` held at ``s - 1``: the robot enters behind that occupant only
+      when it leaves with the same displacement at ``s`` (a train), else at
+      ``s + 1`` at the earliest;
+    - arriving at ``b + 1`` means leaving as a committed robot enters the
+      cell, which is legal only in that robot's direction.
+
+    A label is dropped, or skipped when popped, once another label in its
+    interval has an arrival no later and no more moves. The heap orders
+    labels by the two cost keys, each plus ``h``, the distance to the target
+    on ``field`` (the robot's :func:`distance_map` over ``table.window``,
+    negative on walls), then by ``h``: among labels of equal cost the one
+    nearest the target goes first, so on an open grid the search follows one
     shortest path instead of sweeping every tied one. An insertion counter
     settles the rest, so results are deterministic.
 
-    No horizon is needed. Let ``still`` be the later of ``table.horizon``
-    and the first time the target stays free, and at least 1 (unplanned
-    robots hold their starts at time 0). From ``still`` on nothing in the
-    table changes with time, so a state there is worse than one on the same
-    cell at an earlier or equal time with no more moves, under either cost.
-    Hence a wait, the offset 0 tried after N, S, E and W, is offered only
-    before ``still``, and a move into a cell at or after ``still`` is
-    dropped when such a state was already expanded there. Each cell is then
-    entered a bounded number of times, and the search ends: None means that
-    no path exists at any time.
+    No horizon is needed: the table has finitely many intervals, and each
+    takes finitely many labels, since a label joins only when no earlier one
+    dominates it, and pairs of non-negative integers admit no endless such
+    sequence. So the search ends; None means no path exists at any time.
     """
     window = table.window
     start = cell_id(window, instance.starts[robot])
@@ -237,77 +271,66 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     if table.blocked_at(start, 0):
         raise ValueError(f"start of robot {robot} is reserved at time 0")
     moves = tuple(_move_offsets(window))
-    moves_or_wait = moves + (0,)
-    vertex = table.vertex
-    parked = table.parked
+    vertex, busy, parked = table.vertex, table.busy, table.parked
     sum_objective = Objective(objective) is Objective.SUM
 
     h0 = field[start]
     goal_free_from = table.last_visit(goal) + 1
     if h0 < 0 or goal_free_from == math.inf:
         return None
-    still = max(table.horizon, goal_free_from, 1)
 
-    # one dict per time step, keyed by cell: a single dict keyed by (cell, t)
-    # grows to multi-megabyte tables on wide windows, and their
-    # reallocations made peak memory differ from run to run
-    best = [{start: (0, None)}]   # cell at t -> (fewest moves, its cell at t-1)
-    settled: dict = {}    # cell -> (moves, t) of its first expansion at or after still
+    root = (start, 0, 0, None)
+    fronts = {(start, 0): [root]}   # (cell, interval index) -> undominated labels
     counter = itertools.count()
-    heap = [(h0, h0, h0, next(counter), start, 0, 0)]
+    heap = [(h0, h0, h0, next(counter), root)]
     while heap:
-        _, _, _, _, p, t, moves_in = heapq.heappop(heap)
-        if best[t][p][0] != moves_in:
-            continue   # stale heap entry
+        label = heapq.heappop(heap)[4]
+        p, t, m, _ = label
+        holds = busy.get(p, ())
+        k = bisect_left(holds, t)
+        if label not in fronts[(p, k)]:
+            continue   # dominated since it was queued
         if p == goal and t >= goal_free_from:
             path = [p]
-            for k in range(t, 0, -1):
-                p = best[k][p][1]
-                path.append(p)
+            while label[3] is not None:
+                parent = label[3]
+                path += [parent[0]] * (label[1] - parent[1])
+                label = parent
             return path[::-1]
-        nt = t + 1
-        late = nt >= still
-        if t >= still and p not in settled:
-            settled[p] = (moves_in, t)
-        if nt == len(best):
-            best.append({})
-        best_next = best[nt]
-        # (p, t) is free, so an entry at (p, t+1) is a robot entering from
-        # a neighbour
-        incoming = vertex.get((p, nt))
-        for d in (moves_or_wait if t < still else moves):
+        # gone by the next hold, if any, moving as the robot that enters p then
+        end = holds[k] if k < len(holds) else math.inf
+        along = p - vertex[(p, end)] if k < len(holds) else None
+        nm = m + 1
+        for d in moves:
             q = p + d
             h = field[q]
             if h < 0:
                 continue   # ring, obstacle or cut off from the target
-            if (q, nt) in vertex:
-                continue
-            arrival = parked.get(q)
-            if arrival is not None and nt >= arrival:
-                continue
-            # R3 against committed paths: entering an occupied cell requires
-            # the occupant to leave it with the same displacement now; only
-            # the occupant of (q, t) can have come from q at t+1
-            if (q, t) in vertex and vertex.get((q + d, nt)) != q:
-                continue
-            # and symmetrically: if a committed robot enters our cell now,
-            # we must vacate it in that robot's direction
-            if incoming is not None and p - incoming != d:
-                continue
-            nmoves = moves_in + (d != 0)
-            old = best_next.get(q)
-            if old is not None and old[0] <= nmoves:
-                continue
-            if late:
-                done = settled.get(q)
-                if done is not None and done[0] <= nmoves and done[1] <= nt:
+            last = end if along is None or d == along else end - 1
+            qh = busy.get(q, ())
+            n = len(qh)
+            # a cell never held has one interval, from time 0 on
+            for j in range(bisect_left(qh, t + 1), n + (q not in parked)) if qh else (0,):
+                s = qh[j - 1] + 1 if j else 0   # where interval j opens
+                if s <= t:
+                    s = t + 1
+                elif vertex.get((q + d, s)) != q:
+                    s += 1   # enter only behind an occupant leaving the same way
+                if s > last:
+                    break
+                if j < n and s >= qh[j]:
+                    continue   # interval j closes first
+                new = (q, s, nm, label)
+                front = fronts.get((q, j))
+                if front is None:
+                    fronts[(q, j)] = [new]
+                elif any(x[1] <= s and x[2] <= nm for x in front):
                     continue
-            best_next[q] = (nmoves, p)
-            if sum_objective:
-                f1, f2 = nmoves + h, nt + h
-            else:
-                f1, f2 = nt + h, nmoves + h
-            heapq.heappush(heap, (f1, f2, h, next(counter), q, nt, nmoves))
+                else:
+                    front[:] = [x for x in front if x[1] < s or x[2] < nm]
+                    front.append(new)
+                f1, f2 = (nm + h, s + h) if sum_objective else (s + h, nm + h)
+                heapq.heappush(heap, (f1, f2, h, next(counter), new))
     return None
 
 
@@ -341,24 +364,24 @@ def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[i
     exactly as it was, and the result is the robot it stopped at: the one
     that found no path or, when ``check_deadline`` is set and the deadline
     passed, the one it did not try."""
-    vertex = table.vertex
     starts = ctx.start_cells
     for i in robots:
-        vertex[(starts[i], 0)] = starts[i]
+        table.hold(starts[i])
     for k, robot in enumerate(robots):
         if check_deadline and ctx.out_of_time():
             break
-        del vertex[(starts[robot], 0)]
+        table.release(starts[robot])
         path = plan_single(ctx.instance, robot, table, objective, field=ctx.fields[robot])
         if path is None:
+            table.hold(starts[robot])   # released below with the robots after it
             break
         table.add_path(robot, path)
     else:
         return None
     for i in robots[:k]:
         table.remove_path(i)
-    for i in robots[k:]:   # the start entries of robots never reached
-        vertex.pop((starts[i], 0), None)
+    for i in robots[k:]:
+        table.release(starts[i])
     return robot
 
 

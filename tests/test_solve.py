@@ -124,9 +124,9 @@ def path(*coords):
 
 def table_state(table):
     """Copies of every reservation and record a table holds."""
-    return (dict(table.vertex), dict(table.parked),
-            {r: list(cells) for r, cells in table.paths.items()}, table.horizon,
-            dict(table.moves))
+    return (dict(table.vertex), {c: list(times) for c, times in table.busy.items()},
+            dict(table.parked), {r: list(cells) for r, cells in table.paths.items()},
+            table.horizon, dict(table.moves))
 
 
 def test_table_records_vertices_edges_and_parking():
@@ -224,10 +224,10 @@ def test_table_horizon_is_the_last_arrival():
 def test_table_static_starts_block_time_zero_only():
     # an unplanned robot's start: held at time 0, with no path behind it
     table = ReservationTable(WINDOW)
-    table.vertex[(cell(4, 4), 0)] = cell(4, 4)
+    table.hold(cell(4, 4))
     assert table.blocked_at(cell(4, 4), 0)
     assert not table.blocked_at(cell(4, 4), 1)
-    # last_visit reads the map, so the hold counts; the solver never asks:
+    # last_visit reads the table, so the hold counts; the solver never asks:
     # a robot's own hold is gone before it plans, and it enters another
     # robot's start at t >= 1 anyway
     assert table.last_visit(cell(4, 4)) == 0
@@ -317,12 +317,32 @@ def test_plan_single_walled_in_by_parked_robots_returns_none(monkeypatch):
         assert 0 < pushes[0] <= 10 * len(pocket)
 
 
-def random_committed_case(seed):
-    """A one-robot instance and up to four random walks committed around
-    it, none of which starts on the robot's start; None when the map has
-    fewer than two open cells."""
+def test_plan_single_search_does_not_grow_with_a_wait(monkeypatch):
+    # the target frees only after a committed robot, idle for a while,
+    # crosses it southward; a wait of any length is one edge, so neither
+    # the search nor the arrival's lateness grows with the idle time
+    pushes = count_pushes(monkeypatch)
+    inst = make_instance([(0, 0), (3, 2)], [(3, 0), (3, -2)])
+    window = search_window(inst)
+    for objective in Objective:
+        seen = set()
+        for idle in (10, 40, 160):
+            table = ReservationTable(window)
+            table.add_path(1, ids(window, *[(3, 2)] * (idle + 1), (3, 1), (3, 0), (3, -1),
+                                  (3, -2)))
+            pushes[0] = 0
+            path = plan(inst, 0, table, objective)
+            seen.add((len(path) - 1 - idle, pushes[0]))
+        assert len(seen) == 1, (objective, seen)
+
+
+def random_committed_case(seed, side=5, n_walks=4, steps=8):
+    """A one-robot instance on a map of at most ``side`` x ``side`` cells
+    and up to ``n_walks`` random walks of up to ``steps`` steps committed
+    around it, none of which starts on the robot's start; None when the map
+    has fewer than two open cells."""
     rng = random.Random(seed)
-    w, h = rng.randint(2, 5), rng.randint(2, 5)
+    w, h = rng.randint(2, side), rng.randint(2, side)
     cells = [(x, y) for x in range(w) for y in range(h)]
     obstacles = [c for c in cells if rng.random() < 0.15]
     open_cells = [c for c in cells if c not in obstacles]
@@ -334,9 +354,9 @@ def random_committed_case(seed):
     free = {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)} - set(obstacles)
     table = ReservationTable(window)
     walks = []
-    for robot in range(1, rng.randint(2, 5)):
+    for robot in range(1, rng.randint(2, n_walks + 1)):
         walk = [rng.choice(sorted(free - {start}))]
-        for _ in range(rng.randint(0, 8)):
+        for _ in range(rng.randint(0, steps)):
             x, y = walk[-1]
             options = [c for c in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
                        if c in free]
@@ -351,30 +371,33 @@ def random_committed_case(seed):
 
 def test_plan_single_cost_matches_a_time_expanded_search():
     # the search has no horizon, so it must find the cost of the reference
-    # search, which runs long enough to see every cheapest path
-    compared = found = 0
-    for seed in range(80):
-        case = random_committed_case(seed)
-        if case is None:
-            continue
-        inst, table, free, walks = case
-        for objective in Objective:
-            path = plan(inst, 0, table, objective)
-            expected = oracles.single_robot_optimum(
-                inst.starts[0], inst.targets[0], free, walks, objective.value)
-            compared += 1
-            if path is None:
-                assert expected is None, (seed, objective)
+    # search, which runs long enough to see every cheapest path; the second
+    # case set's longer walks give cells more safe intervals to search
+    case_sets = [(300, {}, 500, 400), (50, dict(side=6, n_walks=6, steps=16), 80, 70)]
+    for seeds, shape, least_compared, least_found in case_sets:
+        compared = found = 0
+        for seed in range(seeds):
+            case = random_committed_case(seed, **shape)
+            if case is None:
                 continue
-            found += 1
-            # the solver reads the makespan off the table's last arrival,
-            # which holds only when no path ends on a wait
-            assert len(path) == 1 or path[-1] != path[-2], (seed, objective)
-            moves = sum(a != b for a, b in zip(path, path[1:]))
-            assert (len(path) - 1, moves) == expected, (seed, objective)
-            assert (path[0], path[-1]) == tuple(ids(table.window, inst.starts[0],
-                                                    inst.targets[0]))
-    assert compared >= 100 and found >= 80
+            inst, table, free, walks = case
+            for objective in Objective:
+                path = plan(inst, 0, table, objective)
+                expected = oracles.single_robot_optimum(
+                    inst.starts[0], inst.targets[0], free, walks, objective.value)
+                compared += 1
+                if path is None:
+                    assert expected is None, (seed, shape, objective)
+                    continue
+                found += 1
+                # the solver reads the makespan off the table's last arrival,
+                # which holds only when no path ends on a wait
+                assert len(path) == 1 or path[-1] != path[-2], (seed, shape, objective)
+                moves = sum(a != b for a, b in zip(path, path[1:]))
+                assert (len(path) - 1, moves) == expected, (seed, shape, objective)
+                assert (path[0], path[-1]) == tuple(ids(table.window, inst.starts[0],
+                                                        inst.targets[0]))
+        assert compared >= least_compared and found >= least_found, shape
 
 
 def test_plan_single_returns_none_for_walled_target():
@@ -1062,15 +1085,15 @@ def test_solve_stops_proving_when_the_deadline_passes(monkeypatch):
 # (width, height, density, obstacle_count, seed) -> {objective: (value, sha1)}
 PINNED_SCHEDULES = {
     (6, 6, 0.3, 2, 0): {"max": (8, "d0d5532541238468f49ed6bdbe051d5e27d7bd03"),
-                        "sum": (33, "ab584f17d2827cf1796ae93533c0dc8dd2b8bf1f")},
-    (6, 6, 0.3, 2, 1): {"max": (9, "90711fa69d74c1dcc438ed0ba5b8ea8bab5a02b9"),
+                        "sum": (33, "438addac6cd118c269a70b905c05ea3a76b58712")},
+    (6, 6, 0.3, 2, 1): {"max": (9, "15b57432a9a1723f30a5f79a10c6092c92685c7a"),
                         "sum": (27, "46c699c2f831e923bd5aba1faab4814ce16cd03d")},
-    (7, 7, 0.4, 3, 1): {"max": (17, "aa8abc1bd30026b50eafce4fac856ff2903a2965"),
-                        "sum": (81, "4bfeba122dd9a678b98b5c706b30bd33fa07ab53")},
-    (8, 8, 0.3, 3, 4): {"max": (11, "92958e99e3a6268247e6e21945222164816a7efa"),
-                        "sum": (89, "808eb87c2723fa8aca8d3db54d93e5eb22d63271")},
-    (10, 10, 0.3, 3, 0): {"max": (14, "43e8a910522acfa22fa5d6582a83bc44d51132d8"),
-                          "sum": (149, "fb9c1783f7ccae626c9537af36d704db9984c45b")},
+    (7, 7, 0.4, 3, 1): {"max": (17, "bc4324494396421aa4c45ba05b48ab87c114c5bf"),
+                        "sum": (79, "8237dd5808dfa9ac142dddb6c11b6481cd09bca4")},
+    (8, 8, 0.3, 3, 4): {"max": (11, "f150ecc2bd863a31574801f9bfd04004d7fdca26"),
+                        "sum": (89, "50fcab98230fe68ff1577d384669fafec28fc7f3")},
+    (10, 10, 0.3, 3, 0): {"max": (14, "6bf34f581b36473abd519bbb332a4c3c6f0cc5f3"),
+                          "sum": (149, "951937909c5673e0ce19c8250684da61007c75f7")},
 }
 
 
