@@ -164,7 +164,8 @@ def fill_enclosed(obstacles: frozenset[Pixel] | set[Pixel],
     """Add every free map pixel that cannot reach the map exterior through
     free pixels (4-neighborhood) to the obstacle set. Walks may leave the map
     boundary, so any free boundary pixel counts as connected. Obstacles must
-    lie on the map: the flood starts from the free ring just outside it."""
+    lie on the map: a pixel is kept when it has a distance to the corner
+    (-1, -1) of the free ring just outside it."""
     obstacles = frozenset(obstacles)
     window = (-1, -1, map_width, map_height)
     reached = distance_map(obstacles, window, Pixel(-1, -1))

@@ -19,6 +19,7 @@ index for index. All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -171,33 +172,103 @@ def cell_id(window: tuple[int, int, int, int], pixel) -> int:
     return (pixel[0] - x0 + 1) * (y1 - y0 + 3) + pixel[1] - y0 + 1
 
 
+@functools.lru_cache(maxsize=1)
+def _frame(obstacles: frozenset, window: tuple[int, int, int, int]) -> tuple:
+    """What :func:`distance_map` needs of a window whatever the target: the
+    ids of the obstacles inside it, the ids of the free inner cells beside
+    one, and ``tuple(range(...))`` up to the largest Manhattan distance. The
+    solver asks for one field per target, so the last window is kept."""
+    x0, y0, x1, y1 = window
+    stride = y1 - y0 + 3
+    walls = frozenset(cell_id(window, p) for p in obstacles
+                      if x0 <= p[0] <= x1 and y0 <= p[1] <= y1)
+    beside = {q for c in walls for q in (c + 1, c - 1, c + stride, c - stride)} - walls
+    inner = range(stride, (x1 - x0 + 2) * stride)   # all but the ring's two columns
+    return (walls, tuple(q for q in beside if q in inner and 0 < q % stride < stride - 1),
+            tuple(range(x1 - x0 + y1 - y0 + 1)))
+
+
 def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
                  target: Pixel) -> list:
     """Grid distances to ``target`` over the window's padded frame, indexed
     by :func:`cell_id`; paths stay inside the inclusive window. The ring,
     obstacles and cells that cannot reach the target read -1, so a search
-    over ids needs no bounds test: a negative entry is a wall."""
+    over ids needs no bounds test: a negative entry is a wall. A target on
+    an obstacle reads 0 and is passable; a target outside the window raises
+    ValueError.
+
+    Every free cell starts at its Manhattan distance ``M``, copied column by
+    column from slices of one range tuple. A cell other than the target keeps
+    ``M`` exactly when a neighbour one step nearer the target (there is at
+    most one along each axis) keeps its own. So only a cell beside an
+    obstacle can lose ``M`` first: the shadow walk starts there, visits cells
+    in increasing ``M``, and marks every cell whose nearer neighbours are all
+    walls or marked. A shortest path from a marked cell runs among marked
+    cells until its first kept one, so a flood through the marked cells,
+    seeded from their kept neighbours, gives them their distances. Marked
+    cells it does not reach are cut off. On open ground nothing is marked
+    and the field costs one list copy."""
     x0, y0, x1, y1 = window
+    tx, ty = target
+    if not (x0 <= tx <= x1 and y0 <= ty <= y1):
+        raise ValueError(f"target {tuple(target)} lies outside window {window}")
+    walls, beside, ramp = _frame(obstacles, window)
     stride = y1 - y0 + 3
-    field = [-1] * ((x1 - x0 + 3) * stride)
-    inner = [None] * (stride - 2)   # None: free, not reached yet
-    for c in range(stride, len(field) - stride, stride):
-        field[c + 1:c + stride - 1] = inner
-    for p in obstacles:
-        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
-            field[cell_id(window, p)] = -1
-    frontier = [cell_id(window, target)]
-    field[frontier[0]] = d = 0
-    while frontier:
-        d += 1
+    tj = ty - y0 + 1
+    field = [-1] * stride
+    for a in (*range(tx - x0, 0, -1), *range(x1 - tx + 1)):   # |x - tx|, column by column
+        field.append(-1)
+        field += ramp[a + tj - 1:a:-1]
+        field += ramp[a:a + stride - 1 - tj]
+        field.append(-1)
+    field += [-1] * stride
+    for c in walls:
+        field[c] = -1
+    field[(tx - x0 + 1) * stride + tj] = 0
+    # shadow walk: pending[v] holds cells of Manhattan distance v to decide,
+    # and a marked cell reads None. A neighbour nearer the target holds v - 1
+    # exactly when it is kept; a farther one not decided yet holds v + 1.
+    pending = [[] for _ in range(len(ramp) + 1)]
+    for c in beside:
+        pending[field[c]].append(c)   # the target lands in 0 and is never marked
+    marked = []
+    for v in range(1, len(ramp)):
+        later = pending[v + 1]
+        u, w = v - 1, v + 1
+        for c in pending[v]:
+            if (field[c] == v and field[c + 1] != u and field[c - 1] != u
+                    and field[c + stride] != u and field[c - stride] != u):
+                field[c] = None
+                marked.append(c)
+                for q in (c + 1, c - 1, c + stride, c - stride):
+                    if field[q] == w:
+                        later.append(q)
+    # shadow flood, level by level, from the kept neighbours of marked cells
+    seeds: dict[int, list] = {}
+    for c in marked:
+        for q in (c + 1, c - 1, c + stride, c - stride):
+            d = field[q]
+            if d is not None and d >= 0:
+                seeds.setdefault(d + 1, []).append(c)
+    v = min(seeds, default=0)
+    frontier = []
+    while frontier or seeds:
+        for c in seeds.pop(v, ()):
+            if field[c] is None:
+                field[c] = v
+                frontier.append(c)
+        v += 1
         reached = []
         for c in frontier:
             for q in (c + 1, c - 1, c + stride, c - stride):
                 if field[q] is None:
-                    field[q] = d
+                    field[q] = v
                     reached.append(q)
         frontier = reached
-    return [-1 if v is None else v for v in field] if None in field else field
+    for c in marked:
+        if field[c] is None:
+            field[c] = -1
+    return field
 
 
 def _grid_distance(obstacles: frozenset, window: tuple[int, int, int, int],
@@ -211,7 +282,8 @@ def _grid_distance(obstacles: frozenset, window: tuple[int, int, int, int],
     the search is deterministic and, where nothing blocks the way, expands
     little more than one shortest path instead of the window. ``h`` is
     consistent, so a cell's first expansion is final and the target's is its
-    distance. It agrees with :func:`distance_map`, which floods the window.
+    distance. It agrees with :func:`distance_map`, which fills in the whole
+    window for one target.
     """
     x0, y0, x1, y1 = window
     tx, ty = target

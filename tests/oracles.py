@@ -110,6 +110,25 @@ def grid_bfs_distance(src, dst, obstacles, bounds):
     return None
 
 
+def grid_bfs_field(target, obstacles, bounds):
+    """Shortest 4-neighbor path length from every pixel of the inclusive
+    ``bounds`` (xmin, ymin, xmax, ymax) to ``target``, as a dict from (x, y)
+    pairs; pixels that are obstacles or cut off from the target are absent.
+    The target itself reads 0 even when it is an obstacle."""
+    xmin, ymin, xmax, ymax = bounds
+    blocked = set(map(tuple, obstacles))
+    dist = {tuple(target): 0}
+    queue = deque([tuple(target)])
+    while queue:
+        x, y = queue.popleft()
+        for cell in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if (xmin <= cell[0] <= xmax and ymin <= cell[1] <= ymax
+                    and cell not in blocked and cell not in dist):
+                dist[cell] = dist[(x, y)] + 1
+                queue.append(cell)
+    return dist
+
+
 def _joint_successors(positions, obstacles, bounds):
     """All joint moves legal under the continuous-overlap test."""
     xmin, ymin, xmax, ymax = bounds

@@ -800,6 +800,16 @@ def test_solve_train_pair_reaches_both_lower_bounds():
         assert res.bounds == (lb_makespan, lb_total)
 
 
+def test_solve_far_apart_swap_past_one_obstacle():
+    # two robots trade corners of a 1,600-cell diagonal: each distance field
+    # spans a 1,603 x 1,603 window, yet is Manhattan distance throughout
+    inst = make_instance([(0, 0), (1600, 1600)], [(1600, 1600), (0, 0)], [(800, 800)])
+    result = solve(inst, SolverConfig(restarts=1))
+    assert result.success and result.value == 3200 == result.bounds[0]
+    assert validate_schedule(inst, result.schedule) == result.report
+    assert result.report.feasible and result.report.makespan == 3200
+
+
 def test_solve_results_validate_and_dominate_oracle_on_rooms():
     for inst, window in rooms(10):
         optimum = exact_optimum(inst, window)

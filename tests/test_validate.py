@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -436,6 +437,69 @@ def test_distance_map_ring_and_obstacles_are_walls():
     walled = frozenset({Pixel(1, 0), Pixel(0, 1)})
     assert read(distance_map(walled, (0, 0, 2, 2), Pixel(0, 0)), (0, 0, 2, 2),
                 (2, 2)) is None
+
+
+def test_distance_map_rejects_a_target_outside_the_window():
+    # left of the window the target's cell id would be negative and index
+    # the far end of the frame; right of it the id would run off the list
+    for target in (Pixel(-2, 1), Pixel(3, 1), Pixel(1, -1), Pixel(1, 3)):
+        with pytest.raises(ValueError, match="outside window"):
+            distance_map(frozenset(), (0, 0, 2, 2), target)
+
+
+def assert_field_matches_bfs(obstacles, window, target):
+    """Compare every entry of ``target``'s distance map, the ring included,
+    with a pixel BFS over the window; return the BFS distances."""
+    x0, y0, x1, y1 = window
+    field = distance_map(frozenset(Pixel(*p) for p in obstacles), window, Pixel(*target))
+    expected = oracles.grid_bfs_field(target, obstacles, window)
+    frame = [(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)]
+    assert len(field) == len(frame)
+    assert {p: d for p, d in zip(frame, field) if d != -1} == expected, (window, target)
+    return expected
+
+
+def test_distance_map_matches_a_pixel_bfs_on_random_windows():
+    rng = random.Random(2103)
+    seen = collections.Counter()
+    for _ in range(1200):
+        w, h = rng.randint(1, 20), rng.randint(1, 20)
+        x0, y0 = rng.randint(-4, 4), rng.randint(-4, 4)
+        x1, y1 = x0 + w - 1, y0 + h - 1
+        window = (x0, y0, x1, y1)
+        # obstacles reach two cells past the window on every side
+        density = rng.choice((0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 0.95 * rng.random()))
+        obstacles = {(x, y) for x in range(x0 - 2, x1 + 3) for y in range(y0 - 2, y1 + 3)
+                     if rng.random() < density}
+        for _ in range(rng.randint(0, 3)):
+            ax, ay = rng.randint(x0 - 3, x1), rng.randint(y0 - 3, y1)
+            obstacles |= {(x, y) for x in range(ax, ax + rng.randint(1, 7))
+                          for y in range(ay, ay + rng.randint(1, 7))}
+        if rng.random() < 0.3:   # a corner, as fill_enclosed's target is
+            target = (rng.choice((x0, x1)), rng.choice((y0, y1)))
+        else:
+            target = (rng.randint(x0, x1), rng.randint(y0, y1))
+        expected = assert_field_matches_bfs(obstacles, window, target)
+        tx, ty = target
+        inside = {p for p in obstacles if x0 <= p[0] <= x1 and y0 <= p[1] <= y1}
+        seen["corner"] += tx in (x0, x1) and ty in (y0, y1)
+        seen["on obstacle"] += target in obstacles
+        seen["outside"] += len(inside) < len(obstacles)
+        seen["cut off"] += len(expected) < w * h - len(inside - {target})
+        seen["detour"] += any(d > abs(x - tx) + abs(y - ty) for (x, y), d in expected.items())
+    assert len(seen) == 5 and min(seen.values()) >= 200, seen
+
+
+def test_distance_map_on_the_sparse_far_window():
+    # the sparse-far benchmark's window: robots swap (0, 0) and (400, 400)
+    # past one obstacle in the middle; the variant's wall crosses the
+    # diagonal, so cells just behind it lie above Manhattan distance
+    window = (-1, -1, 401, 401)
+    wall = [(200 + k, 200 - k) for k in range(-2, 3)]
+    for obstacles in ([(200, 200)], wall):
+        expected = assert_field_matches_bfs(obstacles, window, (0, 0))
+        detours = sum(d > abs(x) + abs(y) for (x, y), d in expected.items())
+        assert detours == (0 if len(obstacles) == 1 else 10)
 
 
 def test_distance_map_on_margin_one_window_matches_wide_bfs():
