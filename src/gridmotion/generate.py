@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Instance, Pixel
-from .validate import cell_id, distance_map, search_window
+from .validate import cell_pixel, distance_map, search_window
 
 _TRUNCNORM_DRAWS = 64     # resample budget: used up only on [1, 1]; landed draws took <= 59
 _GENERATE_ATTEMPTS = 16   # attempt budget: 498 CHANGES.md ledger instances took 2-14
@@ -164,13 +164,13 @@ def fill_enclosed(obstacles: frozenset[Pixel] | set[Pixel],
     """Add every free map pixel that cannot reach the map exterior through
     free pixels (4-neighborhood) to the obstacle set. Walks may leave the map
     boundary, so any free boundary pixel counts as connected. Obstacles must
-    lie on the map: a pixel is kept when it has a distance to the corner
-    (-1, -1) of the free ring just outside it."""
+    lie on the map: the pixels added are the cells that the
+    :func:`distance_map` to the corner (-1, -1) of the free ring just
+    outside the map finds cut off, all of them in its shadow."""
     obstacles = frozenset(obstacles)
     window = (-1, -1, map_width, map_height)
     reached = distance_map(obstacles, window, Pixel(-1, -1))
-    return obstacles | {Pixel(x, y) for x in range(map_width) for y in range(map_height)
-                        if reached[cell_id(window, (x, y))] < 0}
+    return obstacles | {cell_pixel(window, c) for c, d in reached.shadow.items() if d < 0}
 
 
 def place_obstacles(params: GeneratorParams, rng: np.random.Generator) -> frozenset[Pixel]:

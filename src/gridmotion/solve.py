@@ -51,6 +51,7 @@ from typing import Optional, Sequence
 
 from .model import Direction, Instance, Objective, Schedule
 from .validate import (
+    DistanceMap,
     UnreachableTargetError,
     ValidationReport,
     _step_violation,
@@ -118,12 +119,12 @@ class SolveResult:
         return self.schedule is not None
 
 
-def _move_offsets(window: tuple[int, int, int, int]) -> dict[int, Direction]:
-    """The cell-id offset of each move in ``window``'s frame (see
-    :func:`gridmotion.validate.cell_id`), in the order N, S, E, W."""
+def _move_offsets(window: tuple[int, int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    """Each move in ``window``'s frame as its cell-id offset (see
+    :func:`gridmotion.validate.cell_id`) and its (dx, dy), in the order N, S,
+    E, W."""
     stride = window[3] - window[1] + 3
-    return {1: Direction.NORTH, -1: Direction.SOUTH,
-            stride: Direction.EAST, -stride: Direction.WEST}
+    return ((1, 0, 1), (-1, 0, -1), (stride, 1, 0), (-stride, -1, 0))
 
 
 class ReservationTable:
@@ -222,7 +223,7 @@ class ReservationTable:
 
 
 def plan_single(instance: Instance, robot: int, table: ReservationTable,
-                objective: Objective, *, field: list) -> Optional[list[int]]:
+                objective: Objective, *, field: DistanceMap) -> Optional[list[int]]:
     """Cheapest space-time path for one robot against committed reservations.
 
     Path cost is (arrival, moves) for MAX and (moves, arrival) for SUM,
@@ -254,11 +255,13 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     A label is dropped, or skipped when popped, once another label in its
     interval has an arrival no later and no more moves. The heap orders
     labels by the two cost keys, each plus ``h``, the distance to the target
-    on ``field`` (the robot's :func:`distance_map` over ``table.window``,
-    negative on walls), then by ``h``: among labels of equal cost the one
-    nearest the target goes first, so on an open grid the search follows one
-    shortest path instead of sweeping every tied one. An insertion counter
-    settles the rest, so results are deterministic.
+    on ``field``, the robot's :func:`distance_map` over ``table.window``
+    (its shadow entry, else -1 on an obstacle or the frame's ring, else
+    Manhattan distance from the popped cell's column and row), then by
+    ``h``: among labels of equal cost the one nearest the target goes first,
+    so on an open grid the search follows one shortest path instead of
+    sweeping every tied one. An insertion counter settles the rest, so
+    results are deterministic.
 
     No horizon is needed: the table has finitely many intervals, and each
     takes finitely many labels, since a label joins only when no earlier one
@@ -270,11 +273,17 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     goal = cell_id(window, instance.targets[robot])
     if table.blocked_at(start, 0):
         raise ValueError(f"start of robot {robot} is reserved at time 0")
-    moves = tuple(_move_offsets(window))
+    stride = window[3] - window[1] + 3
+    tc, tr = divmod(goal, stride)
+    # Manhattan distance by column and by row; -inf on the ring, a wall
+    hx = [-math.inf, *range(tc - 1, 0, -1), *range(window[2] - window[0] + 2 - tc), -math.inf]
+    hy = [-math.inf, *range(tr - 1, 0, -1), *range(stride - 1 - tr), -math.inf]
+    moves = _move_offsets(window)
+    shadow, walls = field.shadow, field.walls
     vertex, busy, parked = table.vertex, table.busy, table.parked
     sum_objective = Objective(objective) is Objective.SUM
 
-    h0 = field[start]
+    h0 = field[instance.starts[robot]]
     goal_free_from = table.last_visit(goal) + 1
     if h0 < 0 or goal_free_from == math.inf:
         return None
@@ -301,11 +310,13 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
         end = holds[k] if k < len(holds) else math.inf
         along = p - vertex[(p, end)] if k < len(holds) else None
         nm = m + 1
-        for d in moves:
+        col, row = divmod(p, stride)
+        for d, dx, dy in moves:
             q = p + d
-            h = field[q]
+            h = (shadow[q] if q in shadow else -1 if q in walls
+                 else hx[col + dx] + hy[row + dy])
             if h < 0:
-                continue   # ring, obstacle or cut off from the target
+                continue   # obstacle, ring or cut off from the target
             last = end if along is None or d == along else end - 1
             qh = busy.get(q, ())
             n = len(qh)
@@ -336,9 +347,9 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
 
 class _SolveContext:
     """Shared immutable data for one solver run: its start time and deadline,
-    the window, each robot's start cell id and distance field to its target,
-    and the lower bounds read off those fields. Raises UnreachableTargetError
-    like :func:`lower_bounds`."""
+    the window, each robot's start cell id and :func:`distance_map` to its
+    target, and the lower bounds read off those maps. Raises
+    UnreachableTargetError like :func:`lower_bounds`."""
 
     def __init__(self, instance: Instance, time_limit: Optional[float] = None):
         self.started = time.monotonic()
@@ -349,7 +360,7 @@ class _SolveContext:
         self.fields = [distance_map(instance.obstacles, self.window, t)
                        for t in instance.targets]
         self.lb_makespan, self.lb_total, self.per_robot = bounds_from_maps(
-            instance, self.window, self.fields)
+            instance, self.fields)
 
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() >= self.deadline
@@ -392,7 +403,8 @@ def paths_to_schedule(instance: Instance, window: tuple[int, int, int, int],
     consecutive ids, and finished robots are padded with WAIT. The schedule
     is as long as the longest path, so paths that end on their last move,
     as :func:`plan_single` returns them, give no trailing all-WAIT step."""
-    step_of = {0: Direction.WAIT, **_move_offsets(window)}
+    step_of = {d: Direction((dx, dy)) for d, dx, dy in _move_offsets(window)}
+    step_of[0] = Direction.WAIT
     moves = [[step_of[b - a] for a, b in zip(paths[i], paths[i][1:])]
              for i in range(instance.n_robots)]
     steps = [tuple(m[t] if t < len(m) else Direction.WAIT for m in moves)
@@ -426,11 +438,11 @@ def _joint_search(ctx: _SolveContext, robots: Sequence[int], deadline: int,
     The search is layered by time over the joint configurations of
     ``robots``, from their starts. A robot may stand on pixel ``c`` at time
     ``t`` only when ``t`` plus its distance from ``c`` to its target is at
-    most ``deadline``. Inside the window that distance is read off the
-    robot's field, which is exact there (see :func:`search_window`); a
-    negative entry is an obstacle or a cell cut off from the target. On the
-    frame's ring and beyond, where no obstacle lies, it is Manhattan
-    distance, so robots may step out of the window. Each joint step is judged
+    most ``deadline``. That distance is read off the robot's
+    :class:`DistanceMap`: exact inside the window (see :func:`search_window`),
+    negative on an obstacle or a cell cut off from the target, and
+    Manhattan distance, a lower bound, outside it, where no obstacle lies, so
+    robots may step out of the window. Each joint step is judged
     by :func:`gridmotion.validate._step_violation`, the one statement of
     R1-R3. The robots make it exactly when layer ``deadline`` holds their
     targets, the only configuration it can hold; waiting on a target is
@@ -441,19 +453,9 @@ def _joint_search(ctx: _SolveContext, robots: Sequence[int], deadline: int,
     limit ran out first.
     """
     instance = ctx.instance
-    window = ctx.window
-    x0, y0, x1, y1 = window
     fields = [ctx.fields[i] for i in robots]
     targets = [instance.targets[i] for i in robots]
     obstacles = instance.obstacles
-
-    def distance(j: int, x: int, y: int) -> float:
-        if x0 <= x <= x1 and y0 <= y <= y1:
-            d = fields[j][cell_id(window, (x, y))]
-            return d if d >= 0 else math.inf
-        tx, ty = targets[j]
-        return abs(x - tx) + abs(y - ty)
-
     layer = {tuple(instance.starts[i] for i in robots)}
     steps = 0
     for t in range(1, deadline + 1):
@@ -468,7 +470,7 @@ def _joint_search(ctx: _SolveContext, robots: Sequence[int], deadline: int,
                 if moves is None:
                     moves = allowed[j][(x, y)] = [
                         m for m in _DIRECTIONS
-                        if t + distance(j, x + m._value_[0], y + m._value_[1]) <= deadline]
+                        if 0 <= fields[j][x + m._value_[0], y + m._value_[1]] <= deadline - t]
                 options.append(moves)
             for step in itertools.product(*options):
                 if steps == max_steps:

@@ -155,7 +155,8 @@ def search_window(instance: Instance) -> tuple[int, int, int, int]:
     clamping never lengthens the walk, keeps consecutive cells adjacent (the
     unclamped coordinate is shared, the clamped one moves by at most 1) and
     relocates cells only into the obstacle-free ring just outside the box.
-    The test suite cross-checks it against a box inflated by 60.
+    So a :func:`distance_map` over it is exact inside it; the tests
+    cross-check it against a box inflated by 60.
     """
     xs = [p.x for p in instance.starts] + [p.x for p in instance.targets]
     ys = [p.y for p in instance.starts] + [p.y for p in instance.targets]
@@ -172,149 +173,159 @@ def cell_id(window: tuple[int, int, int, int], pixel) -> int:
     return (pixel[0] - x0 + 1) * (y1 - y0 + 3) + pixel[1] - y0 + 1
 
 
+def cell_pixel(window: tuple[int, int, int, int], cell: int) -> Pixel:
+    """The pixel whose :func:`cell_id` in ``window``'s frame is ``cell``."""
+    x0, y0, _, y1 = window
+    x, y = divmod(cell, y1 - y0 + 3)
+    return Pixel(x + x0 - 1, y + y0 - 1)
+
+
 @functools.lru_cache(maxsize=1)
-def _frame(obstacles: frozenset, window: tuple[int, int, int, int]) -> tuple:
-    """What :func:`distance_map` needs of a window whatever the target: the
-    ids of the obstacles inside it, the ids of the free inner cells beside
-    one, and ``tuple(range(...))`` up to the largest Manhattan distance. The
-    solver asks for one field per target, so the last window is kept."""
+def _walls(obstacles: frozenset, window: tuple[int, int, int, int]) -> tuple:
+    """What every :func:`distance_map` over ``window`` shares: the ids of the
+    obstacles inside it, and each free inner cell beside one as ``(id,
+    column, row, walled)``, bits 1, 2, 4 and 8 of ``walled`` set for a wall
+    east, west, north and south, keyed by ``(0, row)`` when walled only east
+    or west, ``(1, column)`` when only north or south, else ``(2, 0)``."""
     x0, y0, x1, y1 = window
     stride = y1 - y0 + 3
     walls = frozenset(cell_id(window, p) for p in obstacles
                       if x0 <= p[0] <= x1 and y0 <= p[1] <= y1)
-    beside = {q for c in walls for q in (c + 1, c - 1, c + stride, c - stride)} - walls
-    inner = range(stride, (x1 - x0 + 2) * stride)   # all but the ring's two columns
-    return (walls, tuple(q for q in beside if q in inner and 0 < q % stride < stride - 1),
-            tuple(range(x1 - x0 + y1 - y0 + 1)))
+    beside: dict[tuple, list] = {}
+    for c in {q for c in walls for q in (c + 1, c - 1, c + stride, c - stride)} - walls:
+        col, row = divmod(c, stride)
+        if 0 < col <= x1 - x0 + 1 and 0 < row < stride - 1:
+            walled = ((c + stride in walls) | (c - stride in walls) << 1
+                      | (c + 1 in walls) << 2 | (c - 1 in walls) << 3)
+            key = (0, row) if walled < 4 else (1, col) if walled & 3 == 0 else (2, 0)
+            beside.setdefault(key, []).append((c, col, row, walled))
+    return walls, beside
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class DistanceMap:
+    """Grid distances to ``target``: ``map[pixel]`` is exact inside
+    ``window``, over paths that stay in it, and -1 on an obstacle or a cell
+    cut off from the target; outside the window, where no obstacle lies, it
+    is Manhattan distance, a lower bound. ``shadow`` maps the :func:`cell_id`
+    of each cell whose distance is not Manhattan distance to it, and
+    ``walls``, shared by every map over the window, holds the obstacles' ids.
+    ``len`` counts the shadow's entries."""
+
+    window: tuple[int, int, int, int]
+    target: Pixel
+    shadow: dict
+    walls: frozenset
+
+    def __len__(self) -> int:
+        return len(self.shadow)
+
+    def __getitem__(self, pixel) -> int:
+        x, y = pixel
+        x0, y0, x1, y1 = self.window
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            c = (x - x0 + 1) * (y1 - y0 + 3) + y - y0 + 1
+            if c in self.shadow:
+                return self.shadow[c]
+            if c in self.walls:
+                return -1
+        return abs(x - self.target[0]) + abs(y - self.target[1])
 
 
 def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
-                 target: Pixel) -> list:
-    """Grid distances to ``target`` over the window's padded frame, indexed
-    by :func:`cell_id`; paths stay inside the inclusive window. The ring,
-    obstacles and cells that cannot reach the target read -1, so a search
-    over ids needs no bounds test: a negative entry is a wall. A target on
-    an obstacle reads 0 and is passable; a target outside the window raises
+                 target: Pixel) -> DistanceMap:
+    """The :class:`DistanceMap` to ``target`` over ``window``. A target on an
+    obstacle reads 0 and is passable; one outside the window raises
     ValueError.
 
-    Every free cell starts at its Manhattan distance ``M``, copied column by
-    column from slices of one range tuple. A cell other than the target keeps
-    ``M`` exactly when a neighbour one step nearer the target (there is at
-    most one along each axis) keeps its own. So only a cell beside an
-    obstacle can lose ``M`` first: the shadow walk starts there, visits cells
-    in increasing ``M``, and marks every cell whose nearer neighbours are all
-    walls or marked. A shortest path from a marked cell runs among marked
-    cells until its first kept one, so a flood through the marked cells,
-    seeded from their kept neighbours, gives them their distances. Marked
-    cells it does not reach are cut off. On open ground nothing is marked
-    and the field costs one list copy."""
+    A free cell other than the target is at its Manhattan distance ``M``
+    exactly when a neighbour one step nearer the target (there is at most
+    one along each axis) is. So the shadow walk visits cells in increasing
+    ``M`` and marks each whose nearer neighbours are all walls or marked:
+    it starts from the cells whose nearer neighbours are all walls, and a
+    cell it marks queues its farther neighbours. A shortest path from a
+    marked cell runs among marked cells up to a kept one, so a flood through
+    them, seeded from each kept cell beside one, gives their distances;
+    those it does not reach are cut off. Work and memory follow the
+    obstacles and their shadows, not the window's area, but a long wall
+    facing a far target casts a shadow out to the window's edge."""
     x0, y0, x1, y1 = window
-    tx, ty = target
-    if not (x0 <= tx <= x1 and y0 <= ty <= y1):
+    if not (x0 <= target[0] <= x1 and y0 <= target[1] <= y1):
         raise ValueError(f"target {tuple(target)} lies outside window {window}")
-    walls, beside, ramp = _frame(obstacles, window)
+    walls, beside = _walls(obstacles, window)
     stride = y1 - y0 + 3
-    tj = ty - y0 + 1
-    field = [-1] * stride
-    for a in (*range(tx - x0, 0, -1), *range(x1 - tx + 1)):   # |x - tx|, column by column
-        field.append(-1)
-        field += ramp[a + tj - 1:a:-1]
-        field += ramp[a:a + stride - 1 - tj]
-        field.append(-1)
-    field += [-1] * stride
-    for c in walls:
-        field[c] = -1
-    field[(tx - x0 + 1) * stride + tj] = 0
-    # shadow walk: pending[v] holds cells of Manhattan distance v to decide,
-    # and a marked cell reads None. A neighbour nearer the target holds v - 1
-    # exactly when it is kept; a farther one not decided yet holds v + 1.
-    pending = [[] for _ in range(len(ramp) + 1)]
-    for c in beside:
-        pending[field[c]].append(c)   # the target lands in 0 and is never marked
-    marked = []
-    for v in range(1, len(ramp)):
-        later = pending[v + 1]
-        u, w = v - 1, v + 1
-        for c in pending[v]:
-            if (field[c] == v and field[c + 1] != u and field[c - 1] != u
-                    and field[c + stride] != u and field[c - stride] != u):
-                field[c] = None
-                marked.append(c)
-                for q in (c + 1, c - 1, c + stride, c - stride):
-                    if field[q] == w:
-                        later.append(q)
-    # shadow flood, level by level, from the kept neighbours of marked cells
-    seeds: dict[int, list] = {}
-    for c in marked:
-        for q in (c + 1, c - 1, c + stride, c - stride):
-            d = field[q]
-            if d is not None and d >= 0:
-                seeds.setdefault(d + 1, []).append(c)
-    v = min(seeds, default=0)
-    frontier = []
+    right, top = x1 - x0 + 1, stride - 2   # the last inner column and row
+    goal = cell_id(window, target)
+    tc, tr = divmod(goal, stride)
+    # pending[v]: cells of Manhattan distance v to decide, levels its keys; a
+    # cell walled on one axis only starts the walk only in line with the target
+    pending: dict[int, list] = {}
+    for c, col, row, walled in (*beside.get((0, tr), ()), *beside.get((1, tc), ()),
+                                *beside.get((2, 0), ())):
+        nearer = (col < tc) | (col > tc) << 1 | (row < tr) << 2 | (row > tr) << 3
+        if nearer and not nearer & ~walled:
+            pending.setdefault(abs(col - tc) + abs(row - tr), []).append(c)
+    levels = sorted(pending)
+    shadow: dict[int, int] = {}
+    seeds: dict[int, list] = {}   # flood value -> marked cells a kept cell reaches
+    while levels:
+        v = heapq.heappop(levels)
+        later = []
+        for c in pending.pop(v):
+            if c in shadow:
+                continue
+            col, row = divmod(c, stride)
+            nx = c + stride if col < tc else c - stride if col > tc else None
+            ny = c + 1 if row < tr else c - 1 if row > tr else None
+            if (nx is not None and nx not in shadow and (nx not in walls or nx == goal)
+                    or ny is not None and ny not in shadow and (ny not in walls or ny == goal)):
+                for n in (nx, ny):   # c keeps M = v, so a marked n is v + 1 at most
+                    if n in shadow:
+                        seeds.setdefault(v + 1, []).append(n)
+                continue
+            shadow[c] = -1
+            if tc <= col < right and c + stride not in walls:
+                later.append(c + stride)
+            if 1 < col <= tc and c - stride not in walls:
+                later.append(c - stride)
+            if tr <= row < top and c + 1 not in walls:
+                later.append(c + 1)
+            if 1 < row <= tr and c - 1 not in walls:
+                later.append(c - 1)
+        if later:
+            if v + 1 not in pending:
+                heapq.heappush(levels, v + 1)
+            pending.setdefault(v + 1, []).extend(later)
+    # the flood, level by level
+    frontier: list = []
     while frontier or seeds:
+        if not frontier:
+            v = min(seeds)
         for c in seeds.pop(v, ()):
-            if field[c] is None:
-                field[c] = v
+            if shadow[c] < 0:
+                shadow[c] = v
                 frontier.append(c)
         v += 1
         reached = []
         for c in frontier:
             for q in (c + 1, c - 1, c + stride, c - stride):
-                if field[q] is None:
-                    field[q] = v
+                if q in shadow and shadow[q] < 0:
+                    shadow[q] = v
                     reached.append(q)
         frontier = reached
-    for c in marked:
-        if field[c] is None:
-            field[c] = -1
-    return field
+    if goal in walls:
+        shadow[goal] = 0
+    return DistanceMap(window, target, shadow, walls)
 
 
-def _grid_distance(obstacles: frozenset, window: tuple[int, int, int, int],
-                   start: Pixel, target: Pixel) -> int:
-    """Length of a shortest path from ``start`` to ``target`` that avoids
-    ``obstacles`` and stays inside the inclusive window; -1 when there is
-    none, as in :func:`distance_map`.
-
-    This is A* with the Manhattan heuristic ``h``. The heap orders cells by
-    ``g + h``, then by ``h`` (nearer the target first), then by (x, y), so
-    the search is deterministic and, where nothing blocks the way, expands
-    little more than one shortest path instead of the window. ``h`` is
-    consistent, so a cell's first expansion is final and the target's is its
-    distance. It agrees with :func:`distance_map`, which fills in the whole
-    window for one target.
-    """
-    x0, y0, x1, y1 = window
-    tx, ty = target
-    sx, sy = start
-    h = abs(sx - tx) + abs(sy - ty)
-    g = {(sx, sy): 0}
-    heap = [(h, h, sx, sy)]
-    while heap:
-        f, h, px, py = heapq.heappop(heap)
-        if h == 0:
-            return f
-        gp = g[(px, py)]
-        if gp + h < f:
-            continue   # stale entry: the cell was reached more cheaply since
-        d = gp + 1
-        for qx, qy in ((px, py + 1), (px, py - 1), (px + 1, py), (px - 1, py)):
-            q = (qx, qy)
-            if not (x0 <= qx <= x1 and y0 <= qy <= y1) or q in obstacles:
-                continue
-            old = g.get(q)
-            if old is None or old > d:
-                g[q] = d
-                hq = abs(qx - tx) + abs(qy - ty)
-                heapq.heappush(heap, (d + hq, hq, qx, qy))
-    return -1
-
-
-def _bounds(instance: Instance,
-            distances: Iterable[int]) -> tuple[int, int, tuple[int, ...]]:
+def bounds_from_maps(instance: Instance,
+                     maps: Iterable[DistanceMap]) -> tuple[int, int, tuple[int, ...]]:
+    """(lb_makespan, lb_total, per_robot) read off each robot's
+    :func:`distance_map` to its target, ``maps`` in robot order. Raises
+    UnreachableTargetError when some start reads -1 in its map."""
     per_robot: list[int] = []
-    for i, (s, t, d) in enumerate(zip(instance.starts, instance.targets, distances)):
+    for i, (s, t, m) in enumerate(zip(instance.starts, instance.targets, maps)):
+        d = m[s]
         if d < 0:
             raise UnreachableTargetError(
                 i, f"robot {i}: target {tuple(t)} unreachable from start {tuple(s)}")
@@ -322,32 +333,18 @@ def _bounds(instance: Instance,
     return max(per_robot), sum(per_robot), tuple(per_robot)
 
 
-def bounds_from_maps(instance: Instance, window: tuple[int, int, int, int],
-                     maps: Iterable[list]) -> tuple[int, int, tuple[int, ...]]:
-    """(lb_makespan, lb_total, per_robot) read off each robot's distance map
-    to its target over ``window``, ``maps`` in robot order. Raises
-    UnreachableTargetError when some start reads -1 in its map."""
-    return _bounds(instance, (m[cell_id(window, s)] for s, m in zip(instance.starts, maps)))
-
-
 def lower_bounds(instance: Instance) -> tuple[int, int, tuple[int, ...]]:
     """Per-robot shortest obstacle-avoiding path lengths, ignoring all other
     robots. Returns (lb_makespan, lb_total, per_robot) where lb_makespan is
-    the maximum and lb_total the sum. Each length is one
-    :func:`_grid_distance` search from start to target over the
-    :func:`search_window`, or plain Manhattan distance when there are no
-    obstacles.
+    the maximum and lb_total the sum, read off each target's
+    :func:`distance_map` over the :func:`search_window`, one at a time.
 
     Raises UnreachableTargetError when some target cannot be reached at all;
     such an instance has no feasible schedule.
     """
-    if not instance.obstacles:
-        per_robot = tuple(abs(s.x - t.x) + abs(s.y - t.y)
-                          for s, t in zip(instance.starts, instance.targets))
-        return max(per_robot), sum(per_robot), per_robot
     window = search_window(instance)
-    return _bounds(instance, (_grid_distance(instance.obstacles, window, s, t)
-                              for s, t in zip(instance.starts, instance.targets)))
+    return bounds_from_maps(instance, (distance_map(instance.obstacles, window, t)
+                                       for t in instance.targets))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:

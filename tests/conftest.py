@@ -18,14 +18,6 @@ def schedule(name: str, *rows: str) -> Schedule:
     return Schedule(instance_name=name, steps=tuple(step(r) for r in rows))
 
 
-def cell_pixel(window, cell):
-    """The pixel whose ``gridmotion.validate.cell_id`` in ``window``'s frame
-    is ``cell``: the inverse of ``cell_id``, for reading solver paths."""
-    x0, y0, _, y1 = window
-    x, y = divmod(cell, y1 - y0 + 3)
-    return (x + x0 - 1, y + y0 - 1)
-
-
 def make_instance(starts, targets, obstacles=(), name="fixture") -> Instance:
     return Instance(name=name, starts=tuple(starts), targets=tuple(targets),
                     obstacles=tuple(obstacles))

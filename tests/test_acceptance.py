@@ -299,5 +299,5 @@ def test_lower_bounds_insensitive_to_window_growth():
         x0, y0, x1, y1 = search_window(inst)
         wide = (x0 - 59, y0 - 59, x1 + 59, y1 + 59)
         assert lower_bounds(inst) == bounds_from_maps(
-            inst, wide, (distance_map(inst.obstacles, wide, t) for t in inst.targets))
+            inst, (distance_map(inst.obstacles, wide, t) for t in inst.targets))
     print(f"PASS window-margin: bounds stable for {len(cases)} instances")

@@ -16,6 +16,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ import pytest
 from conftest import make_instance, schedule, seal
 import gridmotion.cli as cli_module
 import gridmotion.solve as solve_module
-import gridmotion.validate as validate_module
 from gridmotion import __main__ as run_module
 from gridmotion.cli import main, main_entry
 from gridmotion.formats import emit_instance, emit_solution, parse_solution
@@ -160,41 +160,44 @@ def test_score_rejects_duplicate_instance_names(tmp_path, capsys):
     assert not scores.exists()
 
 
-def test_only_solve_floods_targets(tmp_path, monkeypatch):
-    # the solver floods one distance map per target for its heuristic;
-    # lower bounds search start to target instead. The wall keeps
-    # lower_bounds off its obstacle-free Manhattan shortcut
-    inst = make_instance([(0, 0), (0, 2)], [(4, 0), (4, 2)], [(2, 0), (2, 1)],
-                         name="wall")
-    instances = tmp_path / "instances"
-    instances.mkdir()
-    ipath = write(instances / "wall.instance.json", emit_instance(inst))
-    team = tmp_path / "team"
-    team.mkdir()
-    spath = str(team / "wall.solution.json")
+def swap_files(tmp_path, length):
+    """Instance and empty solution files for two robots that trade (0, 0)
+    and (length, length) past one obstacle in the middle of the diagonal."""
+    inst = make_instance([(0, 0), (length, length)], [(length, length), (0, 0)],
+                         [(length // 2, length // 2)], name="swap")
+    ipath = write(tmp_path / "swap.instance.json", emit_instance(inst))
+    spath = write(tmp_path / "swap.solution.json", '{"instance": "swap", "steps": []}\n')
+    return ipath, spath
 
-    floods = []
-    original = validate_module.distance_map
 
-    def counting(*args):
-        floods.append(args[2])
-        return original(*args)
+def traced(argv):
+    """Exit code of main(argv) and the peak of its Python allocations."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    monkeypatch.setattr(validate_module, "distance_map", counting)
-    monkeypatch.setattr(solve_module, "distance_map", counting)
 
-    def count(argv):
-        floods.clear()
-        assert main(argv) == 0
-        return len(floods)
+def test_solve_memory_follows_the_shadow_not_the_window(tmp_path, capsys):
+    # the search window is 1,603 x 1,603, but nothing lies in the one
+    # obstacle's shadow, so each robot's distance map stores no cell: a
+    # list over the window would take over 20 MB per robot
+    ipath, spath = swap_files(tmp_path, 1600)
+    code, peak = traced(["solve", ipath, "-o", spath, "--restarts", "1"])
+    assert code == 0 and "(makespan 3200, total 6400)" in capsys.readouterr().out
+    assert peak < 10_000_000
 
-    n = inst.n_robots
-    assert count(["solve", ipath, "-o", spath, "--anneal-iterations", "0"]) == n
-    assert count(["validate", ipath, spath]) == 0
-    assert count(["score", "--instances", str(instances), "--objective", "max",
-                  "--output", str(tmp_path / "scores"), "--instance-report",
-                  str(team)]) == 0
-    assert count(["render", ipath, str(tmp_path / "wall.svg"), "--solution", spath]) == 0
+
+def test_validate_bounds_a_huge_window_in_little_memory(tmp_path, capsys):
+    # lower bounds over a 100,003 x 100,003 window; the empty schedule
+    # leaves both robots off their targets
+    ipath, spath = swap_files(tmp_path, 100_000)
+    code, peak = traced(["validate", ipath, spath])
+    assert code == 1
+    assert "lb_makespan: 200000  lb_total: 400000" in capsys.readouterr().out
+    assert peak < 5_000_000
 
 
 # -------------------------------------------------------------- validate

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from conftest import cell_pixel, make_instance, seal
+from conftest import make_instance, seal
 import gridmotion.solve as solve_module
 from gridmotion.formats import emit_solution
 from gridmotion.generate import GeneratorParams, generate
@@ -29,6 +29,7 @@ from gridmotion.solve import (
 )
 from gridmotion.validate import (
     cell_id,
+    cell_pixel,
     distance_map,
     lower_bounds,
     search_window,
@@ -48,8 +49,8 @@ def as_tuples(window, path):
 
 
 def plan(inst, robot, table, objective):
-    """plan_single with the robot's distance field flooded over the table's
-    window, as the solver floods it once per run."""
+    """plan_single with the robot's distance map over the table's window,
+    as the solver builds it once per run."""
     field = distance_map(inst.obstacles, table.window, inst.targets[robot])
     return plan_single(inst, robot, table, objective, field=field)
 
@@ -801,8 +802,8 @@ def test_solve_train_pair_reaches_both_lower_bounds():
 
 
 def test_solve_far_apart_swap_past_one_obstacle():
-    # two robots trade corners of a 1,600-cell diagonal: each distance field
-    # spans a 1,603 x 1,603 window, yet is Manhattan distance throughout
+    # two robots trade corners of a 1,600-cell diagonal: each distance map
+    # covers a 1,603 x 1,603 window, yet is Manhattan distance throughout
     inst = make_instance([(0, 0), (1600, 1600)], [(1600, 1600), (0, 0)], [(800, 800)])
     result = solve(inst, SolverConfig(restarts=1))
     assert result.success and result.value == 3200 == result.bounds[0]

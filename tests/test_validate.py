@@ -1,10 +1,11 @@
 import collections
+import math
 import random
 
 import pytest
 
 import oracles
-from conftest import bounds_of, cell_pixel, make_instance, schedule, seal, step
+from conftest import bounds_of, make_instance, schedule, seal, step
 from gridmotion.model import (
     Direction,
     Pixel,
@@ -17,8 +18,8 @@ from gridmotion.validate import (
     RULE_TRAIN,
     UnreachableTargetError,
     Violation,
-    bounds_from_maps,
     cell_id,
+    cell_pixel,
     check_step,
     distance_map,
     lower_bounds,
@@ -401,9 +402,9 @@ def test_lower_bounds_random_against_oracle():
             assert lower_bounds(inst)[0] == expected
 
 
-def read(field, window, pixel):
-    """A distance field's entry for ``pixel``, None where it reads -1."""
-    d = field[cell_id(window, pixel)]
+def read(dmap, pixel):
+    """What a distance map reads at ``pixel``, None where it reads -1."""
+    d = dmap[pixel]
     return d if d >= 0 else None
 
 
@@ -420,43 +421,58 @@ def test_cell_ids_round_trip_over_the_padded_frame():
         (0, -2), (0, -4), (1, -3), (-1, -3)]
 
 
-def test_distance_map_ring_and_obstacles_are_walls():
+def test_distance_map_reads_walls_inside_and_manhattan_outside():
     window = (-2, -1, 1, 1)
     obstacles = frozenset({Pixel(0, 0), Pixel(5, 5)})   # (5, 5) lies outside
-    field = distance_map(obstacles, window, Pixel(-2, -1))
-    assert len(field) == (1 - (-2) + 3) * (1 - (-1) + 3)
-    for x in range(-3, 3):
-        for y in range(-2, 3):
-            inside = -2 <= x <= 1 and -1 <= y <= 1
-            if not inside or (x, y) == (0, 0):
-                assert field[cell_id(window, (x, y))] == -1, (x, y)
-            else:
-                assert read(field, window, (x, y)) == abs(x + 2) + abs(y + 1), (x, y)
+    dmap = distance_map(obstacles, window, Pixel(-2, -1))
+    assert len(dmap) == 0   # nothing lies in the obstacle's shadow
+    for x in range(-5, 8):
+        for y in range(-4, 8):
+            if (x, y) == (0, 0):
+                assert dmap[x, y] == -1
+            else:   # the ring and beyond read Manhattan distance, (5, 5) too
+                assert dmap[x, y] == abs(x + 2) + abs(y + 1), (x, y)
     # a free cell cut off from the target reads -1 too: the two walls and
-    # the ring close off the corner (0, 0)
+    # the window's edge close off the corner (0, 0), so every other free
+    # cell is in the shadow; the ring outside still reads Manhattan distance
     walled = frozenset({Pixel(1, 0), Pixel(0, 1)})
-    assert read(distance_map(walled, (0, 0, 2, 2), Pixel(0, 0)), (0, 0, 2, 2),
-                (2, 2)) is None
+    dmap = distance_map(walled, (0, 0, 2, 2), Pixel(0, 0))
+    assert read(dmap, (2, 2)) is None and dmap[3, 2] == 5
+    cut_off = {(2, 0), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)}
+    assert dmap.shadow == {cell_id((0, 0, 2, 2), p): -1 for p in cut_off}
+    # a target on an obstacle reads 0, and its neighbours keep Manhattan
+    dmap = distance_map(walled, (0, 0, 2, 2), Pixel(1, 0))
+    assert [dmap[p] for p in ((1, 0), (2, 0), (1, 1), (0, 1))] == [0, 1, 1, -1]
 
 
 def test_distance_map_rejects_a_target_outside_the_window():
-    # left of the window the target's cell id would be negative and index
-    # the far end of the frame; right of it the id would run off the list
+    # a target outside the window has no cell id there
     for target in (Pixel(-2, 1), Pixel(3, 1), Pixel(1, -1), Pixel(1, 3)):
         with pytest.raises(ValueError, match="outside window"):
             distance_map(frozenset(), (0, 0, 2, 2), target)
 
 
 def assert_field_matches_bfs(obstacles, window, target):
-    """Compare every entry of ``target``'s distance map, the ring included,
-    with a pixel BFS over the window; return the BFS distances."""
+    """Compare what ``target``'s distance map reads on every pixel of the
+    window and of the ring around it with a pixel BFS over the window: the
+    BFS distance inside, -1 on obstacles and where the BFS does not reach,
+    and Manhattan distance on the ring. The map must store exactly the
+    free pixels whose distance is not Manhattan distance, plus the target
+    when it is an obstacle. Returns the map and the BFS distances."""
     x0, y0, x1, y1 = window
-    field = distance_map(frozenset(Pixel(*p) for p in obstacles), window, Pixel(*target))
+    tx, ty = target
+    dmap = distance_map(frozenset(Pixel(*p) for p in obstacles), window, Pixel(*target))
     expected = oracles.grid_bfs_field(target, obstacles, window)
     frame = [(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)]
-    assert len(field) == len(frame)
-    assert {p: d for p, d in zip(frame, field) if d != -1} == expected, (window, target)
-    return expected
+    inside = [(x, y) for x, y in frame if x0 <= x <= x1 and y0 <= y <= y1]
+    ring = [(x, y) for x, y in frame if not (x0 <= x <= x1 and y0 <= y <= y1)]
+    assert {p: dmap[p] for p in inside} == {p: expected.get(p, -1) for p in inside}, \
+        (window, target)
+    assert [dmap[p] for p in ring] == [abs(x - tx) + abs(y - ty) for x, y in ring]
+    detours = [p for p in inside if p not in obstacles
+               and expected.get(p, -1) != abs(p[0] - tx) + abs(p[1] - ty)]
+    assert len(dmap) == len(detours) + (target in obstacles)
+    return dmap, expected
 
 
 def test_distance_map_matches_a_pixel_bfs_on_random_windows():
@@ -479,7 +495,7 @@ def test_distance_map_matches_a_pixel_bfs_on_random_windows():
             target = (rng.choice((x0, x1)), rng.choice((y0, y1)))
         else:
             target = (rng.randint(x0, x1), rng.randint(y0, y1))
-        expected = assert_field_matches_bfs(obstacles, window, target)
+        _, expected = assert_field_matches_bfs(obstacles, window, target)
         tx, ty = target
         inside = {p for p in obstacles if x0 <= p[0] <= x1 and y0 <= p[1] <= y1}
         seen["corner"] += tx in (x0, x1) and ty in (y0, y1)
@@ -497,16 +513,18 @@ def test_distance_map_on_the_sparse_far_window():
     window = (-1, -1, 401, 401)
     wall = [(200 + k, 200 - k) for k in range(-2, 3)]
     for obstacles in ([(200, 200)], wall):
-        expected = assert_field_matches_bfs(obstacles, window, (0, 0))
+        dmap, expected = assert_field_matches_bfs(obstacles, window, (0, 0))
         detours = sum(d > abs(x) + abs(y) for (x, y), d in expected.items())
-        assert detours == (0 if len(obstacles) == 1 else 10)
+        assert detours == len(dmap) == (0 if len(obstacles) == 1 else 10)
 
 
 def test_distance_map_on_margin_one_window_matches_wide_bfs():
     # the planner's heuristic: every free cell of the default window must
     # carry its true grid distance, as measured with room to detour far out;
     # these maps hold 36 walled-off cells and 18 whose shortest path leaves
-    # the bounding box
+    # the bounding box. Obstacles read -1, and the ring outside the window,
+    # where the joint search may step, reads Manhattan distance: never more
+    # than the true distance
     rng = random.Random(4242)
     for _ in range(60):
         side = rng.randint(3, 7)
@@ -516,18 +534,23 @@ def test_distance_map_on_margin_one_window_matches_wide_bfs():
         obstacles = [c for c in cells[2:] if rng.random() < density]
         inst = make_instance(cells[:1], cells[1:2], obstacles)
         x0, y0, x1, y1 = window = search_window(inst)
-        dist = distance_map(inst.obstacles, window, inst.targets[0])
-        wide = (x0 - 59, y0 - 59, x1 + 59, y1 + 59)
-        for x in range(x0, x1 + 1):
-            for y in range(y0, y1 + 1):
-                if (x, y) not in inst.obstacles:
-                    expected = oracles.grid_bfs_distance(cells[1], (x, y), obstacles, wide)
-                    assert read(dist, window, (x, y)) == expected, (inst, (x, y))
+        dmap = distance_map(inst.obstacles, window, inst.targets[0])
+        wide = oracles.grid_bfs_field(cells[1], obstacles,
+                                      (x0 - 59, y0 - 59, x1 + 59, y1 + 59))
+        for x in range(x0 - 1, x1 + 2):
+            for y in range(y0 - 1, y1 + 2):
+                if not (x0 <= x <= x1 and y0 <= y <= y1):
+                    assert dmap[x, y] <= wide.get((x, y), math.inf), (inst, (x, y))
+                elif (x, y) in inst.obstacles:
+                    assert dmap[x, y] == -1, (inst, (x, y))
+                else:
+                    assert read(dmap, (x, y)) == wide.get((x, y)), (inst, (x, y))
 
 
 def test_lower_bounds_agree_with_margin_one_distance_maps():
-    # lower_bounds searches start to target; the solver floods each target's
-    # map. Both must give the same bounds, and fail on the same robot.
+    # lower_bounds reads each robot's bound off its target's distance map;
+    # a pixel BFS over the same window must give the same bounds, and the
+    # same robot must fail first
     rng = random.Random(2718)
     via_ring = unreachable = 0
     for _ in range(150):
@@ -537,25 +560,24 @@ def test_lower_bounds_agree_with_margin_one_distance_maps():
         n = rng.randint(1, 3)
         starts, targets = cells[:n], cells[n:2 * n]
         density = rng.uniform(0.2, 0.6)
-        # at least one obstacle, or lower_bounds takes its Manhattan shortcut
         obstacles = [c for c in cells[2 * n:] if rng.random() < density] or [cells[-1]]
         inst = make_instance(starts, targets, obstacles)
         window = search_window(inst)
-        maps = [distance_map(inst.obstacles, window, t) for t in inst.targets]
-        try:
-            expected = bounds_from_maps(inst, window, maps)
-        except UnreachableTargetError as err:
+        per_robot = [oracles.grid_bfs_field(t, obstacles, window).get(s)
+                     for s, t in zip(starts, targets)]
+        if None in per_robot:
             unreachable += 1
+            i = per_robot.index(None)
             with pytest.raises(UnreachableTargetError) as got:
                 lower_bounds(inst)
-            assert got.value.robot == err.robot and str(got.value) == str(err)
+            assert got.value.robot == i and str(got.value) == (
+                f"robot {i}: target {targets[i]} unreachable from start {starts[i]}")
             continue
-        assert lower_bounds(inst) == expected, inst
+        assert lower_bounds(inst) == (max(per_robot), sum(per_robot), tuple(per_robot)), inst
         x0, y0, x1, y1 = window
         tight = (x0 + 1, y0 + 1, x1 - 1, y1 - 1)   # the bounding box itself
-        inside = [distance_map(inst.obstacles, tight, t) for t in inst.targets]
-        via_ring += any(read(m, tight, s) != d
-                        for s, m, d in zip(inst.starts, inside, expected[2]))
+        via_ring += any(oracles.grid_bfs_field(t, obstacles, tight).get(s) != d
+                        for s, t, d in zip(starts, targets, per_robot))
     assert via_ring >= 5 and unreachable >= 5
 
 
