@@ -218,13 +218,11 @@ def scale_weights_to_map(raster: np.ndarray, map_width: int, map_height: int) ->
     of shape (map_width, map_height) indexed [x][y]; raster row 0 maps to the
     top of the map (largest y)."""
     rows, cols = raster.shape
-    out = np.empty((map_width, map_height), dtype=float)
-    for x in range(map_width):
-        c = min(cols - 1, int((x + 0.5) * cols / map_width))
-        for y in range(map_height):
-            r = min(rows - 1, int((map_height - 1 - y + 0.5) * rows / map_height))
-            out[x, y] = raster[r, c]
-    return out
+    # each map column's raster column, and each map row's raster row
+    c = np.minimum(cols - 1, ((np.arange(map_width) + 0.5) * cols / map_width).astype(int))
+    r = np.minimum(rows - 1, ((map_height - 1 - np.arange(map_height) + 0.5)
+                              * rows / map_height).astype(int))
+    return raster[np.ix_(r, c)].T
 
 
 def resolve_distribution(spec: str, map_width: int, map_height: int,

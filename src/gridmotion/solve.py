@@ -252,21 +252,22 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     - arriving at ``b + 1`` means leaving as a committed robot enters the
       cell, which is legal only in that robot's direction.
 
-    A label is dropped, or skipped when popped, once another label in its
-    interval has an arrival no later and no more moves. The heap orders
-    labels by the two cost keys, each plus ``h``, the distance to the target
-    on ``field``, the robot's :func:`distance_map` over ``table.window``
-    (its shadow entry, else -1 on an obstacle or the frame's ring, else
-    Manhattan distance from the popped cell's column and row), then by
-    ``h``: among labels of equal cost the one nearest the target goes first,
-    so on an open grid the search follows one shortest path instead of
-    sweeping every tied one. An insertion counter settles the rest, so
-    results are deterministic.
+    The heap orders labels by the two cost keys, each plus ``h``, the
+    distance to the target on ``field``, the robot's :func:`distance_map`
+    over ``table.window`` (its shadow entry, else -1 on an obstacle or the
+    frame's ring, else Manhattan distance from the popped cell's column and
+    row), then by ``h``: among labels of equal cost the one nearest the
+    target goes first, so on an open grid the search follows one shortest
+    path instead of sweeping every tied one. An insertion counter settles
+    the rest, so results are deterministic.
 
-    No horizon is needed: the table has finitely many intervals, and each
-    takes finitely many labels, since a label joins only when no earlier one
-    dominates it, and pairs of non-negative integers admit no endless such
-    sequence. So the search ends; None means no path exists at any time.
+    Labels of one cell and interval share ``h``, so they pop by first cost,
+    then second cost (moves for MAX, arrival for SUM). Each interval keeps
+    one number, the least second cost of a label expanded there, and a label
+    not below it is neither pushed nor expanded: one expanded before it costs
+    no more on either key. No horizon is needed: the table has finitely many
+    intervals, and each expands labels of strictly falling non-negative
+    second cost, so the search ends; None means no path exists at any time.
     """
     window = table.window
     start = cell_id(window, instance.starts[robot])
@@ -288,17 +289,17 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     if h0 < 0 or goal_free_from == math.inf:
         return None
 
-    root = (start, 0, 0, None)
-    fronts = {(start, 0): [root]}   # (cell, interval index) -> undominated labels
+    least = {}   # (cell, interval index) -> least second cost expanded there
     counter = itertools.count()
-    heap = [(h0, h0, h0, next(counter), root)]
+    heap = [(h0, h0, h0, next(counter), (start, 0, 0, None))]
     while heap:
-        label = heapq.heappop(heap)[4]
+        _, f2, h, _, label = heapq.heappop(heap)
         p, t, m, _ = label
         holds = busy.get(p, ())
         k = bisect_left(holds, t)
-        if label not in fronts[(p, k)]:
-            continue   # dominated since it was queued
+        if least.get((p, k), math.inf) <= f2 - h:
+            continue   # a label expanded here before costs no more
+        least[(p, k)] = f2 - h
         if p == goal and t >= goal_free_from:
             path = [p]
             while label[3] is not None:
@@ -331,29 +332,22 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
                     break
                 if j < n and s >= qh[j]:
                     continue   # interval j closes first
-                new = (q, s, nm, label)
-                front = fronts.get((q, j))
-                if front is None:
-                    fronts[(q, j)] = [new]
-                elif any(x[1] <= s and x[2] <= nm for x in front):
-                    continue
-                else:
-                    front[:] = [x for x in front if x[1] < s or x[2] < nm]
-                    front.append(new)
                 f1, f2 = (nm + h, s + h) if sum_objective else (s + h, nm + h)
-                heapq.heappush(heap, (f1, f2, h, next(counter), new))
+                if f2 - h < least.get((q, j), math.inf):
+                    heapq.heappush(heap, (f1, f2, h, next(counter), (q, s, nm, label)))
     return None
 
 
 class _SolveContext:
-    """Shared immutable data for one solver run: its start time and deadline,
-    the window, each robot's start cell id and :func:`distance_map` to its
-    target, and the lower bounds read off those maps. Raises
-    UnreachableTargetError like :func:`lower_bounds`."""
+    """Shared data for one solver run: its start time, the window, each
+    robot's start cell id and :func:`distance_map` to its target, and the
+    lower bounds read off those maps. ``deadline`` is None, so the clock is
+    ignored, until :func:`solve` sets it. Raises UnreachableTargetError like
+    :func:`lower_bounds`."""
 
-    def __init__(self, instance: Instance, time_limit: Optional[float] = None):
+    def __init__(self, instance: Instance):
         self.started = time.monotonic()
-        self.deadline = None if time_limit is None else self.started + time_limit
+        self.deadline: Optional[float] = None
         self.instance = instance
         self.window = search_window(instance)
         self.start_cells = [cell_id(self.window, s) for s in instance.starts]
@@ -367,19 +361,19 @@ class _SolveContext:
 
 
 def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[int],
-                 objective: Objective, check_deadline: bool) -> Optional[int]:
+                 objective: Objective) -> Optional[int]:
     """Plan ``robots`` one at a time, in order, into ``table``; robots not
     planned yet hold their start cells at time 0.
 
     Returns None with every path committed. Otherwise the table is left
     exactly as it was, and the result is the robot it stopped at: the one
-    that found no path or, when ``check_deadline`` is set and the deadline
-    passed, the one it did not try."""
+    that found no path or, when the deadline passed, the one it did not
+    try."""
     starts = ctx.start_cells
     for i in robots:
         table.hold(starts[i])
     for k, robot in enumerate(robots):
-        if check_deadline and ctx.out_of_time():
+        if ctx.out_of_time():
             break
         table.release(starts[robot])
         path = plan_single(ctx.instance, robot, table, objective, field=ctx.fields[robot])
@@ -523,14 +517,15 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     proves that no schedule is one step shorter. The incumbent is returned
     when the time limit expires, which is checked between lifts, restarts,
     improvement moves, joint configurations of that proof and, in every
-    priority order but the first, between robots. Telemetry records every
-    improvement, so the objective column is non-increasing.
+    pass but the first pass of the first order, between robots; an
+    improvement move that the deadline cuts short is rolled back. Telemetry
+    records every improvement, so the objective column is non-increasing.
     """
     config = config or SolverConfig()
     objective = config.objective
     rng = random.Random(config.seed)
     try:
-        ctx = _SolveContext(instance, config.time_limit)
+        ctx = _SolveContext(instance)
     except UnreachableTargetError as err:
         return SolveResult(objective, None, None, None, [],
                            failure_reason=f"instance infeasible: {err}")
@@ -540,10 +535,11 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     lb_value = objective.of(ctx.lb_makespan, ctx.lb_total)
 
     best: Optional[ReservationTable] = None
+    deadline = None if config.time_limit is None else ctx.started + config.time_limit
 
     base_order = sorted(range(n), key=lambda i: (-ctx.per_robot[i], i))
     for attempt in range(config.restarts):
-        if attempt > 0 and ctx.out_of_time():
+        if ctx.out_of_time():
             break
         order = list(base_order)
         if attempt > 0:
@@ -551,12 +547,13 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
         # When a robot cannot plan against earlier commitments (its target has
         # been walled in by parked robots, say), lift it to the front and try
         # again. Each robot is lifted at most once per restart so alternating
-        # failures cannot loop forever. The first order runs in full.
+        # failures cannot loop forever. The first pass of the first order
+        # runs in full: the deadline applies only after it.
         table = ReservationTable(ctx.window)
         lifted: set[int] = set()
         while True:
-            stopped = _plan_robots(ctx, table, order, objective,
-                                   attempt > 0 or bool(lifted))
+            stopped = _plan_robots(ctx, table, order, objective)
+            ctx.deadline = deadline
             if stopped is None or stopped in lifted or ctx.out_of_time():
                 break
             lifted.add(stopped)
@@ -614,7 +611,7 @@ def _anneal(ctx: _SolveContext, config: SolverConfig, rng: random.Random,
         for i in chosen:
             table.remove_path(i)
         rng.shuffle(chosen)
-        if _plan_robots(ctx, table, chosen, objective, False) is None:
+        if _plan_robots(ctx, table, chosen, objective) is None:
             new_value = table.value(objective)
             if new_value <= value:
                 if new_value < value:

@@ -197,6 +197,24 @@ def test_scale_weights_nearest_neighbor_upscale():
     assert weights[0, 3] == 1.0 and weights[3, 3] == 2.0
 
 
+def test_scale_weights_matches_a_per_pixel_loop():
+    # the reference reads each map pixel's raster cell with Python floats;
+    # shapes include up- and downscales by ratios that are not integers
+    rng = random.Random(5)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 40)
+        width, height = rng.randint(1, 60), rng.randint(1, 60)
+        raster = np.array([[rng.randint(0, 255) for _ in range(cols)] for _ in range(rows)],
+                          dtype=float)
+        expected = np.empty((width, height))
+        for x in range(width):
+            c = min(cols - 1, int((x + 0.5) * cols / width))
+            for y in range(height):
+                r = min(rows - 1, int((height - 1 - y + 0.5) * rows / height))
+                expected[x, y] = raster[r, c]
+        assert np.array_equal(scale_weights_to_map(raster, width, height), expected)
+
+
 def test_sample_positions_count_zero():
     rng = np.random.default_rng(0)
     assert sample_positions(0, None, set(), range(4), range(4), rng) == []
