@@ -348,15 +348,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridmotion",
-        description="Coordinated grid motion planning: generate, solve, "
-                    "validate, score and render.")
-    parser.add_argument("--strict", action="store_true",
-                        help="reject unknown keys in input files")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_generate(sub) -> None:
     p = sub.add_parser("generate", help="generate an instance batch from a config")
     p.add_argument("config")
     p.add_argument("outdir")
@@ -364,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a manifest of K diverse instances")
     p.set_defaults(func=cmd_generate)
 
+
+def _add_validate(sub) -> None:
     p = sub.add_parser("validate", help="validate a solution against an instance")
     p.add_argument("instance")
     p.add_argument("solution")
@@ -371,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max or sum: also print the value under this objective")
     p.set_defaults(func=cmd_validate)
 
+
+def _add_solve(sub) -> None:
     p = sub.add_parser(
         "solve", help="compute a schedule for an instance",
         description="Each solver flag takes a value as the solver config key of its "
@@ -385,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write improvement records as JSON lines")
     p.set_defaults(func=cmd_solve)
 
+
+def _add_score(sub) -> None:
     p = sub.add_parser("score", help="score solution suites against instances")
     p.add_argument("--instances", required=True, help="directory of *.instance.json")
     p.add_argument("suites", nargs="+", help="one directory of *.solution.json per team")
@@ -394,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-instance difficulty summary")
     p.set_defaults(func=cmd_score)
 
+
+def _add_render(sub) -> None:
     p = sub.add_parser("render", help="render instance and schedule to SVG")
     p.add_argument("instance")
     p.add_argument("output")
@@ -401,22 +401,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-every", type=_positive_int, default=1)
     p.set_defaults(func=cmd_render)
 
+
+def _add_features(sub) -> None:
     p = sub.add_parser("features", help="compute features of instance files")
     p.add_argument("instances", nargs="+")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_features)
 
+
+def _add_select(sub) -> None:
     p = sub.add_parser("select", help="pick k diverse instances from a features CSV")
     p.add_argument("features")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_select)
+
+
+# subcommand -> the function that adds its parser, in the order help lists them
+_SUBCOMMANDS = {
+    "generate": _add_generate,
+    "validate": _add_validate,
+    "solve": _add_solve,
+    "score": _add_score,
+    "render": _add_render,
+    "features": _add_features,
+    "select": _add_select,
+}
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A top-level parser that holds one subcommand. Its own errors (such as
+    unrecognized arguments after the subcommand) go through the full
+    parser, whose usage line lists every subcommand."""
+
+    def error(self, message):
+        build_parser().error(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser. With ``command`` None it holds all seven
+    subcommands. With ``command`` naming one, it holds only that one: its
+    help, its errors and the top level's errors read as the full parser's,
+    but a ``--help`` or an invalid choice at the top level would not, so
+    :func:`main` asks for one subcommand only when argv names it after
+    nothing but ``--strict``."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="gridmotion",
+        description="Coordinated grid motion planning: generate, solve, "
+                    "validate, score and render.")
+    parser.add_argument("--strict", action="store_true",
+                        help="reject unknown keys in input files")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    for name, add in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return parser
 
 
+def _named_command(argv) -> str | None:
+    """The subcommand argv names when only ``--strict`` flags come before
+    it, else None."""
+    for token in argv:
+        if token != "--strict":
+            return token if token in _SUBCOMMANDS else None
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None). Only
+    the named subcommand's parser is built; with no subcommand, an unknown
+    one or anything but ``--strict`` before it, all seven are."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_named_command(argv)).parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, OSError) as err:

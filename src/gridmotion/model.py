@@ -4,16 +4,17 @@ A configuration, the positions of all robots at one instant, is a plain
 tuple of pixels indexed by robot; a step, one synchronous time unit, is a
 plain tuple of directions indexed by robot. Everything in this module is an
 immutable value, and every function is pure. Motion legality is deliberately
-*not* checked here; ``apply_step`` performs a plain translation so that
-callers (the validator, the renderer) can also step through illegal
-schedules. See :mod:`gridmotion.validate` for the rules.
+*not* checked here; ``apply_step`` performs a plain translation so that a
+caller can also step through illegal schedules. The validator and the
+renderer replay a schedule in place instead, one moving robot at a time,
+with the same translation. See :mod:`gridmotion.validate` for the rules.
 
-Loops that run once per robot per step (here, in the validator and in the
-solution-file reader and writer) do no Enum attribute or hash work: they
-tell WAIT apart by identity (``m is Direction.WAIT``) and read a move's
-displacement from the member's ``_value_``. Direction keeps Enum's own
-hash and equality, so set and dict order, and with it every output byte,
-stays the same from run to run.
+Loops that run once per robot per step (here, in the validator, the
+renderer and the solution-file reader and writer) do no Enum attribute or
+hash work: they tell WAIT apart by identity (``m is Direction.WAIT``) and
+read a move's displacement from the member's ``_value_``. Direction keeps
+Enum's own hash and equality, so set and dict order, and with it every
+output byte, stays the same from run to run.
 """
 
 from __future__ import annotations

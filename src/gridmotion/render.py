@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import Instance, Schedule, apply_step
+from .model import Direction, Instance, Schedule
 from .validate import Violation
 
 _CELL = 16
@@ -28,30 +28,59 @@ _COLOR_GRIDBG = "#f4f4f4"
 def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
                frame_every: int = 1, violation: Optional[Violation] = None) -> str:
     """Render the instance (and optionally every ``frame_every``-th step of a
-    schedule) to an SVG string."""
+    schedule) to an SVG string.
+
+    The schedule is replayed once, in place, as
+    :func:`~gridmotion.validate.validate_schedule` replays it: only a moving
+    robot gets a new ``(x, y)`` tuple, and the bounding box grows with each
+    position a robot passes, drawn or not. Only the configurations of drawn
+    frames are kept, so memory follows the frames, not the schedule's
+    length. An illegal step is replayed as the plain translation that
+    :func:`~gridmotion.model.apply_step` makes."""
     if frame_every < 1:
         raise ValueError("frame_every must be >= 1")
-    configs = [instance.starts]
-    if schedule is not None:
-        for step in schedule.steps:
-            configs.append(apply_step(configs[-1], step))
-    last = len(configs) - 1
+    steps = () if schedule is None else schedule.steps
+    if steps and len(steps[0]) != instance.n_robots:
+        raise ValueError(f"step width {len(steps[0])} != configuration size "
+                         f"{instance.n_robots}")
+    last = len(steps)
     marked = set() if violation is None else {min(violation.step, last)}
-    times = sorted({*range(0, last + 1, frame_every), last, *marked})
+    drawn = {*range(0, last + 1, frame_every), last, *marked}
+    times = sorted(drawn)
 
-    xs = [p.x for c in configs for p in c]
-    ys = [p.y for c in configs for p in c]
-    xs += [p.x for p in instance.obstacles] + [p.x for p in instance.targets]
-    ys += [p.y for p in instance.obstacles] + [p.y for p in instance.targets]
+    points = (*instance.starts, *instance.obstacles, *instance.targets)
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
+    positions = list(instance.starts)
+    configs = {0: instance.starts}
+    wait = Direction.WAIT
+    for t, step in enumerate(steps, 1):
+        for i, m in enumerate(step):
+            if m is not wait:
+                dx, dy = m._value_
+                x, y = positions[i]
+                x += dx
+                y += dy
+                positions[i] = (x, y)
+                if x < x0:
+                    x0 = x
+                elif x > x1:
+                    x1 = x
+                if y < y0:
+                    y0 = y
+                elif y > y1:
+                    y1 = y
+        if t in drawn:
+            configs[t] = tuple(positions)
     grid_w = (x1 - x0 + 1) * _CELL
     grid_h = (y1 - y0 + 1) * _CELL
     frame_w = grid_w + _PAD
     frame_h = grid_h + _LABEL_H + _PAD
 
     def corner(p):
-        return (p.x - x0) * _CELL, (y1 - p.y) * _CELL   # svg y grows downward
+        return (p[0] - x0) * _CELL, (y1 - p[1]) * _CELL   # svg y grows downward
 
     def cell_rect(p, fill, extra=""):
         sx, sy = corner(p)

@@ -276,3 +276,74 @@ def ranked_violation(before, moves, obstacles):
             if j != i and p == d and moves[j] != moves[i]:
                 found.append((min(i, j), "R3", (min(i, j), max(i, j))))
     return min(found)[1:] if found else None
+
+
+def render_all_configurations(instance, schedule=None, frame_every=1, violation=None):
+    """The SVG the renderer made before it replayed in place: every
+    configuration of the schedule is built and kept, and the bounding box is
+    read off all of them at the end. Duck-typed on the library's instance,
+    schedule and violation, whose move values are (dx, dy) offsets."""
+    cell, pad, label_h, per_row = 16, 8, 16, 5
+    configs = [tuple(tuple(p) for p in instance.starts)]
+    if schedule is not None:
+        for step in schedule.steps:
+            assert len(step) == len(configs[-1])
+            configs.append(tuple((x + m.value[0], y + m.value[1])
+                                 for (x, y), m in zip(configs[-1], step)))
+    last = len(configs) - 1
+    marked = set() if violation is None else {min(violation.step, last)}
+    times = sorted({*range(0, last + 1, frame_every), last, *marked})
+
+    points = [p for c in configs for p in c]
+    points += [tuple(p) for p in instance.obstacles] + [tuple(p) for p in instance.targets]
+    x0, x1 = min(x for x, _ in points), max(x for x, _ in points)
+    y0, y1 = min(y for _, y in points), max(y for _, y in points)
+    grid_w = (x1 - x0 + 1) * cell
+    grid_h = (y1 - y0 + 1) * cell
+    frame_w = grid_w + pad
+    frame_h = grid_h + label_h + pad
+
+    def corner(p):
+        return (p[0] - x0) * cell, (y1 - p[1]) * cell
+
+    def cell_rect(p, fill, extra=""):
+        sx, sy = corner(p)
+        return (f'<rect x="{sx}" y="{sy}" width="{cell}" height="{cell}" '
+                f'{extra}fill="{fill}"/>')
+
+    static = [f'<rect x="0" y="0" width="{grid_w}" height="{grid_h}" fill="#f4f4f4"/>',
+              *(cell_rect(p, "#333333") for p in sorted(map(tuple, instance.obstacles)))]
+    for sx, sy in map(corner, instance.targets):
+        static.append(f'<rect x="{sx + 1.5}" y="{sy + 1.5}" width="{cell - 3}" '
+                      f'height="{cell - 3}" fill="none" stroke="#cc2222" '
+                      f'stroke-width="1.5"/>')
+
+    cols = min(len(times), per_row)
+    rows = (len(times) + cols - 1) // cols
+    total_w = cols * frame_w + pad
+    total_h = rows * frame_h + pad
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
+        f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">',
+        f'<rect width="{total_w}" height="{total_h}" fill="#ffffff"/>',
+    ]
+    for k, t in enumerate(times):
+        ox = pad + (k % cols) * frame_w
+        oy = pad + (k // cols) * frame_h
+        parts.append(f'<g transform="translate({ox},{oy})">')
+        parts.append(f'<text x="0" y="{label_h - 5}" font-family="monospace" '
+                     f'font-size="11" fill="#000000">t={t}</text>')
+        parts.append(f'<g transform="translate(0,{label_h})">')
+        parts += static
+        parts += (cell_rect(p, "#2e8b57", 'opacity="0.9" ') for p in configs[t])
+        if t in marked:
+            for i in set(violation.robots):
+                sx, sy = corner(configs[t][i])
+                parts.append(f'<line x1="{sx}" y1="{sy}" x2="{sx + cell}" '
+                             f'y2="{sy + cell}" stroke="#ff0000" stroke-width="2"/>')
+                parts.append(f'<line x1="{sx + cell}" y1="{sy}" x2="{sx}" '
+                             f'y2="{sy + cell}" stroke="#ff0000" stroke-width="2"/>')
+        parts.append('</g>')
+        parts.append('</g>')
+    parts.append('</svg>')
+    return "\n".join(parts) + "\n"

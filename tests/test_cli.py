@@ -1,12 +1,13 @@
 """End-to-end command line tests. Everything runs in-process through
 main(argv) against temp directories, apart from the launch checks: a
-subprocess smoke test runs the CLI as ``python -m gridmotion``, a second
-one runs the installed ``gridmotion`` console script and is skipped where
-no such script is on PATH, and an entry-point check reads pyproject.toml
-to confirm that the script and ``python -m`` call the same function. Two
-more subprocesses serve perfbench's traced run: one checks that every
-function it wraps is still found after importing ``gridmotion.cli``, the
-other runs a traced solve and turns its spans into per-layer metrics."""
+subprocess smoke test runs the CLI as ``python -m gridmotion`` for the
+top-level help and each subcommand's, a second one runs the installed
+``gridmotion`` console script and is skipped where no such script is on
+PATH, and an entry-point check reads pyproject.toml to confirm that the
+script and ``python -m`` call the same function. Two more subprocesses
+serve perfbench's traced run: one checks that every function it wraps is
+still found after importing ``gridmotion.cli``, the other runs a traced
+solve and turns its spans into per-layer metrics."""
 
 import dataclasses
 import json
@@ -831,6 +832,43 @@ def test_render_notes_infeasible_solution(tmp_path, capsys):
 
 # ----------------------------------------------------------------- misc
 
+COMMANDS = ("generate", "validate", "solve", "score", "render", "features", "select")
+
+
+def exit_of(call, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        call()
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "render"], ["--strict"],
+    ["bogus"], ["--strict", "bogus", "x"],
+    *([command, "--help"] for command in COMMANDS),
+    ["--strict", "render", "--help"],
+    ["render", "in.json"], ["solve", "in.json"], ["score", "suite"], ["select", "f.csv"],
+    ["validate", "in.json", "sol.json", "extra"],   # the top level reports the extra
+    ["--strict", "render", "in.json", "out.svg", "--frame-every", "0"],
+    ["--str", "render", "in.json"],
+])
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    # main builds only the subcommand argv names; every help and error text
+    # must still read as the seven-subcommand parser's, on each Python's argparse
+    got = exit_of(lambda: main(argv), capsys)
+    assert got == exit_of(lambda: cli_module.build_parser().parse_args(argv), capsys)
+    assert "Traceback" not in got[2]
+
+
+def test_parser_for_one_subcommand_holds_only_it(capsys):
+    assert "{" + ",".join(COMMANDS) + "}" in cli_module.build_parser().format_usage()
+    for command in COMMANDS:
+        assert "{" + command + "}" in cli_module.build_parser(command).format_usage()
+    # the reference above is the real thing: an unknown command is told all seven
+    code, _, err = exit_of(lambda: main(["bogus"]), capsys)
+    assert code == 2 and re.search("invalid choice: 'bogus'.*" + ".*".join(COMMANDS), err)
+
+
 def test_help_smoke_in_subprocess():
     # the child imports the same gridmotion as this process, also when the
     # suite found it through pytest's pythonpath rather than PYTHONPATH
@@ -849,6 +887,12 @@ def test_help_smoke_in_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+    # main() without argv reads the subcommand to build from sys.argv
+    for command in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "gridmotion", command, "--help"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(f"usage: gridmotion {command} ")
 
 
 def test_perfbench_span_targets_resolve_after_cli_import():

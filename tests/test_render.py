@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import oracles
 from conftest import make_instance, schedule, seal
 from gridmotion.render import render_svg
 from gridmotion.validate import validate_schedule
@@ -93,3 +94,39 @@ def test_svg_parses_as_xml():
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert root.attrib["width"].isdigit()
+
+
+# robot 0 leaves INST's box to the west, south and north and robot 1 to the
+# east, each at an odd step and back at the next, so with frame_every=2 no
+# drawn frame shows a robot outside the box
+EXCURSIONS = schedule("toy", "W.", "E.", ".E", ".W", "S.", "N.", "N.", ".N", "N.", "S.")
+
+
+@pytest.mark.parametrize("sched, frame_every, with_violation", [
+    (EXCURSIONS, 2, False),
+    (EXCURSIONS, 1, False),
+    (schedule("toy", ".W", ".N", "N.", "..", "E."), 3, True),   # robot 1 onto the obstacle
+    (schedule("toy", "..", "..", "EW", "..", "S.", "W."), 5, True),   # robots collide
+    (schedule("toy", "N."), 1, True),   # wrong final configuration
+    (schedule("toy", "N.", "E.", "E.", "W.", "W.", "S."), 100, False),
+    (schedule("toy", "N.", "E.", "E."), 4, True),
+    (schedule("toy"), 3, False),
+    (None, 7, False),
+])
+def test_render_matches_the_all_configurations_renderer(sched, frame_every, with_violation):
+    violation = validate_schedule(INST, sched).first_violation if with_violation else None
+    assert with_violation == (violation is not None)
+    svg = render_svg(INST, sched, frame_every=frame_every, violation=violation)
+    assert svg == oracles.render_all_configurations(INST, sched, frame_every, violation)
+
+
+def test_bounding_box_covers_positions_between_drawn_frames():
+    # x -1..3 and y -1..2: five cells by four, though no drawn frame leaves 0..2 by 0..1
+    svg = render_svg(INST, EXCURSIONS, frame_every=2)
+    assert frame_count(svg) == 6
+    assert '<rect x="0" y="0" width="80" height="64" fill="#f4f4f4"/>' in svg
+
+
+def test_schedule_of_the_wrong_width_is_rejected():
+    with pytest.raises(ValueError, match="step width 1"):
+        render_svg(INST, schedule("toy", "N"))
