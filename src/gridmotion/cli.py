@@ -21,7 +21,7 @@ import typing
 import warnings
 from pathlib import Path
 
-from .evaluate import instance_report, score_suites
+from .evaluate import extract_features, instance_report, score_suites
 from .formats import (
     SOLVER_FIELDS,
     FormatError,
@@ -34,8 +34,8 @@ from .formats import (
     parse_solution,
     parse_solver_config,
 )
-from .generate import (GenerationError, InstanceFeatures, WeightMapError, extract_features,
-                       generate, params_slug, select_diverse)
+from .generate import GenerationError, WeightMapError, generate, select_diverse
+from .model import InstanceFeatures, params_slug
 from .render import render_svg
 from .solve import solve
 from .validate import UnreachableTargetError, lower_bounds, validate_schedule
@@ -208,7 +208,11 @@ def cmd_solve(args) -> int:
         settings["seed"] = str(_default_seed())
     config = apply_solver_settings(settings, base)
 
-    result = solve(instance, config)
+    try:
+        result = solve(instance, config)
+    except MemoryError:
+        print(f"no schedule found: out of memory on {instance.name}", file=sys.stderr)
+        return 1
     if args.telemetry:
         lines = [json.dumps({"time": round(rec.time, 6), "objective": rec.objective,
                              "phase": rec.phase}) for rec in result.telemetry]

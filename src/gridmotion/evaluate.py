@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .generate import InstanceFeatures, extract_features
-from .model import Instance, Objective, Schedule
-from .validate import UnreachableTargetError, lower_bounds, validate_schedule
+from .model import Instance, InstanceFeatures, Objective, Schedule
+from .validate import UnreachableTargetError, lower_bounds, search_window, validate_schedule
 
 
 @dataclass(frozen=True)
@@ -138,3 +137,16 @@ def instance_report(instances, suites: Mapping[str, Iterable[Schedule]],
             features=extract_features(inst),
         ))
     return report, summaries
+
+
+def extract_features(instance: Instance) -> InstanceFeatures:
+    """Features of an instance file, which carries no generator provenance:
+    the map is the bounding box of the instance content, and the cluster
+    fields are 0 and flagged unknown. ``generate`` returns the features of
+    the instances it makes."""
+    n = instance.n_robots
+    x0, y0, x1, y1 = search_window(instance)   # the bounding box inflated by 1
+    volume = (x1 - x0 - 1) * (y1 - y0 - 1)
+    free_area = volume - len(instance.obstacles)
+    return InstanceFeatures(n, n / free_area, 0, 0, volume, free_area,
+                            cluster_info_known=False)

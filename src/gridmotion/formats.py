@@ -15,8 +15,7 @@ import warnings
 from dataclasses import MISSING, fields, replace
 from typing import Any, Callable, Mapping, Optional, get_type_hints
 
-from .generate import GeneratorParams
-from .model import Direction, Instance, Objective, Schedule
+from .model import Direction, GeneratorParams, Instance, Objective, Schedule
 from .solve import SolverConfig
 
 _INSTANCE_KEYS = ("name", "starts", "targets", "obstacles")

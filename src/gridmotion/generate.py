@@ -1,4 +1,4 @@
-"""Seeded random instance generation, feature extraction and diverse selection.
+"""Seeded random instance generation and diverse selection.
 
 Pipeline for one instance:
 
@@ -23,22 +23,19 @@ the robot count above round(density * map area).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Instance, Pixel
-from .validate import cell_pixel, distance_map, search_window
+from .model import (UNIFORM, WEIGHT_PREFIX, GeneratorParams, Instance, InstanceFeatures, Pixel,
+                    params_slug)
+from .validate import cell_pixel, distance_map
 
 _TRUNCNORM_DRAWS = 64     # resample budget: used up only on [1, 1]; landed draws took <= 59
 _GENERATE_ATTEMPTS = 16   # attempt budget: 498 CHANGES.md ledger instances took 2-14
-
-UNIFORM = "uniform"
-WEIGHT_PREFIX = "weights:"
 
 
 class GenerationError(RuntimeError):
@@ -47,84 +44,6 @@ class GenerationError(RuntimeError):
 
 class WeightMapError(ValueError):
     """Raised when a weight map is malformed or weights no map pixel."""
-
-
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Knobs for one generated instance.
-
-    density is the fraction of free pixels occupied by robots (0 < d <= 1).
-    Distributions are either "uniform" or "weights:<path>" naming a grayscale
-    raster whose values weight the map pixels. Obstacle side lengths and
-    cluster sizes are truncated normals; obstacle sides truncate to
-    [1, map dimension], cluster sizes to [1, n_robots]. Density, means and
-    stddevs must be finite, and the seed >= 0, as numpy takes no negative seed.
-    """
-
-    map_width: int
-    map_height: int
-    density: float
-    start_distribution: str = UNIFORM
-    target_distribution: str = UNIFORM
-    obstacle_count: int = 0
-    obstacle_size_mean: float = 3.0
-    obstacle_size_stddev: float = 1.0
-    cluster_count: int = 0
-    cluster_size_mean: float = 4.0
-    cluster_size_stddev: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.map_width < 1 or self.map_height < 1:
-            raise ValueError("map dimensions must be >= 1")
-        for name in ("density", "obstacle_size_mean", "obstacle_size_stddev",
-                     "cluster_size_mean", "cluster_size_stddev"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (0.0 < self.density <= 1.0):
-            raise ValueError("density must be in (0, 1]")
-        if self.obstacle_count < 0 or self.cluster_count < 0:
-            raise ValueError("counts must be >= 0")
-        if self.obstacle_size_stddev < 0 or self.cluster_size_stddev < 0:
-            raise ValueError("stddevs must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.obstacle_count and self.obstacle_size_mean <= 0:
-            raise ValueError("obstacle_size_mean must be > 0")
-        if self.cluster_count and self.cluster_size_mean <= 0:
-            raise ValueError("cluster_size_mean must be > 0")
-        for spec in (self.start_distribution, self.target_distribution):
-            if spec != UNIFORM and not spec.startswith(WEIGHT_PREFIX):
-                raise ValueError(f"unknown distribution spec: {spec!r}")
-
-
-@dataclass(frozen=True)
-class InstanceFeatures:
-    """Measured properties used for reporting and diverse selection.
-
-    ``vector()`` fixes the feature order for distance computations:
-    (n_robots, density, n_clusters, n_clustered_robots, volume, free_area).
-    ``cluster_info_known`` is False for instances without generator
-    provenance; their cluster fields are reported as 0.
-    """
-
-    n_robots: int
-    density: float
-    n_clusters: int
-    n_clustered_robots: int
-    volume: int
-    free_area: int
-    cluster_info_known: bool = True
-
-    def vector(self) -> tuple[float, ...]:
-        return (
-            float(self.n_robots),
-            float(self.density),
-            float(self.n_clusters),
-            float(self.n_clustered_robots),
-            float(self.volume),
-            float(self.free_area),
-        )
 
 
 @dataclass(frozen=True)
@@ -204,8 +123,10 @@ def load_weight_map(path) -> np.ndarray:
         values = [int(t) for t in tokens[4:]]
     except (IndexError, ValueError):
         raise WeightMapError(f"{path}: malformed PGM header or payload") from None
-    if w < 1 or h < 1 or maxval < 1:
+    if w < 1 or h < 1:
         raise WeightMapError(f"{path}: bad PGM dimensions")
+    if maxval < 1:
+        raise WeightMapError(f"{path}: bad PGM maxval")
     if len(values) != w * h:
         raise WeightMapError(f"{path}: expected {w * h} samples, found {len(values)}")
     if any(v < 0 or v > maxval for v in values):
@@ -342,14 +263,6 @@ def place_clusters(params: GeneratorParams, n_robots: int,
     return starts, targets, n_clusters
 
 
-def params_slug(params: GeneratorParams) -> str:
-    """Deterministic, filesystem-friendly instance name for a parameter set."""
-    digest = hashlib.sha1(repr(astuple(params)).encode()).hexdigest()[:6]
-    return (f"g{params.map_width}x{params.map_height}"
-            f"-d{params.density:g}-o{params.obstacle_count}"
-            f"-c{params.cluster_count}-s{params.seed}-{digest}")
-
-
 def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
     """Generate one instance and its features. Deterministic per params.
     A bad weight map raises WeightMapError (OSError when missing) before
@@ -390,19 +303,6 @@ def generate(params: GeneratorParams, base_dir=None) -> GenerationResult:
     raise GenerationError(
         f"generation failed after {attempts} attempt{'s' if attempts > 1 else ''} "
         f"for seed {params.seed}: {last_error}")
-
-
-def extract_features(instance: Instance) -> InstanceFeatures:
-    """Features of an instance file, which carries no generator provenance:
-    the map is the bounding box of the instance content, and the cluster
-    fields are 0 and flagged unknown. ``generate`` returns the features of
-    the instances it makes."""
-    n = instance.n_robots
-    x0, y0, x1, y1 = search_window(instance)   # the bounding box inflated by 1
-    volume = (x1 - x0 - 1) * (y1 - y0 - 1)
-    free_area = volume - len(instance.obstacles)
-    return InstanceFeatures(n, n / free_area, 0, 0, volume, free_area,
-                            cluster_info_known=False)
 
 
 def select_diverse(candidates: Sequence[InstanceFeatures], k: int) -> list[int]:

@@ -1,4 +1,5 @@
-"""Core domain types: pixels, directions, instances, schedules.
+"""Core domain types: pixels, directions, instances, schedules, and the
+generator's parameter and feature records.
 
 A configuration, the positions of all robots at one instant, is a plain
 tuple of pixels indexed by robot; a step, one synchronous time unit, is a
@@ -9,17 +10,23 @@ caller can also step through illegal schedules. The validator and the
 renderer replay a schedule in place instead, one moving robot at a time,
 with the same translation. See :mod:`gridmotion.validate` for the rules.
 
-Loops that run once per robot per step (here, in the validator, the
-renderer and the solution-file reader and writer) do no Enum attribute or
-hash work: they tell WAIT apart by identity (``m is Direction.WAIT``) and
-read a move's displacement from the member's ``_value_``. Direction keeps
-Enum's own hash and equality, so set and dict order, and with it every
-output byte, stays the same from run to run.
+Loops that run once per robot per step (in the validator, the renderer and
+the solution-file reader and writer) do no Enum attribute or hash work:
+they tell WAIT apart by identity (``m is Direction.WAIT``) and read a
+move's displacement from the member's ``_value_``. Direction keeps Enum's
+own hash and equality, so set and dict order, and with it every output
+byte, stays the same from run to run.
+
+``GeneratorParams``, ``InstanceFeatures`` and ``params_slug`` live here, not
+in :mod:`gridmotion.generate`, so that reading, scoring and reporting need
+no numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import math
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -136,16 +143,11 @@ def check_moves(step: Sequence[Direction]) -> None:
 def apply_step(positions: Sequence[Pixel], step: Sequence[Direction]) -> tuple[Pixel, ...]:
     """Translate every robot by its move. No legality checking on purpose,
     not even distinctness: after a colliding step two robots share a pixel.
-
-    Only moving robots get a new Pixel; a waiting robot keeps the one it
-    has. Per robot the work is an identity test against WAIT and, for a
-    mover, a read of its displacement off ``_value_`` and a Pixel built by
-    ``tuple.__new__``, which skips NamedTuple's Python-level constructor."""
+    A waiting robot keeps the Pixel it has; a moving one gets a new one."""
     if len(positions) != len(step):
         raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
-    wait, new = Direction.WAIT, tuple.__new__
-    return tuple([p if m is wait else new(Pixel, (p[0] + m._value_[0], p[1] + m._value_[1]))
-                  for p, m in zip(positions, step)])
+    return tuple(p if m is Direction.WAIT else Pixel(p[0] + m.value[0], p[1] + m.value[1])
+                 for p, m in zip(positions, step))
 
 
 def schedule_objectives(schedule: Schedule) -> tuple[int, int]:
@@ -163,3 +165,93 @@ def schedule_objectives(schedule: Schedule) -> tuple[int, int]:
         if active:
             makespan = idx + 1
     return makespan, total
+
+
+UNIFORM = "uniform"
+WEIGHT_PREFIX = "weights:"
+
+
+@dataclass(frozen=True)
+class GeneratorParams:
+    """Knobs for one generated instance.
+
+    density is the fraction of free pixels occupied by robots (0 < d <= 1).
+    Distributions are either "uniform" or "weights:<path>" naming a grayscale
+    raster whose values weight the map pixels. Obstacle side lengths and
+    cluster sizes are truncated normals; obstacle sides truncate to
+    [1, map dimension], cluster sizes to [1, n_robots]. Density, means and
+    stddevs must be finite, and the seed >= 0, as numpy takes no negative seed.
+    """
+
+    map_width: int
+    map_height: int
+    density: float
+    start_distribution: str = UNIFORM
+    target_distribution: str = UNIFORM
+    obstacle_count: int = 0
+    obstacle_size_mean: float = 3.0
+    obstacle_size_stddev: float = 1.0
+    cluster_count: int = 0
+    cluster_size_mean: float = 4.0
+    cluster_size_stddev: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.map_width < 1 or self.map_height < 1:
+            raise ValueError("map dimensions must be >= 1")
+        for name in ("density", "obstacle_size_mean", "obstacle_size_stddev",
+                     "cluster_size_mean", "cluster_size_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not (0.0 < self.density <= 1.0):
+            raise ValueError("density must be in (0, 1]")
+        if self.obstacle_count < 0 or self.cluster_count < 0:
+            raise ValueError("counts must be >= 0")
+        if self.obstacle_size_stddev < 0 or self.cluster_size_stddev < 0:
+            raise ValueError("stddevs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.obstacle_count and self.obstacle_size_mean <= 0:
+            raise ValueError("obstacle_size_mean must be > 0")
+        if self.cluster_count and self.cluster_size_mean <= 0:
+            raise ValueError("cluster_size_mean must be > 0")
+        for spec in (self.start_distribution, self.target_distribution):
+            if spec != UNIFORM and not spec.startswith(WEIGHT_PREFIX):
+                raise ValueError(f"unknown distribution spec: {spec!r}")
+
+
+@dataclass(frozen=True)
+class InstanceFeatures:
+    """Measured properties used for reporting and diverse selection.
+
+    ``vector()`` fixes the feature order for distance computations:
+    (n_robots, density, n_clusters, n_clustered_robots, volume, free_area).
+    ``cluster_info_known`` is False for instances without generator
+    provenance; their cluster fields are reported as 0.
+    """
+
+    n_robots: int
+    density: float
+    n_clusters: int
+    n_clustered_robots: int
+    volume: int
+    free_area: int
+    cluster_info_known: bool = True
+
+    def vector(self) -> tuple[float, ...]:
+        return (
+            float(self.n_robots),
+            float(self.density),
+            float(self.n_clusters),
+            float(self.n_clustered_robots),
+            float(self.volume),
+            float(self.free_area),
+        )
+
+
+def params_slug(params: GeneratorParams) -> str:
+    """Deterministic, filesystem-friendly instance name for a parameter set."""
+    digest = hashlib.sha1(repr(astuple(params)).encode()).hexdigest()[:6]
+    return (f"g{params.map_width}x{params.map_height}"
+            f"-d{params.density:g}-o{params.obstacle_count}"
+            f"-c{params.cluster_count}-s{params.seed}-{digest}")

@@ -7,7 +7,10 @@ PATH, and an entry-point check reads pyproject.toml to confirm that the
 script and ``python -m`` call the same function. Two more subprocesses
 serve perfbench's traced run: one checks that every function it wraps is
 still found after importing ``gridmotion.cli``, the other runs a traced
-solve and turns its spans into per-layer metrics."""
+solve and turns its spans into per-layer metrics. One checks that the
+modules that read, validate, score and render import without numpy, and
+one solves, under a 3 GB address-space limit, an instance too far apart to
+fit in it."""
 
 import dataclasses
 import json
@@ -281,7 +284,7 @@ def test_empty_instance_name_exits_two(tmp_path, capsys):
 
 def test_validate_truncated_file_exits_two(line_files, tmp_path, capsys):
     ipath, spath = line_files
-    bad = write(tmp_path / "cut.instance.json", open(ipath).read()[:25])
+    bad = write(tmp_path / "cut.instance.json", Path(ipath).read_text()[:25])
     assert main(["validate", bad, spath]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -331,7 +334,7 @@ def test_broken_input_file_is_named_once(command, broken, line_files, tmp_path, 
     # a cut JSON file, or a config or CSV that does not parse: the message
     # starts with the path of the broken file, and names it only there
     ipath, spath = line_files
-    text = {"instance": open(ipath).read()[:25], "solution": open(spath).read()[:30],
+    text = {"instance": Path(ipath).read_text()[:25], "solution": Path(spath).read_text()[:30],
             "unnamed solution": "[]\n", "config": "no equals sign\n",
             "features": "name,n_robots\n"}[broken]
     instances, team = tmp_path / "instances", tmp_path / "team"
@@ -893,6 +896,46 @@ def test_help_smoke_in_subprocess():
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith(f"usage: gridmotion {command} ")
+
+
+def _child_env():
+    """The environment of a child that imports the same gridmotion as this
+    process."""
+    src = str(Path(run_module.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_reading_scoring_and_rendering_import_no_numpy():
+    # only the generator, and the cli that runs it, need numpy
+    code = ("import sys\n"
+            "import gridmotion.model, gridmotion.validate, gridmotion.solve\n"
+            "import gridmotion.formats, gridmotion.evaluate, gridmotion.render\n"
+            "print(sorted({'numpy', 'gridmotion.generate'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the address-space limit that keeps this solve small is Linux's")
+def test_solve_out_of_memory_exits_one_without_traceback(tmp_path):
+    # robots 10^11 cells apart: the solver's per-column tables cannot fit in
+    # the child's 3 GB of address space; never run this without the limit
+    import resource
+    far = 10 ** 11
+    ipath = write(tmp_path / "far.instance.json", emit_instance(make_instance(
+        [(0, 0), (far, 0)], [(far, 0), (0, 0)], name="far")))
+    out = tmp_path / "out.json"
+    limit = 3 * 1024 ** 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridmotion", "solve", ipath, "-o", str(out)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "no schedule found: out of memory on far\n"
+    assert not out.exists()
 
 
 def test_perfbench_span_targets_resolve_after_cli_import():

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from conftest import make_instance, schedule
-from gridmotion.evaluate import InstanceScore, instance_report, score_suites
-from gridmotion.generate import GeneratorParams, extract_features, generate
+from gridmotion.evaluate import InstanceScore, extract_features, instance_report, score_suites
+from gridmotion.generate import GeneratorParams, generate
 from gridmotion.model import Objective
 from gridmotion.solve import SolverConfig, solve
 

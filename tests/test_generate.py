@@ -7,13 +7,13 @@ from scipy import stats
 
 import oracles
 from gridmotion import generate as generate_module
+from gridmotion.evaluate import extract_features
 from gridmotion.formats import emit_instance
 from gridmotion.generate import (
     GenerationError,
     GeneratorParams,
     InstanceFeatures,
     _rect_pixels,
-    extract_features,
     fill_enclosed,
     generate,
     load_weight_map,
@@ -168,18 +168,23 @@ def test_load_weight_map_parses_p2(tmp_path):
     assert raster[1].tolist() == [4, 5, 6]
 
 
-@pytest.mark.parametrize("text", [
-    "P5\n2 2 9\n1 2 3 4\n",           # binary magic
-    "P2\n2 2 9\n1 2 3\n",             # short payload
-    "P2\n2 2 9\n1 2 3 4 5\n",         # long payload
-    "P2\n2 2 9\n1 2 3 10\n",          # sample over maxval
-    "P2\n0 2 9\n\n",                  # zero dimension
-    "P2\n2 2\n1 2 3 4\n",             # missing maxval
-    "P2\n2 x 9\n1 2 3 4\n",           # non-numeric header
-])
+# each malformed PGM, and the message it is rejected with
+_MALFORMED_PGMS = {
+    "P5\n2 2 9\n1 2 3 4\n": "not an ASCII PGM",                  # binary magic
+    "P2\n2 2 9\n1 2 3\n": "expected 4 samples, found 3",         # short payload
+    "P2\n2 2 9\n1 2 3 4 5\n": "expected 4 samples, found 5",     # long payload
+    "P2\n2 2 9\n1 2 3 10\n": "sample out of range",              # sample over maxval
+    "P2\n0 2 9\n\n": "bad PGM dimensions",                       # zero dimension
+    "P2\n2 2\n1 2 3 4\n": "expected 4 samples, found 3",         # missing maxval
+    "P2\n2 x 9\n1 2 3 4\n": "malformed PGM header or payload",   # non-numeric header
+    "P2\n2 2\n0\n0 0 0 0\n": "bad PGM maxval",                   # zero maxval
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED_PGMS))
 def test_load_weight_map_rejects_malformed(tmp_path, text):
     path = _pgm(tmp_path, "bad.pgm", text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_MALFORMED_PGMS[text]):
         load_weight_map(path)
 
 
