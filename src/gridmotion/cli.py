@@ -80,6 +80,16 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
+def _check_output(path) -> None:
+    """Raise FormatError unless ``path`` can name a file to write: it is not
+    a directory, and its parent directory exists."""
+    target = Path(path)
+    if target.is_dir():
+        raise FormatError(f"{path}: is a directory")
+    if not target.parent.is_dir():
+        raise FormatError(f"{path}: no such directory: {target.parent}")
+
+
 def _csv(header, rows) -> str:
     """CSV text with "\n" line ends; None cells are written empty."""
     buf = io.StringIO()
@@ -207,6 +217,10 @@ def cmd_solve(args) -> int:
     if "seed" not in settings and SEED_ENV in os.environ:
         settings["seed"] = str(_default_seed())
     config = apply_solver_settings(settings, base)
+    # a bad output path fails now, not after the search and a telemetry write
+    for path in (args.output, args.telemetry):
+        if path:
+            _check_output(path)
 
     try:
         result = solve(instance, config)

@@ -149,6 +149,9 @@ class ReservationTable:
     last move, so ``horizon`` is also the makespan of the committed paths.
     ``moves`` maps each committed robot to its path's moves (steps that change
     cell), and :meth:`value` reads either objective off the table.
+    :meth:`add_path`, :meth:`remove_path`, :meth:`hold` and :meth:`release`
+    are the only writers, and each writes ``vertex`` and ``busy`` itself;
+    :meth:`add_path` counts the moves as it writes.
     """
 
     def __init__(self, window: tuple[int, int, int, int]):
@@ -160,48 +163,53 @@ class ReservationTable:
         self.paths: dict = {}    # robot -> its committed cells
         self.moves: dict = {}    # robot -> moves along its path
 
-    def _write(self, cell: int, t: int, came_from: int) -> None:
-        self.vertex[(cell, t)] = came_from
-        insort(self.busy.setdefault(cell, []), t)
-
-    def _erase(self, cell: int, t: int) -> None:
-        del self.vertex[(cell, t)]
-        self.busy[cell].remove(t)
-        if not self.busy[cell]:
-            del self.busy[cell]
-
     def add_path(self, robot: int, cells: list[int]) -> None:
+        vertex, busy, parked = self.vertex, self.busy, self.parked
         # check everything before the first write, so a rejected path
         # leaves the table as it was
         for t, c in enumerate(cells):
-            if self.blocked_at(c, t):
+            if (c, t) in vertex or parked.get(c, math.inf) <= t:
                 raise ValueError(f"cell {c} already reserved at t={t}")
         end = len(cells) - 1
         if self.last_visit(cells[end]) >= end:
             raise ValueError(f"cell {cells[end]} reserved at or after t={end}")
+        came_from, moves = cells[0], 0
         for t, c in enumerate(cells):
-            self._write(c, t, cells[t - 1] if t else c)
-        self.parked[cells[end]] = end
+            vertex[(c, t)] = came_from
+            insort(busy.setdefault(c, []), t)
+            moves += c != came_from
+            came_from = c
+        parked[cells[end]] = end
         self.paths[robot] = cells
-        self.moves[robot] = sum(a != b for a, b in zip(cells, cells[1:]))
+        self.moves[robot] = moves
         self.horizon = max(self.horizon, end)
 
     def remove_path(self, robot: int) -> None:
         path = self.paths.pop(robot)
         del self.moves[robot]
+        vertex, busy = self.vertex, self.busy
         for t, c in enumerate(path):
-            self._erase(c, t)
+            del vertex[(c, t)]
+            times = busy[c]
+            times.remove(t)
+            if not times:
+                del busy[c]
         del self.parked[path[-1]]
         if len(path) - 1 == self.horizon:
             self.horizon = max((len(p) - 1 for p in self.paths.values()), default=0)
 
     def hold(self, cell: int) -> None:
         """Hold ``cell`` at time 0 for a robot not planned yet."""
-        self._write(cell, 0, cell)
+        self.vertex[(cell, 0)] = cell
+        insort(self.busy.setdefault(cell, []), 0)
 
     def release(self, cell: int) -> None:
         """Take back a :meth:`hold`."""
-        self._erase(cell, 0)
+        del self.vertex[(cell, 0)]
+        times = self.busy[cell]
+        times.remove(0)
+        if not times:
+            del self.busy[cell]
 
     def blocked_at(self, cell: int, t: int) -> bool:
         if (cell, t) in self.vertex:
@@ -239,7 +247,7 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     The search runs over safe intervals (Phillips and Likhachev, ICRA 2011):
     interval ``j`` of a cell is the run of times, between the holds in
     ``table.busy[cell]``, that ends just before hold ``j``. A label
-    ``(cell, arrival, moves, parent)`` may wait on its cell to its
+    ``(cell, arrival, moves, parent, interval)`` may wait on its cell to its
     interval's last time ``b``, so a wait of any length is one edge. Moving
     to a neighbour ``q``, it arrives in ``[arrival + 1, b + 1]``; in each
     interval of ``q`` met there, only the earliest legal arrival ``s`` is
@@ -265,9 +273,11 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     then second cost (moves for MAX, arrival for SUM). Each interval keeps
     one number, the least second cost of a label expanded there, and a label
     not below it is neither pushed nor expanded: one expanded before it costs
-    no more on either key. No horizon is needed: the table has finitely many
-    intervals, and each expands labels of strictly falling non-negative
-    second cost, so the search ends; None means no path exists at any time.
+    no more on either key. A label carries its interval's index, so a pop
+    reads the table only when it expands. No horizon is needed: the table
+    has finitely many intervals, and each expands labels of strictly falling
+    non-negative second cost, so the search ends; None means no path exists
+    at any time.
     """
     window = table.window
     start = cell_id(window, instance.starts[robot])
@@ -280,26 +290,27 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
     hx = [-math.inf, *range(tc - 1, 0, -1), *range(window[2] - window[0] + 2 - tc), -math.inf]
     hy = [-math.inf, *range(tr - 1, 0, -1), *range(stride - 1 - tr), -math.inf]
     moves = _move_offsets(window)
-    shadow, walls = field.shadow, field.walls
-    vertex, busy, parked = table.vertex, table.busy, table.parked
+    walls, vertex, parked = field.walls, table.vertex, table.parked
+    shadow_get, busy_get, vertex_get = field.shadow.get, table.busy.get, vertex.get
+    heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
     sum_objective = Objective(objective) is Objective.SUM
 
     h0 = field[instance.starts[robot]]
     goal_free_from = table.last_visit(goal) + 1
-    if h0 < 0 or goal_free_from == math.inf:
+    if h0 < 0 or goal_free_from == inf:
         return None
 
     least = {}   # (cell, interval index) -> least second cost expanded there
-    counter = itertools.count()
-    heap = [(h0, h0, h0, next(counter), (start, 0, 0, None))]
+    least_get = least.get
+    count = 0    # insertion counter, the last tie-break
+    heap = [(h0, h0, h0, count, (start, 0, 0, None, 0))]
     while heap:
-        _, f2, h, _, label = heapq.heappop(heap)
-        p, t, m, _ = label
-        holds = busy.get(p, ())
-        k = bisect_left(holds, t)
-        if least.get((p, k), math.inf) <= f2 - h:
+        _, f2, h, _, label = heappop(heap)
+        p, t, m, _, k = label
+        key = (p, k)
+        if least_get(key, inf) <= f2 - h:
             continue   # a label expanded here before costs no more
-        least[(p, k)] = f2 - h
+        least[key] = f2 - h
         if p == goal and t >= goal_free_from:
             path = [p]
             while label[3] is not None:
@@ -308,33 +319,52 @@ def plan_single(instance: Instance, robot: int, table: ReservationTable,
                 label = parent
             return path[::-1]
         # gone by the next hold, if any, moving as the robot that enters p then
-        end = holds[k] if k < len(holds) else math.inf
-        along = p - vertex[(p, end)] if k < len(holds) else None
+        holds = busy_get(p, ())
+        if k < len(holds):
+            end = holds[k]
+            along = p - vertex[(p, end)]
+        else:
+            end, along = inf, None
         nm = m + 1
         col, row = divmod(p, stride)
         for d, dx, dy in moves:
             q = p + d
-            h = (shadow[q] if q in shadow else -1 if q in walls
-                 else hx[col + dx] + hy[row + dy])
+            h = shadow_get(q)
+            if h is None:
+                h = -1 if q in walls else hx[col + dx] + hy[row + dy]
             if h < 0:
                 continue   # obstacle, ring or cut off from the target
             last = end if along is None or d == along else end - 1
-            qh = busy.get(q, ())
+            qh = busy_get(q)
+            if qh is None:   # a cell never held has one interval, from time 0 on
+                if t < last:
+                    s = t + 1
+                    if sum_objective:
+                        if s < least_get((q, 0), inf):
+                            count += 1
+                            heappush(heap, (nm + h, s + h, h, count, (q, s, nm, label, 0)))
+                    elif nm < least_get((q, 0), inf):
+                        count += 1
+                        heappush(heap, (s + h, nm + h, h, count, (q, s, nm, label, 0)))
+                continue
             n = len(qh)
-            # a cell never held has one interval, from time 0 on
-            for j in range(bisect_left(qh, t + 1), n + (q not in parked)) if qh else (0,):
+            for j in range(bisect_left(qh, t + 1), n + (q not in parked)):
                 s = qh[j - 1] + 1 if j else 0   # where interval j opens
                 if s <= t:
                     s = t + 1
-                elif vertex.get((q + d, s)) != q:
+                elif vertex_get((q + d, s)) != q:
                     s += 1   # enter only behind an occupant leaving the same way
                 if s > last:
                     break
                 if j < n and s >= qh[j]:
                     continue   # interval j closes first
-                f1, f2 = (nm + h, s + h) if sum_objective else (s + h, nm + h)
-                if f2 - h < least.get((q, j), math.inf):
-                    heapq.heappush(heap, (f1, f2, h, next(counter), (q, s, nm, label)))
+                if sum_objective:
+                    if s < least_get((q, j), inf):
+                        count += 1
+                        heappush(heap, (nm + h, s + h, h, count, (q, s, nm, label, j)))
+                elif nm < least_get((q, j), inf):
+                    count += 1
+                    heappush(heap, (s + h, nm + h, h, count, (q, s, nm, label, j)))
     return None
 
 

@@ -2,11 +2,17 @@
 
 Everything in this module is deliberately built on different primitives
 than the library under test (continuous-time interpolation, scipy
-labeling, dense arrays) so that a shared bug is unlikely. Nothing here
-imports from gridmotion.
+labeling, dense arrays) so that a shared bug is unlikely. Two are earlier
+versions of library code, kept so that a rewrite meant to change no output
+is compared with what it replaced: ``reference_plan_single`` and
+``render_all_configurations``. Nothing here imports from gridmotion.
 """
 
+import bisect
 from collections import deque
+import heapq
+import itertools
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -347,3 +353,80 @@ def render_all_configurations(instance, schedule=None, frame_every=1, violation=
         parts.append('</g>')
     parts.append('</svg>')
     return "\n".join(parts) + "\n"
+
+
+def reference_plan_single(start, goal, table, objective, field):
+    """The safe-interval search that ``plan_single`` ran before its labels
+    carried their interval index: a pop finds its interval by bisecting the
+    cell's holds, and the costs go through one conditional tuple. Reads the
+    table's ``vertex``, ``busy``, ``parked`` and ``window`` and the field's
+    ``shadow`` and ``walls``; ``start`` and ``goal`` are pixels and
+    ``objective`` is ``"max"`` or ``"sum"``. Returns the path as cell ids, or
+    None."""
+    x0, y0, x1, y1 = table.window
+    stride = y1 - y0 + 3
+
+    def cell(pixel):
+        return (pixel[0] - x0 + 1) * stride + pixel[1] - y0 + 1
+
+    start, goal = cell(start), cell(goal)
+    vertex, busy, parked = table.vertex, table.busy, table.parked
+    shadow, walls = field.shadow, field.walls
+    tc, tr = divmod(goal, stride)
+    hx = [-math.inf, *range(tc - 1, 0, -1), *range(x1 - x0 + 2 - tc), -math.inf]
+    hy = [-math.inf, *range(tr - 1, 0, -1), *range(stride - 1 - tr), -math.inf]
+    moves = ((1, 0, 1), (-1, 0, -1), (stride, 1, 0), (-stride, -1, 0))
+    sum_objective = objective == "sum"
+
+    col, row = divmod(start, stride)
+    h0 = shadow[start] if start in shadow else -1 if start in walls else hx[col] + hy[row]
+    times = busy.get(goal)
+    goal_free_from = math.inf if goal in parked else (times[-1] if times else -1) + 1
+    if h0 < 0 or goal_free_from == math.inf:
+        return None
+
+    least = {}
+    counter = itertools.count()
+    heap = [(h0, h0, h0, next(counter), (start, 0, 0, None))]
+    while heap:
+        _, f2, h, _, label = heapq.heappop(heap)
+        p, t, m, _ = label
+        holds = busy.get(p, ())
+        k = bisect.bisect_left(holds, t)
+        if least.get((p, k), math.inf) <= f2 - h:
+            continue
+        least[(p, k)] = f2 - h
+        if p == goal and t >= goal_free_from:
+            path = [p]
+            while label[3] is not None:
+                parent = label[3]
+                path += [parent[0]] * (label[1] - parent[1])
+                label = parent
+            return path[::-1]
+        end = holds[k] if k < len(holds) else math.inf
+        along = p - vertex[(p, end)] if k < len(holds) else None
+        nm = m + 1
+        col, row = divmod(p, stride)
+        for d, dx, dy in moves:
+            q = p + d
+            h = (shadow[q] if q in shadow else -1 if q in walls
+                 else hx[col + dx] + hy[row + dy])
+            if h < 0:
+                continue
+            last = end if along is None or d == along else end - 1
+            qh = busy.get(q, ())
+            n = len(qh)
+            for j in range(bisect.bisect_left(qh, t + 1), n + (q not in parked)) if qh else (0,):
+                s = qh[j - 1] + 1 if j else 0
+                if s <= t:
+                    s = t + 1
+                elif vertex.get((q + d, s)) != q:
+                    s += 1
+                if s > last:
+                    break
+                if j < n and s >= qh[j]:
+                    continue
+                f1, f2 = (nm + h, s + h) if sum_objective else (s + h, nm + h)
+                if f2 - h < least.get((q, j), math.inf):
+                    heapq.heappush(heap, (f1, f2, h, next(counter), (q, s, nm, label)))
+    return None

@@ -482,6 +482,30 @@ def test_solve_refuses_to_write_infeasible(tmp_path, capsys):
     assert "no schedule found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["-o", "--telemetry"])
+@pytest.mark.parametrize("name, message", [
+    ("missing/out.json", "no such directory"),
+    (".", "is a directory"),
+])
+def test_solve_checks_output_paths_before_solving(line_files, tmp_path, monkeypatch,
+                                                  capsys, option, name, message):
+    # a path that cannot be written exits 2 naming it, before any search
+    # runs and before the other output is written
+    ipath, _ = line_files
+    bad = str(tmp_path / name)
+    paths = {"-o": str(tmp_path / "out.solution.json"),
+             "--telemetry": str(tmp_path / "telemetry.jsonl"), option: bad}
+    called = []
+    monkeypatch.setattr(cli_module, "solve", lambda *args: called.append(args))
+    argv = ["solve", ipath] + [token for pair in paths.items() for token in pair]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
+    assert called == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "line.instance.json", "line.solution.json"]
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--restarts", "0", "restarts must be >= 1"),
     ("--anneal-iterations", "-5", "anneal_iterations must be >= 0"),

@@ -404,6 +404,73 @@ def test_plan_single_cost_matches_a_time_expanded_search():
         assert compared >= least_compared and found >= least_found, shape
 
 
+def count_heap_calls(monkeypatch, module):
+    """Route ``module``'s heap pushes and pops through a counter, which is
+    returned."""
+    counts = collections.Counter()
+
+    def push(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    def pop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(module, "heapq", SimpleNamespace(heappush=push, heappop=pop))
+    return counts
+
+
+def test_plan_single_matches_the_reference_search(monkeypatch):
+    # plan_single's inner loop was rewritten for speed; every path it
+    # returns, ties included, and its numbers of heap pushes and pops must
+    # be those of the search it replaced: on random tables, sparse and
+    # crowded with many intervals, and on every table that solves of
+    # crowded maps plan against
+    ours, theirs = (count_heap_calls(monkeypatch, m) for m in (solve_module, oracles))
+    real_plan_single = solve_module.plan_single
+
+    def both(instance, robot, table, objective, field):
+        ours.clear()
+        theirs.clear()
+        path = real_plan_single(instance, robot, table, objective, field=field)
+        expected = oracles.reference_plan_single(
+            instance.starts[robot], instance.targets[robot], table,
+            Objective(objective).value, field)
+        return (path, dict(ours)), (expected, dict(theirs))
+
+    case_sets = [(300, {}), (50, dict(side=6, n_walks=6, steps=16)),
+                 (60, dict(side=8, n_walks=10, steps=24))]
+    found = 0
+    for seeds, shape in case_sets:
+        for seed in range(seeds):
+            case = random_committed_case(seed, **shape)
+            if case is None:
+                continue
+            inst, table, _, _ = case
+            field = distance_map(inst.obstacles, table.window, inst.targets[0])
+            for objective in Objective:
+                got, expected = both(inst, 0, table, objective, field)
+                assert got == expected, (seed, shape, objective)
+                found += got[0] is not None
+    assert found >= 700
+
+    calls = []
+
+    def checked(instance, robot, table, objective, *, field):
+        got, expected = both(instance, robot, table, objective, field)
+        assert got == expected
+        calls.append(got[0] is not None)
+        return got[0]
+
+    monkeypatch.setattr(solve_module, "plan_single", checked)
+    for seed, objective in itertools.product((0, 1), Objective):
+        inst = generate(GeneratorParams(12, 12, 0.4, obstacle_count=3, seed=seed)).instance
+        solve(inst, SolverConfig(objective=objective, restarts=2, anneal_iterations=30,
+                                 seed=seed))
+    assert len(calls) >= 2000 and 0 < sum(calls) < len(calls)
+
+
 def test_plan_single_returns_none_for_walled_target():
     pocket = [(5, 4), (5, 6), (4, 5), (6, 5)]
     inst = make_instance([(0, 0)], [(5, 5)], pocket)
