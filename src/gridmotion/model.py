@@ -5,10 +5,9 @@ A configuration, the positions of all robots at one instant, is a plain
 tuple of pixels indexed by robot; a step, one synchronous time unit, is a
 plain tuple of directions indexed by robot. Everything in this module is an
 immutable value, and every function is pure. Motion legality is deliberately
-*not* checked here; ``apply_step`` performs a plain translation so that a
-caller can also step through illegal schedules. The validator and the
-renderer replay a schedule in place instead, one moving robot at a time,
-with the same translation. See :mod:`gridmotion.validate` for the rules.
+*not* checked here. The validator and the renderer replay a schedule in
+place, one moving robot at a time, translating each mover by its
+displacement. See :mod:`gridmotion.validate` for the rules.
 
 Loops that run once per robot per step (in the validator, the renderer and
 the solution-file reader and writer) do no Enum attribute or hash work:
@@ -138,16 +137,6 @@ def check_moves(step: Sequence[Direction]) -> None:
     for m in step:
         if not isinstance(m, Direction):
             raise ValueError(f"step entries must be Direction, got {m!r}")
-
-
-def apply_step(positions: Sequence[Pixel], step: Sequence[Direction]) -> tuple[Pixel, ...]:
-    """Translate every robot by its move. No legality checking on purpose,
-    not even distinctness: after a colliding step two robots share a pixel.
-    A waiting robot keeps the Pixel it has; a moving one gets a new one."""
-    if len(positions) != len(step):
-        raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
-    return tuple(p if m is Direction.WAIT else Pixel(p[0] + m.value[0], p[1] + m.value[1])
-                 for p, m in zip(positions, step))
 
 
 def schedule_objectives(schedule: Schedule) -> tuple[int, int]:

@@ -35,8 +35,8 @@ def render_svg(instance: Instance, schedule: Optional[Schedule] = None,
     robot gets a new ``(x, y)`` tuple, and the bounding box grows with each
     position a robot passes, drawn or not. Only the configurations of drawn
     frames are kept, so memory follows the frames, not the schedule's
-    length. An illegal step is replayed as the plain translation that
-    :func:`~gridmotion.model.apply_step` makes."""
+    length. An illegal step is replayed as a plain translation of its
+    movers."""
     if frame_every < 1:
         raise ValueError("frame_every must be >= 1")
     steps = () if schedule is None else schedule.steps

@@ -1,4 +1,6 @@
-from gridmotion.model import Direction, Instance, Schedule
+from typing import Sequence
+
+from gridmotion.model import Direction, Instance, Pixel, Schedule
 
 _LETTERS = {
     "N": Direction.NORTH,
@@ -12,6 +14,16 @@ _LETTERS = {
 def step(letters: str) -> tuple[Direction, ...]:
     """Build a step from a compact string, one letter per robot, '.' = wait."""
     return tuple(_LETTERS[c] for c in letters)
+
+
+def apply_step(positions: Sequence[Pixel], step: Sequence[Direction]) -> tuple[Pixel, ...]:
+    """Translate every robot by its move. No legality checking on purpose,
+    not even distinctness: after a colliding step two robots share a pixel.
+    A waiting robot keeps the Pixel it has; a moving one gets a new one."""
+    if len(positions) != len(step):
+        raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
+    return tuple(p if m is Direction.WAIT else Pixel(p[0] + m.value[0], p[1] + m.value[1])
+                 for p, m in zip(positions, step))
 
 
 def schedule(name: str, *rows: str) -> Schedule:

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from conftest import make_instance, schedule, step
+from conftest import apply_step, make_instance, schedule, step
 from gridmotion.model import (
     Direction,
     Instance,
     Pixel,
     Schedule,
-    apply_step,
     schedule_objectives,
 )
 

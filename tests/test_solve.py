@@ -14,11 +14,11 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from conftest import make_instance, seal
+from conftest import apply_step, make_instance, seal
 import gridmotion.solve as solve_module
 from gridmotion.formats import emit_solution
 from gridmotion.generate import GeneratorParams, generate
-from gridmotion.model import Direction, Objective, apply_step, schedule_objectives
+from gridmotion.model import Direction, Objective, schedule_objectives
 from gridmotion.solve import (
     ReservationTable,
     SolverConfig,

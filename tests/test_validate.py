@@ -5,12 +5,11 @@ import random
 import pytest
 
 import oracles
-from conftest import bounds_of, make_instance, schedule, seal, step
+from conftest import apply_step, bounds_of, make_instance, schedule, seal, step
 from gridmotion.model import (
     Direction,
     Pixel,
     Schedule,
-    apply_step,
 )
 from gridmotion.validate import (
     RULE_OBSTACLE,
