@@ -82,6 +82,15 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
+def _make_dir(path) -> Path:
+    """``path`` made a directory, parents too; FormatError when a file is in the way."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise FormatError(f"{path}: not a directory") from None
+    return Path(path)
+
+
 def _check_output(path) -> None:
     """Raise FormatError unless ``path`` can name a file to write: it is not
     a directory, and its parent directory exists."""
@@ -162,8 +171,7 @@ def cmd_generate(args) -> int:
         results = [generate(params, base_dir=base_dir) for params in combos]
     except WeightMapError as err:
         raise FormatError(f"generator config: {err}") from None
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_dir(args.outdir)
     feature_rows = []
     for name, result in zip(names, results):
         _write(outdir / f"{name}.instance.json", emit_instance(result.instance))
@@ -291,8 +299,7 @@ def cmd_score(args) -> int:
         report = score_suites(instances, suites, objective)
         summaries = None
 
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_dir(args.output)
     _write(outdir / "scores.csv", _csv(
         ["objective", "instance", "team", "value", "best_value", "score"],
         ([objective.value, row.instance, row.team, row.value, row.best_value,

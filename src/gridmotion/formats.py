@@ -113,18 +113,23 @@ def parse_solution(source: str | dict, n_robots: int, strict: bool = False) -> S
     if not isinstance(data["steps"], list):
         raise FormatError("solution file: steps must be a list")
     robot_of = {str(i): i for i in range(n_robots)}   # the canonical keys
+    idle = (Direction.WAIT,) * n_robots   # every empty step shares it
     steps = []
     for idx, raw in enumerate(data["steps"]):
         if not isinstance(raw, dict):
             raise FormatError(f"solution file: step {idx} must be an object")
-        moves = [Direction.WAIT] * n_robots
+        if not raw:
+            steps.append(idle)
+            continue
+        moves = list(idle)
         try:
             for key, letter in raw.items():
                 moves[robot_of[key]] = _FROM_LETTER[letter]
         except (KeyError, TypeError):   # TypeError: an unhashable letter
             raise _entry_error(idx, raw, n_robots) from None
         steps.append(tuple(moves))
-    return Schedule(instance_name=data["instance"], steps=tuple(steps))
+    # every entry came from _FROM_LETTER or is WAIT, and every step is n_robots wide
+    return Schedule._trusted(data["instance"], tuple(steps))
 
 
 def _entry_error(idx: int, raw: dict, n_robots: int) -> FormatError:

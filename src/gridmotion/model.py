@@ -115,6 +115,13 @@ class Schedule:
         for s in steps:
             check_moves(s)
 
+    @classmethod
+    def _trusted(cls, instance_name: str, steps: tuple) -> Schedule:
+        """``steps``, a tuple of equal-width tuples of Directions, stored unchecked."""
+        schedule = object.__new__(cls)
+        schedule.__dict__.update(instance_name=instance_name, steps=steps)
+        return schedule
+
     @property
     def width(self) -> int | None:
         """Number of robots per step, or None for an empty schedule."""

@@ -424,16 +424,17 @@ def paths_to_schedule(instance: Instance, window: tuple[int, int, int, int],
                       paths: dict[int, list[int]]) -> Schedule:
     """Assemble per-robot paths, the cell ids of ``window``'s frame at times
     0..T_i, into a schedule: each move is read off the difference of two
-    consecutive ids, and finished robots are padded with WAIT. The schedule
-    is as long as the longest path, so paths that end on their last move,
-    as :func:`plan_single` returns them, give no trailing all-WAIT step."""
+    consecutive ids, finished robots are padded with WAIT, and the steps are
+    stored unchecked. It is as long as the longest path, so paths that end on
+    their last move, as :func:`plan_single` returns them, give no trailing
+    all-WAIT step."""
     step_of = {d: Direction((dx, dy)) for d, dx, dy in _move_offsets(window)}
     step_of[0] = Direction.WAIT
     moves = [[step_of[b - a] for a, b in zip(paths[i], paths[i][1:])]
              for i in range(instance.n_robots)]
-    steps = [tuple(m[t] if t < len(m) else Direction.WAIT for m in moves)
-             for t in range(max(map(len, moves)))]
-    return Schedule(instance_name=instance.name, steps=tuple(steps))
+    length = max(map(len, moves))
+    steps = zip(*(m + [Direction.WAIT] * (length - len(m)) for m in moves))
+    return Schedule._trusted(instance.name, tuple(steps))
 
 
 def _pick_robots(rng: random.Random, table: ReservationTable,

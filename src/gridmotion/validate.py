@@ -96,54 +96,60 @@ def check_step(instance: Instance, positions: Sequence[Pixel], step: Sequence[Di
 
 def _step_violation(obstacles: frozenset, positions: list, occupant: dict,
                     step: Sequence[Direction], step_index: int) -> Optional[Violation]:
-    """R1, R2 and R3 for ``step`` from a valid configuration: ``positions``
-    holds each robot's pixel and ``occupant`` maps each of those pixels back
-    to its robot. A legal step is applied to both in place and None is
-    returned; otherwise both are left alone and the violation that ranks
-    first, as :func:`check_step` says, is returned.
+    """R1, R2 and R3 for one step: :func:`_replay` of ``(step,)``."""
+    return _replay(obstacles, positions, occupant, (step,), step_index)
+
+
+def _replay(obstacles: frozenset, positions: list, occupant: dict,
+            steps: Iterable[Sequence[Direction]], first_index: int) -> Optional[Violation]:
+    """Replay ``steps``, numbered from ``first_index``, from a valid
+    configuration: ``positions`` holds each robot's pixel and ``occupant``
+    maps each of those pixels back to its robot. Each legal step is applied
+    to both in place, and None is returned when every step is. At the first
+    step that breaks R1, R2 or R3 both are left as that step found them, and
+    the violation that ranks first, as :func:`check_step` says, is returned.
 
     Only robots that move are looked at. A waiting robot breaks a rule only
     when a mover enters its pixel, and that mover's own check sees it: its
     destination is occupied by a robot that does not move the same way (R3)
     and is shared with that robot (R2). So the rules reduce to, per mover:
     the destination is no obstacle, no other mover claims it, and whoever
-    stands on it moves the same way. ``found`` and ``shared`` fill only
-    when a rule breaks, so a legal step costs the three look-ups per mover
-    and nothing per waiting robot but an identity test.
-    """
+    stands on it moves the same way. ``found`` and ``shared``, made once,
+    fill only when a rule breaks, so a legal step costs one dict, the three
+    look-ups per mover and nothing per waiting robot but an identity test."""
     wait = Direction.WAIT
-    claimed = {}   # destination -> the first mover that claims it
     found = []     # (lowest robot, rule rank, robots, rule), one per breach
     shared = {}    # destination -> robots ending on it, once two do
-    for i, m in enumerate(step):
-        if m is wait:
-            continue
-        x, y = positions[i]
-        dx, dy = m._value_
-        d = (x + dx, y + dy)
-        if d in obstacles:
-            found.append((i, _RULE_RANK[RULE_OBSTACLE], (i,), RULE_OBSTACLE))
-        j = occupant.get(d)
-        if j is not None and step[j] is not m:
-            robots = (i, j) if i < j else (j, i)
-            found.append((robots[0], _RULE_RANK[RULE_TRAIN], robots, RULE_TRAIN))
-            if step[j] is wait:   # j stays put, so its destination is d too
-                shared.setdefault(d, {i}).add(j)
-        k = claimed.setdefault(d, i)
-        if k != i:
-            shared.setdefault(d, {k}).add(i)
-    if not found and not shared:   # every mover claimed its own destination
-        for i in claimed.values():
+    for idx, step in enumerate(steps, first_index):
+        claimed = {}   # destination -> the first mover that claims it
+        for i, m in enumerate(step):
+            if m is wait:
+                continue
+            x, y = positions[i]
+            dx, dy = m._value_
+            d = (x + dx, y + dy)
+            if d in obstacles:
+                found.append((i, _RULE_RANK[RULE_OBSTACLE], (i,), RULE_OBSTACLE))
+            j = occupant.get(d)
+            if j is not None and step[j] is not m:
+                robots = (i, j) if i < j else (j, i)
+                found.append((robots[0], _RULE_RANK[RULE_TRAIN], robots, RULE_TRAIN))
+                if step[j] is wait:   # j stays put, so its destination is d too
+                    shared.setdefault(d, {i}).add(j)
+            k = claimed.setdefault(d, i)
+            if k != i:
+                shared.setdefault(d, {k}).add(i)
+        if found or shared:
+            for group in shared.values():
+                robots = tuple(sorted(group))
+                found.append((robots[0], _RULE_RANK[RULE_OVERLAP], robots, RULE_OVERLAP))
+            _, _, robots, rule = min(found)
+            return Violation(step=idx, rule=rule, robots=robots)
+        for d, i in claimed.items():   # every mover claimed its own destination
             del occupant[positions[i]]
-        occupant.update(claimed)
-        for d, i in claimed.items():
             positions[i] = d
-        return None
-    for group in shared.values():
-        robots = tuple(sorted(group))
-        found.append((robots[0], _RULE_RANK[RULE_OVERLAP], robots, RULE_OVERLAP))
-    _, _, robots, rule = min(found)
-    return Violation(step=step_index, rule=rule, robots=robots)
+        occupant.update(claimed)
+    return None
 
 
 def search_window(instance: Instance) -> tuple[int, int, int, int]:
@@ -358,22 +364,18 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     against compatible instances on purpose. Lower bounds are
     :func:`lower_bounds`' job.
 
-    The replay keeps each robot's pixel and a map from pixel to robot, and
-    updates both in place, so a step's work follows the robots that move:
-    a waiting robot costs one identity test against WAIT, and no loop reads
+    The replay, one :func:`_replay` call, keeps each robot's pixel and a map
+    from pixel to robot and updates both in place, so a step's work follows
+    the robots that move: a waiting robot costs one identity test, and no loop reads
     ``Direction.value`` or hashes a Direction (see :mod:`gridmotion.model`).
     """
     if schedule.width is not None and schedule.width != instance.n_robots:
         raise ValueError(
             f"schedule width {schedule.width} != instance robot count {instance.n_robots}")
-    violation: Optional[Violation] = None
     # Instance checked the starts, and R1 + R2 guard every configuration a legal step reaches
     positions = list(instance.starts)
     occupant = dict(zip(positions, range(len(positions))))
-    for idx, step in enumerate(schedule.steps):
-        violation = _step_violation(instance.obstacles, positions, occupant, step, idx)
-        if violation is not None:
-            break
+    violation = _replay(instance.obstacles, positions, occupant, schedule.steps, 0)
     if violation is None:
         mismatched = tuple(i for i, (p, t) in enumerate(zip(positions, instance.targets))
                            if p != t)
@@ -381,9 +383,5 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
             violation = Violation(step=len(schedule.steps), rule=RULE_TARGET, robots=mismatched)
 
     makespan, total = schedule_objectives(schedule)
-    return ValidationReport(
-        feasible=violation is None,
-        first_violation=violation,
-        makespan=makespan,
-        total_distance=total,
-    )
+    return ValidationReport(feasible=violation is None, first_violation=violation,
+                            makespan=makespan, total_distance=total)

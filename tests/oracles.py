@@ -4,8 +4,9 @@ Everything in this module is deliberately built on different primitives
 than the library under test (continuous-time interpolation, scipy
 labeling, dense arrays) so that a shared bug is unlikely. Two are earlier
 versions of library code, kept so that a rewrite meant to change no output
-is compared with what it replaced: ``reference_plan_single`` and
-``render_all_configurations``. Nothing here imports from gridmotion.
+is compared with what it replaced: ``reference_plan_single``,
+``reference_paths_to_schedule`` and ``render_all_configurations``. Nothing
+here imports from gridmotion.
 """
 
 import bisect
@@ -430,3 +431,20 @@ def reference_plan_single(start, goal, table, objective, field):
                 if f2 - h < least.get((q, j), math.inf):
                     heapq.heappush(heap, (f1, f2, h, next(counter), (q, s, nm, label)))
     return None
+
+
+def reference_paths_to_schedule(instance, window, paths, direction, schedule):
+    """The ``paths_to_schedule`` that built one step at a time, each through
+    a generator over the robots, and handed the steps to the checking
+    constructor. ``direction`` and ``schedule`` are the library's Direction
+    and Schedule classes; ``paths`` map each robot to its cell ids in
+    ``window``'s frame."""
+    stride = window[3] - window[1] + 3
+    step_of = {d: direction((dx, dy)) for d, dx, dy in
+               ((1, 0, 1), (-1, 0, -1), (stride, 1, 0), (-stride, -1, 0))}
+    step_of[0] = direction.WAIT
+    moves = [[step_of[b - a] for a, b in zip(paths[i], paths[i][1:])]
+             for i in range(instance.n_robots)]
+    steps = [tuple(m[t] if t < len(m) else direction.WAIT for m in moves)
+             for t in range(max(map(len, moves)))]
+    return schedule(instance_name=instance.name, steps=tuple(steps))

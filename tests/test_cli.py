@@ -527,6 +527,28 @@ def test_every_written_file_fails_like_solve_output(line_files, tmp_path, capsys
     assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["generate", "score"])
+@pytest.mark.parametrize("name", ["taken.txt", "taken.txt/out"])
+def test_output_directory_blocked_by_a_file_exits_two(line_files, tmp_path, capsys,
+                                                      command, name):
+    # generate's and score's output directory may not be a file, nor lie
+    # under one: both exit 2 naming the directory, not with an OSError
+    ipath, spath = line_files
+    write(tmp_path / "taken.txt", "a file\n")
+    config = write(tmp_path / "grid.cfg", "map_width = 4\nmap_height = 4\ndensity = 0.2\n")
+    team = tmp_path / "team"
+    team.mkdir()
+    shutil.copy(spath, team)
+    bad = str(tmp_path / name)
+    argv = {"generate": ["generate", config, bad],
+            "score": ["score", "--instances", str(Path(ipath).parent), "--objective", "max",
+                      "--output", bad, str(team)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not a directory\n"
+    assert (tmp_path / "taken.txt").read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--restarts", "0", "restarts must be >= 1"),
     ("--anneal-iterations", "-5", "anneal_iterations must be >= 0"),

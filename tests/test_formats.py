@@ -3,6 +3,9 @@ solver config readers, strict vs lenient handling, and a corrupted-file
 corpus that must never parse."""
 
 import itertools
+import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +23,7 @@ from gridmotion.formats import (
 from gridmotion.generate import GeneratorParams
 from gridmotion.model import Direction, Objective, Schedule
 from gridmotion.solve import SolverConfig
+from test_pinned_output import _walks
 
 REF = make_instance([(0, 0), (3, 3)], [(1, 0), (3, 4)], [(5, 5), (6, 5)],
                     name="ref")
@@ -126,6 +130,60 @@ def test_empty_solution_round_trip():
     text = emit_solution(empty)
     assert text == '{\n  "instance": "ref",\n  "steps": []\n}\n'
     assert parse_solution(text, n_robots=2) == empty
+
+
+_MOVES = {"N": Direction.NORTH, "S": Direction.SOUTH, "E": Direction.EAST,
+          "W": Direction.WEST}
+
+
+def _checked_schedule(data, n_robots):
+    """The schedule the decoded solution file ``data`` describes, one list
+    per step, built by Schedule's checking constructor."""
+    steps = []
+    for raw in data["steps"]:
+        moves = [Direction.WAIT] * n_robots
+        for key, letter in raw.items():
+            moves[int(key)] = _MOVES[letter]
+        steps.append(moves)
+    return Schedule(data["instance"], steps)
+
+
+def test_parse_solution_equals_the_checking_constructor():
+    # parse_solution stores the steps it builds unchecked; on the pinned
+    # walk files and on random files, keys in any order and steps empty,
+    # sparse or full, it equals what the checking constructor builds
+    files = [(REF_SOLUTION_TEXT, 2)]
+    files += [(emit_solution(schedule(inst.name, *rows)), inst.n_robots)
+              for inst, rows, _ in _walks()]
+    rng = random.Random(1931)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        steps = [{str(i): rng.choice("NSEW")
+                  for i in rng.sample(range(n), rng.choice([0, 0, 1, n // 2, n]))}
+                 for _ in range(rng.randint(0, 40))]
+        files.append((json.dumps({"instance": f"random-{n}", "steps": steps}), n))
+    for text, n in files:
+        data = json.loads(text)
+        expected = _checked_schedule(data, n)
+        for source in (text, data):
+            got = parse_solution(source, n, strict=True)
+            assert got == expected
+            assert type(got.steps) is tuple
+            assert all(type(step) is tuple and len(step) == n for step in got.steps)
+
+
+def test_all_wait_steps_share_one_idle_step():
+    # 20,000 empty steps for 300 robots: one tuple per step would take
+    # about 48 MB, the shared idle step takes 2.4 KB
+    text = json.dumps({"instance": "idle", "steps": [{}] * 20_000})
+    tracemalloc.start()
+    try:
+        parsed = parse_solution(text, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert parsed == Schedule("idle", ((Direction.WAIT,) * 300,) * 20_000)
 
 
 def test_solution_robot_keys_must_be_canonical_decimals():

@@ -604,6 +604,35 @@ def test_paths_to_schedule_reads_each_offset_as_its_direction():
     assert validate_schedule(inst, sched).feasible
 
 
+def test_paths_to_schedule_matches_the_per_step_reference():
+    # random walks, waits and single cells included, of unequal lengths:
+    # the transposed build, stored unchecked, equals the per-step build
+    # that went through the checking constructor
+    rng = random.Random(3201)
+    offsets = [(0, 1), (0, -1), (1, 0), (-1, 0), (0, 0)]
+    empty = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        starts = rng.sample([(x, y) for x in range(-3, 5) for y in range(-2, 6)], n)
+        inst = make_instance(starts, starts[::-1], rng.sample([(9, 9), (-6, 1), (2, 12)], 2))
+        window = search_window(inst)
+        paths = {}
+        for i, (x, y) in enumerate(starts):
+            walk = [(x, y)]
+            for _ in range(rng.choice([0, 0, 1, 5, 20, 60])):
+                dx, dy = rng.choice(offsets)
+                walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+            paths[i] = ids(window, *walk)
+        got = paths_to_schedule(inst, window, paths)
+        expected = oracles.reference_paths_to_schedule(inst, window, paths, Direction,
+                                                       solve_module.Schedule)
+        assert got == expected and type(got.steps) is tuple
+        assert all(type(step) is tuple and len(step) == n for step in got.steps)
+        assert all(isinstance(m, Direction) for step in got.steps for m in step)
+        empty += got.steps == ()
+    assert empty >= 5
+
+
 # ------------------------------------------------- prioritized planning
 
 def plan_in_order(inst, order):

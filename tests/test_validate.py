@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+import gridmotion.validate as validate_module
 from conftest import apply_step, bounds_of, make_instance, schedule, seal, step
 from gridmotion.model import (
     Direction,
@@ -16,6 +17,7 @@ from gridmotion.validate import (
     RULE_OVERLAP,
     RULE_TRAIN,
     UnreachableTargetError,
+    ValidationReport,
     Violation,
     cell_id,
     cell_pixel,
@@ -307,6 +309,109 @@ def test_dense_replay_matches_step_by_step_check_and_oracle():
             outcomes[got.rule] += 1
             outcomes["first robot waits"] += sched.steps[got.step][got.robots[0]] is Direction.WAIT
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_validate_schedule_replays_in_one_call(monkeypatch):
+    # a legal 500-step schedule, chains, waits and single moves in it, is
+    # replayed by one _replay call; no step goes through _step_violation
+    calls = dict.fromkeys(("_replay", "_step_violation"), 0)
+    for name in calls:
+        def spy(*args, real=getattr(validate_module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(validate_module, name, spy)
+    inst = make_instance([(0, 0), (1, 0)], [(0, 0), (1, 0)])
+    report = validate_schedule(inst, schedule("fixture", *["EE", "WW", "..", "N.", "S."] * 100))
+    assert report == ValidationReport(True, None, 500, 600)
+    assert calls == {"_replay": 1, "_step_violation": 0}
+
+
+_OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
+_TURN = {"N": "E", "S": "W", "E": "N", "W": "S"}
+
+
+def _busy_walk(rng, n=30, side=12, n_steps=200):
+    """A legal walk of ``n`` robots on a ``side`` x ``side`` map with
+    ``side`` obstacles, where each robot, in random order, moves with
+    probability 0.9 into a pixel of the map that is free and unclaimed.
+    Returns the starts, the obstacles, the rows and every configuration."""
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    rng.shuffle(cells)
+    starts, obstacles = cells[:n], set(cells[n:n + side])
+    # each pixel's neighbours on the map, as (letter, pixel)
+    beside = {(x, y): [(c, (x + dx, y + dy)) for c, (dx, dy) in _DELTA.items()
+                       if c != "." and 0 <= x + dx < side and 0 <= y + dy < side]
+              for x, y in cells}
+    rows, configs = [], [starts]
+    for _ in range(n_steps):
+        pos, row = list(configs[-1]), ["."] * n
+        taken = set(pos) | obstacles
+        for i in rng.sample(range(n), n):
+            options = [(c, d) for c, d in beside[pos[i]] if d not in taken]
+            if options and rng.random() < 0.9:
+                row[i], d = rng.choice(options)
+                taken.add(d)
+                pos[i] = d
+        rows.append("".join(row))
+        configs.append(pos)
+    return starts, obstacles, rows, configs
+
+
+def _breaking_moves(config, obstacles, kind):
+    """Every {robot: letter} that breaks a rule from ``config`` in the way
+    ``kind`` names: a move into an obstacle, two moves into one free pixel,
+    a swap, or a move into a robot that turns aside."""
+    where = {p: i for i, p in enumerate(config)}
+    found, entering = [], collections.defaultdict(list)
+    for i, (x, y) in enumerate(config):
+        for c in "NSEW":
+            d = (x + _DELTA[c][0], y + _DELTA[c][1])
+            j = where.get(d)
+            if d in obstacles:
+                found.append(("obstacle", {i: c}))
+            elif j is not None:
+                found += [("swap", {i: c, j: _OPPOSITE[c]}), ("follow-in", {i: c, j: _TURN[c]})]
+            else:
+                entering[d].append((i, c))
+    found += [("shared", dict(e[:2])) for e in entering.values() if len(e) > 1]
+    return [moves for name, moves in found if name == kind]
+
+
+def test_replay_matches_step_by_step_on_busy_walks():
+    # 50 walks of 30 robots over 200 steps, nine robots in ten moving each
+    # step: each walk legal, and again broken at a random step in one of
+    # five ways; the whole report matches the step-by-step check
+    rng = random.Random(3230)
+    kinds = ("obstacle", "shared", "swap", "follow-in", "target")
+    rules = collections.defaultdict(set)
+    for w in range(50):
+        starts, obstacles, rows, configs = _busy_walk(rng)
+        kind, at, targets, broken = kinds[w % 5], rng.randrange(len(rows)), configs[-1], rows
+        if kind == "target":   # two robots trade targets
+            i, j = rng.sample(range(len(starts)), 2)
+            targets = list(targets)
+            targets[i], targets[j] = targets[j], targets[i]
+        else:
+            while not (options := _breaking_moves(configs[at], obstacles, kind)):
+                at = (at + 1) % len(rows)
+            row = list(rows[at])
+            for i, c in rng.choice(options).items():
+                row[i] = c
+            broken = rows[:at] + ["".join(row)] + rows[at + 1:]
+        for case_targets, case_rows in ((configs[-1], rows), (targets, broken)):
+            inst = make_instance(starts, case_targets, obstacles)
+            report = validate_schedule(inst, schedule("walk", *case_rows))
+            moves = [len(row) - row.count(".") for row in case_rows]
+            assert report.first_violation == _step_by_step(inst, schedule("walk", *case_rows))
+            assert report.feasible == (report.first_violation is None)
+            assert report.makespan == max(t + 1 for t, k in enumerate(moves) if k)
+            assert report.total_distance == sum(moves)
+        # the broken case fails at the step it was broken at
+        assert report.first_violation.step == (len(rows) if kind == "target" else at)
+        rules[kind].add(report.first_violation.rule)
+    # the robot that turns aside may itself run into something else
+    assert "R3" in rules.pop("follow-in")
+    assert rules == {"obstacle": {"R1"}, "shared": {"R2"}, "swap": {"R3"}, "target": {"target"}}
 
 
 def test_reversal_property():
