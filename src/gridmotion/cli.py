@@ -69,7 +69,7 @@ def _load(path, parse, *args, **kwargs):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             value = parse(text, *args, **kwargs)
-    except (UnicodeDecodeError, FormatError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, FormatError) as err:
         raise FormatError(f"{path}: {err}") from None
     for warning in caught:
         print(f"warning: {path}: {warning.message}", file=sys.stderr)
@@ -129,12 +129,14 @@ def _feature_value(key: str, kind, cell: str):
 
 
 def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(_FEATURE_COLUMNS):
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as err:   # e.g. a cell over the field size limit
+        raise FormatError(f"features CSV: {err}") from None
+    if rows[:1] != [list(_FEATURE_COLUMNS)]:
         raise FormatError("features CSV: unexpected header")
     out = []
-    for row in filter(None, reader):   # skip blank lines
+    for row in filter(None, rows[1:]):   # skip blank lines
         try:
             if len(row) != len(_FEATURE_COLUMNS):
                 raise ValueError(f"{len(row)} cells, expected {len(_FEATURE_COLUMNS)}")
@@ -266,20 +268,9 @@ def _load_instances_dir(path, strict: bool):
     return instances
 
 
-def _parse_team_solution(text: str, instances: dict, strict: bool):
-    """A team's solution file, decoded once and parsed for the instance it
-    names."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or not isinstance(data.get("instance"), str):
-        raise FormatError("solution file must name its instance")
-    inst = instances.get(data["instance"])
-    if inst is None:
-        raise FormatError(f"unknown instance {data['instance']!r}")
-    return parse_solution(data, inst.n_robots, strict=strict)
-
-
 def cmd_score(args) -> int:
     instances = _load_instances_dir(args.instances, args.strict)
+    robots = {name: inst.n_robots for name, inst in instances.items()}
     suites, team_dirs = {}, {}
     for team_dir in args.suites:
         team = Path(team_dir).name
@@ -289,7 +280,7 @@ def cmd_score(args) -> int:
             raise FormatError(f"duplicate team name {team!r} in {team_dirs[team]} "
                               f"and {team_dir}")
         team_dirs[team] = team_dir
-        suites[team] = [_load(f, _parse_team_solution, instances, args.strict)
+        suites[team] = [_load(f, parse_solution, robots, strict=args.strict)
                         for f in sorted(Path(team_dir).glob("*.solution.json"))]
     objective = parse_objective(args.objective)
 

@@ -1,5 +1,7 @@
 """Wire formats: instance and solution files (JSON), generator grid configs
-and solver configs (key-value text). See docs/FORMATS.md for the grammar.
+and solver configs (key-value text), each parsed from its text. A solution
+file is parsed for a robot count, or for a map from instance name to robot
+count. See docs/FORMATS.md for the grammar.
 
 Parsing has two modes. Strict mode rejects unknown keys and any structural
 irregularity with FormatError; lenient mode (the default) downgrades unknown
@@ -38,7 +40,7 @@ def _check_unknown_keys(obj: Mapping[str, Any], allowed, what: str, strict: bool
     message = f"{what}: unknown key(s) {', '.join(map(repr, unknown))}"
     if strict:
         raise FormatError(message)
-    warnings.warn(message, stacklevel=3)
+    warnings.warn(message, stacklevel=4)
 
 
 def _as_coord(value, what: str) -> tuple[int, int]:
@@ -54,17 +56,23 @@ def _coord_list(value, what: str) -> list[tuple[int, int]]:
     return [_as_coord(v, what) for v in value]
 
 
-def parse_instance(text: str, strict: bool = False) -> Instance:
+def _read_object(text: str, what: str, keys, strict: bool) -> dict:
+    """The JSON object in ``text``, with all of ``keys``; a decode failure is a FormatError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"instance file is not valid JSON: {err}") from None
+    except (ValueError, RecursionError) as err:
+        raise FormatError(f"{what} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
-        raise FormatError("instance file must be a JSON object")
-    _check_unknown_keys(data, _INSTANCE_KEYS, "instance file", strict)
-    for key in _INSTANCE_KEYS:
+        raise FormatError(f"{what} must be a JSON object")
+    _check_unknown_keys(data, keys, what, strict)
+    for key in keys:
         if key not in data:
-            raise FormatError(f"instance file: missing key {key!r}")
+            raise FormatError(f"{what}: missing key {key!r}")
+    return data
+
+
+def parse_instance(text: str, strict: bool = False) -> Instance:
+    data = _read_object(text, "instance file", _INSTANCE_KEYS, strict)
     try:
         return Instance(
             name=data["name"],
@@ -92,26 +100,20 @@ def emit_instance(instance: Instance) -> str:
     )
 
 
-def parse_solution(source: str | dict, n_robots: int, strict: bool = False) -> Schedule:
-    """Parse a solution file for an instance with ``n_robots`` robots, given
-    its text or the JSON object that text decodes to. Robots absent from a
-    step wait during that step."""
-    data = source
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"solution file is not valid JSON: {err}") from None
-    if not isinstance(data, dict):
-        raise FormatError("solution file must be a JSON object")
-    _check_unknown_keys(data, _SOLUTION_KEYS, "solution file", strict)
-    for key in _SOLUTION_KEYS:
-        if key not in data:
-            raise FormatError(f"solution file: missing key {key!r}")
+def parse_solution(text: str, n_robots: int | Mapping[str, int],
+                   strict: bool = False) -> Schedule:
+    """Parse a solution file's text for ``n_robots`` robots or, given a map
+    from instance name to robot count, for the instance the file names (a
+    name not in the map is an error). Robots absent from a step wait."""
+    data = _read_object(text, "solution file", _SOLUTION_KEYS, strict)
     if not isinstance(data["instance"], str):
         raise FormatError("solution file: instance must be a string")
     if not isinstance(data["steps"], list):
         raise FormatError("solution file: steps must be a list")
+    if isinstance(n_robots, Mapping):
+        if data["instance"] not in n_robots:
+            raise FormatError(f"unknown instance {data['instance']!r}")
+        n_robots = n_robots[data["instance"]]
     robot_of = {str(i): i for i in range(n_robots)}   # the canonical keys
     idle = (Direction.WAIT,) * n_robots   # every empty step shares it
     steps = []
@@ -137,7 +139,7 @@ def _entry_error(idx: int, raw: dict, n_robots: int) -> FormatError:
     a canonical decimal below ``n_robots`` or whose move is not a direction
     letter; an entry's key is checked before its move."""
     for key, letter in raw.items():
-        if not isinstance(key, str) or not key.isdigit() or str(int(key)) != key:
+        if not key.isdigit() or str(int(key)) != key:
             return FormatError(f"solution file: step {idx}: robot index {key!r} is not a "
                                f"canonical decimal string")
         if int(key) >= n_robots:
@@ -172,7 +174,8 @@ def emit_solution(schedule: Schedule) -> str:
 # key-value config files
 
 
-def _parse_kv_lines(text: str, what: str) -> dict[str, list[str]]:
+def _parse_kv_lines(text: str, what: str, allowed, strict: bool) -> dict[str, list[str]]:
+    """The values of the keys of ``text`` in ``allowed``; others warn, or raise if strict."""
     out: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -188,7 +191,8 @@ def _parse_kv_lines(text: str, what: str) -> dict[str, list[str]]:
         if key in out:
             raise FormatError(f"{what} line {lineno}: duplicate key {key!r}")
         out[key] = values
-    return out
+    _check_unknown_keys(out, allowed, what, strict)
+    return {key: values for key, values in out.items() if key in allowed}
 
 
 def _read_value(kind, key: str, text: str, what: str):
@@ -219,8 +223,7 @@ def parse_generator_grid(text: str, strict: bool = False,
     omitted ``default_seed()``, called only then, gives the single seed.
     Expansion order follows the field order of GeneratorParams, last field
     varying fastest."""
-    raw = _parse_kv_lines(text, "generator config")
-    _check_unknown_keys(raw, _GRID_FIELDS, "generator config", strict)
+    raw = _parse_kv_lines(text, "generator config", _GRID_FIELDS, strict)
     missing = [key for key in _GRID_REQUIRED if key not in raw]
     if missing:
         raise FormatError(
@@ -260,13 +263,11 @@ def apply_solver_settings(settings: Mapping[str, str],
 def parse_solver_config(text: str, strict: bool = False) -> SolverConfig:
     """Single-valued key-value solver config, each value read by
     ``apply_solver_settings``."""
-    raw = _parse_kv_lines(text, "solver config")
-    _check_unknown_keys(raw, SOLVER_FIELDS, "solver config", strict)
-    settings = {key: values for key, values in raw.items() if key in SOLVER_FIELDS}
-    for key, values in settings.items():
+    raw = _parse_kv_lines(text, "solver config", SOLVER_FIELDS, strict)
+    for key, values in raw.items():
         if len(values) != 1:
             raise FormatError(f"solver config: {key!r} takes a single value")
-    return apply_solver_settings({key: values[0] for key, values in settings.items()})
+    return apply_solver_settings({key: values[0] for key, values in raw.items()})
 
 
 def parse_objective(value: str) -> Objective:

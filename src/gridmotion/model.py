@@ -52,6 +52,12 @@ class Direction(Enum):
     WAIT = (0, 0)
 
 
+# every coordinate of an instance lies strictly between -_COORD_BOUND and
+# _COORD_BOUND, so the difference of two fits a C ssize_t, as the range
+# lengths and list sizes of the solver's distance tables need
+_COORD_BOUND = 2 ** 62
+
+
 def _as_pixels(points: Iterable[Sequence[int]]) -> tuple[Pixel, ...]:
     return tuple(Pixel(int(p[0]), int(p[1])) for p in points)
 
@@ -62,7 +68,7 @@ class Instance:
     a finite obstacle set. Robot i goes from ``starts[i]`` to ``targets[i]``.
 
     Starts are pairwise distinct, targets are pairwise distinct, and neither
-    may sit on an obstacle. A robot may pass through another robot's target
+    may sit on an obstacle. Every coordinate c has |c| < 2**62. A robot may pass through another robot's target
     pixel mid-schedule; targets only constrain the final configuration.
     """
 
@@ -77,6 +83,9 @@ class Instance:
         object.__setattr__(self, "starts", _as_pixels(self.starts))
         object.__setattr__(self, "targets", _as_pixels(self.targets))
         object.__setattr__(self, "obstacles", frozenset(_as_pixels(self.obstacles)))
+        if any(not -_COORD_BOUND < c < _COORD_BOUND
+               for pts in (self.starts, self.targets, self.obstacles) for p in pts for c in p):
+            raise ValueError("pixel coordinates must be below 2**62 in absolute value")
         if len(self.starts) != len(self.targets):
             raise ValueError("starts and targets must have equal length")
         if not self.starts:

@@ -365,6 +365,55 @@ def test_broken_input_file_is_named_once(command, broken, line_files, tmp_path, 
     assert "Traceback" not in err and not os.path.exists(out)
 
 
+DEEP = "[" * 200_000 + "]" * 200_000   # nested past any recursion limit
+LONG = "1" + "0" * 4_999   # past the 4,300-digit int conversion limit
+MALFORMED = {
+    "deep": DEEP,
+    "long coordinate": '{"name": "line", "starts": [[%s, 0]], "targets": [[2, 0]], '
+                       '"obstacles": []}' % LONG,
+    "long step": '{"instance": "line", "steps": [%s]}' % LONG,
+    "far coordinate": '{"name": "line", "starts": [[%d, 0]], "targets": [[2, 0]], '
+                      '"obstacles": []}' % 10 ** 400,
+    "huge cell": f"{','.join(cli_module._FEATURE_COLUMNS)}\n"
+                 f"{'a' * 200_000},1,0.1,0,0,100,99,1\n",
+}
+
+
+@pytest.mark.parametrize("command, role, malformed", [
+    *((command, "instance", "deep") for command in ("validate", "solve", "render", "features")),
+    *((command, "solution", "deep") for command in ("validate", "render", "score")),
+    ("validate", "instance", "long coordinate"),
+    ("validate", "solution", "long step"),
+    ("select", "features", "huge cell"),
+    *((command, "instance", "far coordinate") for command in ("solve", "render", "validate")),
+])
+def test_malformed_input_exits_two_naming_its_file(command, role, malformed, line_files,
+                                                    tmp_path, capsys):
+    # text that fails to decode (nesting too deep, an integer too long, a CSV
+    # cell too large) or a coordinate too large to plan or draw: exit 2 with
+    # the file named, never a traceback. Where ints decode at any length, the
+    # long coordinate is refused by the coordinate bound instead.
+    ipath, spath = line_files
+    team = tmp_path / "team"
+    team.mkdir()
+    bad = write(team / "line.solution.json" if command == "score" else tmp_path / "bad.json",
+                MALFORMED[malformed])
+    out = str(tmp_path / "out")
+    argv = {
+        "validate": ["validate", *((bad, spath) if role == "instance" else (ipath, bad))],
+        "solve": ["solve", bad, "-o", out],
+        "render": ["render", *((bad, out) if role == "instance" else
+                               (ipath, out, "--solution", bad))],
+        "features": ["features", bad],
+        "select": ["select", bad, "-k", "1"],
+        "score": score_argv(tmp_path, team)[0],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(f"^error: {re.escape(bad)}: ", err, re.MULTILINE), err
+    assert "Traceback" not in err
+
+
 def score_argv(tmp_path, *teams):
     """A score command line over one solved instance, and its output directory."""
     instances = tmp_path / "instances"

@@ -58,6 +58,17 @@ def test_instance_invariants_rejected():
         make_instance([(0, 0)], [(1, 1)], [(1, 1)])  # target on obstacle
 
 
+def test_instance_coordinates_stay_below_the_bound():
+    edge = 2 ** 62 - 1
+    inst = make_instance([(-edge, 0)], [(edge, 0)], [(0, -edge)])
+    assert inst.starts[0].x == -edge
+    for starts, targets, obstacles in (([(2 ** 62, 0)], [(0, 0)], []),
+                                       ([(0, 0)], [(0, -2 ** 62)], []),
+                                       ([(0, 0)], [(1, 0)], [(5, 10 ** 400)])):
+        with pytest.raises(ValueError, match="below 2\\*\\*62"):
+            make_instance(starts, targets, obstacles)
+
+
 def test_step_and_schedule_widths():
     with pytest.raises(ValueError):
         Schedule(instance_name="x", steps=(step("EE"), step("E")))
