@@ -82,6 +82,15 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
+def _output(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` and say so, or else to stdout."""
+    if path:
+        _write(path, text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
+
+
 def _make_dir(path) -> Path:
     """``path`` made a directory, parents too; FormatError when a file is in the way."""
     try:
@@ -173,6 +182,8 @@ def cmd_generate(args) -> int:
         results = [generate(params, base_dir=base_dir) for params in combos]
     except WeightMapError as err:
         raise FormatError(f"generator config: {err}") from None
+    except MemoryError:
+        raise GenerationError("out of memory") from None
     outdir = _make_dir(args.outdir)
     feature_rows = []
     for name, result in zip(names, results):
@@ -233,6 +244,8 @@ def cmd_solve(args) -> int:
     for path in (args.output, args.telemetry):
         if path:
             _check_output(path)
+    if args.telemetry and Path(args.telemetry).resolve() == Path(args.output).resolve():
+        raise FormatError(f"{args.output}: named by both -o and --telemetry")
 
     try:
         result = solve(instance, config)
@@ -316,8 +329,7 @@ def cmd_score(args) -> int:
 
 def cmd_render(args) -> int:
     instance = _load(args.instance, parse_instance, strict=args.strict)
-    schedule = None
-    violation = None
+    schedule = violation = None
     if args.solution:
         schedule = _load(args.solution, parse_solution, instance.n_robots,
                          strict=args.strict)
@@ -327,8 +339,7 @@ def cmd_render(args) -> int:
                   f"rule {violation.rule})", file=sys.stderr)
     svg = render_svg(instance, schedule, frame_every=args.frame_every,
                      violation=violation)
-    _write(args.output, svg)
-    print(f"wrote {args.output}")
+    _output(args.output, svg)
     return 0
 
 
@@ -337,12 +348,7 @@ def cmd_features(args) -> int:
     for path in args.instances:
         inst = _load(path, parse_instance, strict=args.strict)
         rows.append((inst.name, extract_features(inst)))
-    text = _features_csv(rows)
-    if args.output:
-        _write(args.output, text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _output(args.output, _features_csv(rows))
     return 0
 
 
@@ -350,12 +356,7 @@ def cmd_select(args) -> int:
     rows = _load(args.features, _parse_features_csv)
     _check_select_count(args.k, len(rows))
     picks = select_diverse([f for _, f in rows], args.k)
-    manifest = _manifest(rows[i][0] for i in picks)
-    if args.output:
-        _write(args.output, manifest)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(manifest)
+    _output(args.output, _manifest(rows[i][0] for i in picks))
     return 0
 
 

@@ -52,15 +52,21 @@ class InstanceSummary:
 def _as_instance_map(instances) -> dict[str, Instance]:
     if isinstance(instances, Mapping):
         return dict(instances)
-    return {inst.name: inst for inst in instances}
+    by_name: dict[str, Instance] = {}
+    for inst in instances:
+        if inst.name in by_name:
+            raise ValueError(f"duplicate instance name {inst.name!r}")
+        by_name[inst.name] = inst
+    return by_name
 
 
 def score_suites(instances, suites: Mapping[str, Iterable[Schedule]],
                  objective: Objective) -> ScoreReport:
     """Score every team's suite of schedules over the given instances.
 
-    ``instances`` is a mapping name -> Instance or an iterable of instances.
-    A schedule naming an unknown instance is an error. Missing or invalid
+    ``instances`` is a mapping name -> Instance or an iterable of instances;
+    two instances of one name in the iterable raise ValueError. A schedule
+    naming an unknown instance is an error. Missing or invalid
     entries simply leave the team without a value there (score 0).
     """
     objective = Objective(objective)
@@ -112,7 +118,8 @@ def score_suites(instances, suites: Mapping[str, Iterable[Schedule]],
 def instance_report(instances, suites: Mapping[str, Iterable[Schedule]],
                     objective: Objective) -> tuple[ScoreReport, list[InstanceSummary]]:
     """Scores plus a per-instance difficulty summary joining average score,
-    best objective, lower bounds and bounding-box features."""
+    best objective, lower bounds and bounding-box features. ``instances`` is
+    read as :func:`score_suites` reads it, duplicate names rejected."""
     report = score_suites(instances, suites, objective)
     by_name = _as_instance_map(instances)
     n_teams = max(len(suites), 1)

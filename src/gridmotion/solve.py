@@ -54,7 +54,7 @@ from .validate import (
     DistanceMap,
     UnreachableTargetError,
     ValidationReport,
-    _step_violation,
+    _replay,
     bounds_from_maps,
     cell_id,
     distance_map,
@@ -467,11 +467,11 @@ def _joint_search(ctx: _SolveContext, robots: Sequence[int], deadline: int,
     :class:`DistanceMap`: exact inside the window (see :func:`search_window`),
     negative on an obstacle or a cell cut off from the target, and
     Manhattan distance, a lower bound, outside it, where no obstacle lies, so
-    robots may step out of the window. Each joint step is judged
-    by :func:`gridmotion.validate._step_violation`, the one statement of
-    R1-R3. The robots make it exactly when layer ``deadline`` holds their
-    targets, the only configuration it can hold; waiting on a target is
-    always legal when no one enters it.
+    robots may step out of the window. Each joint step is judged by
+    :func:`gridmotion.validate._replay`, the one statement of R1-R3. The
+    robots make it exactly when layer ``deadline`` holds their targets, the
+    only configuration it can hold; waiting on a target is always legal when
+    no one enters it.
 
     Returns the verdict and the number of joint steps generated. The verdict
     is None when ``max_steps`` steps did not settle it or the solve's time
@@ -502,8 +502,7 @@ def _joint_search(ctx: _SolveContext, robots: Sequence[int], deadline: int,
                     return None, steps
                 steps += 1
                 positions = list(config)
-                occupant = dict(zip(config, range(len(config))))
-                if _step_violation(obstacles, positions, occupant, step, t - 1) is None:
+                if _replay(obstacles, positions, (step,), t - 1) is None:
                     reached.add(tuple(positions))
         if not reached:
             return False, steps

@@ -85,29 +85,22 @@ def check_step(instance: Instance, positions: Sequence[Pixel], step: Sequence[Di
     check_moves(step)
     if len(positions) != len(step):
         raise ValueError(f"step width {len(step)} != configuration size {len(positions)}")
-    occupant = dict(zip(positions, range(len(positions))))
-    if len(occupant) != len(positions):
+    if len(set(positions)) != len(positions):
         raise ValueError("configuration has overlapping robots")
     for p in positions:
         if p in instance.obstacles:
             raise ValueError(f"configuration places a robot on obstacle {tuple(p)}")
-    return _step_violation(instance.obstacles, list(positions), occupant, step, step_index)
+    return _replay(instance.obstacles, list(positions), (step,), step_index)
 
 
-def _step_violation(obstacles: frozenset, positions: list, occupant: dict,
-                    step: Sequence[Direction], step_index: int) -> Optional[Violation]:
-    """R1, R2 and R3 for one step: :func:`_replay` of ``(step,)``."""
-    return _replay(obstacles, positions, occupant, (step,), step_index)
-
-
-def _replay(obstacles: frozenset, positions: list, occupant: dict,
+def _replay(obstacles: frozenset, positions: list,
             steps: Iterable[Sequence[Direction]], first_index: int) -> Optional[Violation]:
-    """Replay ``steps``, numbered from ``first_index``, from a valid
-    configuration: ``positions`` holds each robot's pixel and ``occupant``
-    maps each of those pixels back to its robot. Each legal step is applied
-    to both in place, and None is returned when every step is. At the first
-    step that breaks R1, R2 or R3 both are left as that step found them, and
-    the violation that ranks first, as :func:`check_step` says, is returned.
+    """Replay ``steps``, numbered from ``first_index``, from the valid
+    configuration ``positions``: the one statement of R1, R2 and R3. Each
+    legal step is applied to ``positions`` in place, and None is returned
+    when every step is. At the first step that breaks a rule ``positions``
+    is left as that step found it, and the violation that ranks first, as
+    :func:`check_step` says, is returned.
 
     Only robots that move are looked at. A waiting robot breaks a rule only
     when a mover enters its pixel, and that mover's own check sees it: its
@@ -118,6 +111,7 @@ def _replay(obstacles: frozenset, positions: list, occupant: dict,
     fill only when a rule breaks, so a legal step costs one dict, the three
     look-ups per mover and nothing per waiting robot but an identity test."""
     wait = Direction.WAIT
+    occupant = dict(zip(positions, range(len(positions))))   # pixel -> robot, kept in step
     found = []     # (lowest robot, rule rank, robots, rule), one per breach
     shared = {}    # destination -> robots ending on it, once two do
     for idx, step in enumerate(steps, first_index):
@@ -374,8 +368,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
             f"schedule width {schedule.width} != instance robot count {instance.n_robots}")
     # Instance checked the starts, and R1 + R2 guard every configuration a legal step reaches
     positions = list(instance.starts)
-    occupant = dict(zip(positions, range(len(positions))))
-    violation = _replay(instance.obstacles, positions, occupant, schedule.steps, 0)
+    violation = _replay(instance.obstacles, positions, schedule.steps, 0)
     if violation is None:
         mismatched = tuple(i for i, (p, t) in enumerate(zip(positions, instance.targets))
                            if p != t)

@@ -505,6 +505,24 @@ def test_solve_writes_solution_and_telemetry(line_files, tmp_path, capsys):
     assert all(set(r) == {"time", "objective", "phase"} for r in records)
 
 
+def test_solve_refuses_one_file_for_solution_and_telemetry(line_files, tmp_path, capsys,
+                                                           monkeypatch):
+    # the telemetry would overwrite the solution, so nothing is searched or written
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cli_module, "solve", no_search)
+    monkeypatch.chdir(tmp_path)
+    ipath, _ = line_files
+    out = tmp_path / "out.json"
+    for tele in (str(out), "out.json", str(tmp_path / "." / "out.json")):
+        assert main(["solve", ipath, "-o", str(out), "--telemetry", tele]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: named by both -o and --telemetry\n"
+        assert not out.exists()
+
+
 def test_solve_config_file_with_flag_overrides(line_files, tmp_path, monkeypatch):
     ipath, _ = line_files
     cfg = write(tmp_path / "solver.cfg", "objective = max\nrestarts = 2\nseed = 2\n")
@@ -797,6 +815,19 @@ def test_generate_rejects_duplicate_combos(tmp_path, capsys):
     config = write(tmp_path / "empty.cfg", "map_width = 3\nmap_height = 3\ndensity = 0.05\n")
     assert main(["generate", config, str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("generation failed:")
+
+
+def test_generate_out_of_memory_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "generate", out_of_memory)
+    config = write(tmp_path / "batch.cfg", GRID_CONFIG)
+    outdir = tmp_path / "out"
+    assert main(["generate", config, str(outdir)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "generation failed: out of memory\n")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("raster", [

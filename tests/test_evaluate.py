@@ -113,6 +113,16 @@ def test_instances_accepted_as_mapping_or_iterable():
     assert by_map.rows == by_list.rows
 
 
+def test_two_instances_of_one_name_are_an_error():
+    # FAST reaches LINE's target only; keeping either instance would make
+    # the team's score depend on the order of the list
+    other = make_instance([(0, 0)], [(0, 2)], name="line")
+    for report in (score_suites, instance_report):
+        for instances in ([LINE, other], [other, LINE]):
+            with pytest.raises(ValueError, match="duplicate instance name 'line'"):
+                report(instances, {"a": [FAST]}, Objective.MAX)
+
+
 def test_exact_total_ties_are_flagged_in_groups():
     report = score_suites([LINE], {"a": [FAST], "b": [FAST], "c": [SLOW]},
                           Objective.MAX)

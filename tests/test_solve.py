@@ -1100,18 +1100,18 @@ def count_joint_steps(monkeypatch):
     """Record the configuration of every joint step the makespan proof
     judges, and the clock reading of every subset search it starts."""
     steps, searches = [], []
-    real_step_violation = solve_module._step_violation
+    real_replay = solve_module._replay
     real_joint_search = solve_module._joint_search
 
-    def counting_step_violation(obstacles, positions, occupant, step, step_index):
+    def counting_replay(obstacles, positions, joint_steps, first_index):
         steps.append(tuple(positions))
-        return real_step_violation(obstacles, positions, occupant, step, step_index)
+        return real_replay(obstacles, positions, joint_steps, first_index)
 
     def recording_joint_search(ctx, robots, deadline, max_steps):
         searches.append(solve_module.time.monotonic())
         return real_joint_search(ctx, robots, deadline, max_steps)
 
-    monkeypatch.setattr(solve_module, "_step_violation", counting_step_violation)
+    monkeypatch.setattr(solve_module, "_replay", counting_replay)
     monkeypatch.setattr(solve_module, "_joint_search", recording_joint_search)
     return steps, searches
 
@@ -1172,14 +1172,14 @@ def test_solve_stops_proving_when_the_deadline_passes(monkeypatch):
     # starts, no further subset is searched and the incumbent is returned
     now = [0.0]
     steps, searches = count_joint_steps(monkeypatch)
-    real_step_violation = solve_module._step_violation
+    real_replay = solve_module._replay
 
-    def step_violation_on_a_clock(*args):
+    def replay_on_a_clock(*args):
         if len(steps) == 99:
             now[0] = 1000.0
-        return real_step_violation(*args)
+        return real_replay(*args)
 
-    monkeypatch.setattr(solve_module, "_step_violation", step_violation_on_a_clock)
+    monkeypatch.setattr(solve_module, "_replay", replay_on_a_clock)
     monkeypatch.setattr(solve_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
     calls = record_plan_robots(monkeypatch)
     res = solve(generate(TINY).instance, SolverConfig(time_limit=100.0))
