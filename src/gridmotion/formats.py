@@ -43,19 +43,6 @@ def _check_unknown_keys(obj: Mapping[str, Any], allowed, what: str, strict: bool
     warnings.warn(message, stacklevel=4)
 
 
-def _as_coord(value, what: str) -> tuple[int, int]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(c, bool) or not isinstance(c, int) for c in value)):
-        raise FormatError(f"{what}: expected [x, y] with integer coordinates, got {value!r}")
-    return (value[0], value[1])
-
-
-def _coord_list(value, what: str) -> list[tuple[int, int]]:
-    if not isinstance(value, list):
-        raise FormatError(f"{what}: expected a list of [x, y] pairs")
-    return [_as_coord(v, what) for v in value]
-
-
 def _read_object(text: str, what: str, keys, strict: bool) -> dict:
     """The JSON object in ``text``, with all of ``keys``; a decode failure is a FormatError."""
     try:
@@ -73,13 +60,11 @@ def _read_object(text: str, what: str, keys, strict: bool) -> dict:
 
 def parse_instance(text: str, strict: bool = False) -> Instance:
     data = _read_object(text, "instance file", _INSTANCE_KEYS, strict)
+    for key in ("starts", "targets", "obstacles"):
+        if not isinstance(data[key], list):
+            raise FormatError(f"instance file: {key}: expected a list of [x, y] pairs")
     try:
-        return Instance(
-            name=data["name"],
-            starts=tuple(_coord_list(data["starts"], "starts")),
-            targets=tuple(_coord_list(data["targets"], "targets")),
-            obstacles=frozenset(_coord_list(data["obstacles"], "obstacles")),
-        )
+        return Instance(data["name"], data["starts"], data["targets"], data["obstacles"])
     except ValueError as err:
         raise FormatError(f"instance file: {err}") from None
 
@@ -128,29 +113,25 @@ def parse_solution(text: str, n_robots: int | Mapping[str, int],
             for key, letter in raw.items():
                 moves[robot_of[key]] = _FROM_LETTER[letter]
         except (KeyError, TypeError):   # TypeError: an unhashable letter
-            raise _entry_error(idx, raw, n_robots) from None
+            raise _entry_error(idx, key, letter, n_robots) from None
         steps.append(tuple(moves))
     # every entry came from _FROM_LETTER or is WAIT, and every step is n_robots wide
     return Schedule._trusted(data["instance"], tuple(steps))
 
 
-def _entry_error(idx: int, raw: dict, n_robots: int) -> FormatError:
-    """The error for the first entry of step ``idx`` whose robot key is not
-    a canonical decimal below ``n_robots`` or whose move is not a direction
-    letter; an entry's key is checked before its move."""
-    for key, letter in raw.items():
-        if not key.isdigit() or str(int(key)) != key:
-            return FormatError(f"solution file: step {idx}: robot index {key!r} is not a "
-                               f"canonical decimal string")
-        if int(key) >= n_robots:
-            return FormatError(f"solution file: step {idx}: robot index {key} out of range "
-                               f"(instance has {n_robots} robots)")
-        if not isinstance(letter, str):
-            return FormatError(f"solution file: step {idx}: move must be a string")
-        if letter not in _FROM_LETTER:
-            return FormatError(f"solution file: step {idx}: unknown direction "
-                               f"letter: {letter!r}")
-    raise AssertionError("every entry of the step is well formed")
+def _entry_error(idx: int, key: str, letter, n_robots: int) -> FormatError:
+    """The error for the entry ``key: letter`` of step ``idx``, the first of
+    that step whose robot key is not a canonical decimal below ``n_robots``
+    or whose move is not a direction letter; the key is checked first."""
+    if not key.isdecimal() or str(int(key)) != key:
+        return FormatError(f"solution file: step {idx}: robot index {key!r} is not a "
+                           f"canonical decimal string")
+    if int(key) >= n_robots:
+        return FormatError(f"solution file: step {idx}: robot index {key} out of range "
+                           f"(instance has {n_robots} robots)")
+    if not isinstance(letter, str):
+        return FormatError(f"solution file: step {idx}: move must be a string")
+    return FormatError(f"solution file: step {idx}: unknown direction letter: {letter!r}")
 
 
 def emit_solution(schedule: Schedule) -> str:

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 
 class Pixel(NamedTuple):
-    """Unit grid cell addressed by integer coordinates. Negatives are allowed;
+    """Unit grid cell at an integer x and y. Negatives are allowed;
     the workspace is unbounded."""
 
     x: int
@@ -58,8 +58,18 @@ class Direction(Enum):
 _COORD_BOUND = 2 ** 62
 
 
-def _as_pixels(points: Iterable[Sequence[int]]) -> tuple[Pixel, ...]:
-    return tuple(Pixel(int(p[0]), int(p[1])) for p in points)
+def _as_pixels(points: Iterable[Sequence[int]], what: str) -> tuple[Pixel, ...]:
+    """``points`` as Pixels, checked as :class:`Instance` says; ``what`` names the field."""
+    pixels = []
+    for p in points:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                and type(p[0]) is int and type(p[1]) is int):
+            raise ValueError(f"{what}: expected [x, y] with integer coordinates, got {p!r}")
+        x, y = p
+        if not (-_COORD_BOUND < x < _COORD_BOUND and -_COORD_BOUND < y < _COORD_BOUND):
+            raise ValueError("pixel coordinates must be below 2**62 in absolute value")
+        pixels.append(Pixel(x, y))
+    return tuple(pixels)
 
 
 @dataclass(frozen=True)
@@ -68,8 +78,10 @@ class Instance:
     a finite obstacle set. Robot i goes from ``starts[i]`` to ``targets[i]``.
 
     Starts are pairwise distinct, targets are pairwise distinct, and neither
-    may sit on an obstacle. Every coordinate c has |c| < 2**62. A robot may pass through another robot's target
-    pixel mid-schedule; targets only constrain the final configuration.
+    may sit on an obstacle. Each point is a list or tuple of two ``int``s
+    (no bool or numpy int) with |c| < 2**62, checked here once per point for
+    files and Python callers alike. A robot may pass through another robot's
+    target pixel mid-schedule; targets only constrain the final configuration.
     """
 
     name: str
@@ -78,14 +90,12 @@ class Instance:
     obstacles: frozenset[Pixel]
 
     def __post_init__(self):
+        object.__setattr__(self, "starts", _as_pixels(self.starts, "starts"))
+        object.__setattr__(self, "targets", _as_pixels(self.targets, "targets"))
+        object.__setattr__(self, "obstacles",
+                           frozenset(_as_pixels(self.obstacles, "obstacles")))
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("instance name must be a non-empty string")
-        object.__setattr__(self, "starts", _as_pixels(self.starts))
-        object.__setattr__(self, "targets", _as_pixels(self.targets))
-        object.__setattr__(self, "obstacles", frozenset(_as_pixels(self.obstacles)))
-        if any(not -_COORD_BOUND < c < _COORD_BOUND
-               for pts in (self.starts, self.targets, self.obstacles) for p in pts for c in p):
-            raise ValueError("pixel coordinates must be below 2**62 in absolute value")
         if len(self.starts) != len(self.targets):
             raise ValueError("starts and targets must have equal length")
         if not self.starts:

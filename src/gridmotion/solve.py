@@ -82,6 +82,9 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.objective, str):
             self.objective = Objective(self.objective)
+        for name in ("restarts", "anneal_iterations"):   # as Instance's points: no bool
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.anneal_iterations < 0:

@@ -20,7 +20,6 @@ index for index. All functions are pure.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -257,7 +256,7 @@ def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
     right, top = x1 - x0 + 1, stride - 2   # the last inner column and row
     goal = cell_id(window, target)
     tc, tr = divmod(goal, stride)
-    # pending[v]: cells of Manhattan distance v to decide, levels its keys; a
+    # pending[v]: cells of Manhattan distance v to decide, nearest first; a
     # cell walled on one axis only starts the walk only in line with the target
     pending: dict[int, list] = {}
     for c, col, row, walled in (*beside.get((0, tr), ()), *beside.get((1, tc), ()),
@@ -265,11 +264,11 @@ def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
         nearer = (col < tc) | (col > tc) << 1 | (row < tr) << 2 | (row > tr) << 3
         if nearer and not nearer & ~walled:
             pending.setdefault(abs(col - tc) + abs(row - tr), []).append(c)
-    levels = sorted(pending)
     shadow: dict[int, int] = {}
     seeds: dict[int, list] = {}   # flood value -> marked cells a kept cell reaches
-    while levels:
-        v = heapq.heappop(levels)
+    later = []
+    while pending:
+        v = v + 1 if later else min(pending)   # the least key: where later went, if any
         later = []
         for c in pending.pop(v):
             if c in shadow:
@@ -293,8 +292,6 @@ def distance_map(obstacles: frozenset, window: tuple[int, int, int, int],
             if 1 < row <= tr and c - 1 not in walls:
                 later.append(c - 1)
         if later:
-            if v + 1 not in pending:
-                heapq.heappush(levels, v + 1)
             pending.setdefault(v + 1, []).extend(later)
     # the flood, level by level
     frontier: list = []

@@ -226,6 +226,14 @@ def test_solution_entry_errors_keep_their_text_and_order():
     with pytest.raises(FormatError, match="^solution file: step 0: robot index '01' is not"):
         parse_solution('{"instance": "ref", "steps": [{"1": "N", "01": "Q"}]}', 2)
 
+
+def test_solution_key_of_non_decimal_digits_is_a_format_error():
+    # "\u00b2" (superscript two) is a digit to str.isdigit but no int() literal
+    for key in ("\u00b2", "1\u00b9"):
+        with pytest.raises(FormatError, match="is not a canonical decimal string"):
+            parse_solution(json.dumps({"instance": "ref", "steps": [{key: "N"}]}), 2)
+
+
 def test_solution_unknown_key_modes():
     text = REF_SOLUTION_TEXT.replace('  "instance"', '  "extra": 1,\n  "instance"')
     with pytest.warns(UserWarning, match="unknown key"):

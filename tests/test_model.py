@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import apply_step, make_instance, schedule, step
@@ -67,6 +68,18 @@ def test_instance_coordinates_stay_below_the_bound():
                                        ([(0, 0)], [(1, 0)], [(5, 10 ** 400)])):
         with pytest.raises(ValueError, match="below 2\\*\\*62"):
             make_instance(starts, targets, obstacles)
+
+
+def test_instance_points_are_pairs_of_ints_never_converted():
+    # one pixel rule for files and Python callers alike: a point that is not
+    # a list or tuple of two ints is refused, naming its field, and never
+    # truncated or converted
+    for bad in ((0.7, 0), (True, 5), ("3", 2), (1, 2, 3), (np.int64(3), 2), "ab", 7):
+        for field, args in (("starts", ([bad], [(1, 0)], [])),
+                            ("targets", ([(1, 0)], [bad], [])),
+                            ("obstacles", ([(1, 0)], [(2, 0)], [bad]))):
+            with pytest.raises(ValueError, match=f"^{field}: expected \\[x, y\\] with integer"):
+                Instance("x", *args)
 
 
 def test_step_and_schedule_widths():

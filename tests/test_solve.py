@@ -11,6 +11,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import oracles
@@ -885,6 +886,14 @@ def test_solver_config_validation():
             SolverConfig(time_limit=bad)
     assert SolverConfig(objective="sum").objective is Objective.SUM
     assert SolverConfig(time_limit=None).time_limit is None
+
+
+def test_solver_config_counts_must_be_ints():
+    # a count that is not an int would pass the range checks, then fail mid-solve
+    for name in ("restarts", "anneal_iterations"):
+        for bad in (2.5, 2.0, True, "3", np.int64(3)):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+                SolverConfig(**{name: bad})
 
 
 def test_solve_train_pair_reaches_both_lower_bounds():
