@@ -22,6 +22,11 @@ import typing
 import warnings
 from pathlib import Path
 
+# before numpy loads: generation's random Generator, array arithmetic and
+# np.linalg.norm(..., axis=1) run no threaded BLAS kernel, so one thread keeps
+# every output byte-identical and spares each command OpenBLAS's spinning worker
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .evaluate import extract_features, instance_report, score_suites
 from .formats import (
     SOLVER_FIELDS,

@@ -174,11 +174,16 @@ def schedule_objectives(schedule: Schedule) -> tuple[int, int]:
     """
     makespan = 0
     total = 0
+    idle = None   # the last step with no move; parse_solution shares one across empty steps
     for idx, step in enumerate(schedule.steps):
+        if step is idle:
+            continue
         active = len(step) - step.count(Direction.WAIT)
         total += active
         if active:
             makespan = idx + 1
+        else:
+            idle = step
     return makespan, total
 
 
@@ -194,8 +199,9 @@ class GeneratorParams:
     Distributions are either "uniform" or "weights:<path>" naming a grayscale
     raster whose values weight the map pixels. Obstacle side lengths and
     cluster sizes are truncated normals; obstacle sides truncate to
-    [1, map dimension], cluster sizes to [1, n_robots]. Density, means and
-    stddevs must be finite, and the seed >= 0, as numpy takes no negative seed.
+    [1, map dimension], cluster sizes to [1, n_robots]. Dimensions, counts and
+    the seed must be ints (not bools), and the seed >= 0, as numpy takes no
+    negative seed. Density, means and stddevs must be finite.
     """
 
     map_width: int
@@ -212,6 +218,9 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("map_width", "map_height", "obstacle_count", "cluster_count", "seed"):
+            if type(getattr(self, name)) is not int:   # as SolverConfig's counts: no bool
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.map_width < 1 or self.map_height < 1:
             raise ValueError("map dimensions must be >= 1")
         for name in ("density", "obstacle_size_mean", "obstacle_size_stddev",

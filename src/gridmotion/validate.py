@@ -108,12 +108,17 @@ def _replay(obstacles: frozenset, positions: list,
     the destination is no obstacle, no other mover claims it, and whoever
     stands on it moves the same way. ``found`` and ``shared``, made once,
     fill only when a rule breaks, so a legal step costs one dict, the three
-    look-ups per mover and nothing per waiting robot but an identity test."""
+    look-ups per mover and nothing per waiting robot but an identity test. A
+    step that *is* the last step in which no robot moved (``parse_solution``
+    shares one such tuple) costs one identity test in all."""
     wait = Direction.WAIT
     occupant = dict(zip(positions, range(len(positions))))   # pixel -> robot, kept in step
     found = []     # (lowest robot, rule rank, robots, rule), one per breach
     shared = {}    # destination -> robots ending on it, once two do
+    idle = None    # the last step in which no robot moved
     for idx, step in enumerate(steps, first_index):
+        if step is idle:
+            continue
         claimed = {}   # destination -> the first mover that claims it
         for i, m in enumerate(step):
             if m is wait:
@@ -138,6 +143,8 @@ def _replay(obstacles: frozenset, positions: list,
                 found.append((robots[0], _RULE_RANK[RULE_OVERLAP], robots, RULE_OVERLAP))
             _, _, robots, rule = min(found)
             return Violation(step=idx, rule=rule, robots=robots)
+        if not claimed:
+            idle = step
         for d, i in claimed.items():   # every mover claimed its own destination
             del occupant[positions[i]]
             positions[i] = d

@@ -8,9 +8,10 @@ script and ``python -m`` call the same function. Two more subprocesses
 serve perfbench's traced run: one checks that every function it wraps is
 still found after importing ``gridmotion.cli``, the other runs a traced
 solve and turns its spans into per-layer metrics. One checks that the
-modules that read, validate, score and render import without numpy, and
-one solves, under a 3 GB address-space limit, an instance too far apart to
-fit in it."""
+modules that read, validate, score and render import without numpy, two
+check that importing the cli runs numpy's BLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is set, and one solves, under a 3 GB address-space
+limit, an instance too far apart to fit in it."""
 
 import dataclasses
 import json
@@ -1077,6 +1078,29 @@ def test_reading_scoring_and_rendering_import_no_numpy():
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_runs_blas_on_one_thread():
+    # numpy's OpenBLAS starts a worker thread per extra CPU, and the worker
+    # spins though no command calls BLAS; importing the cli caps it at one
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = ("import os, gridmotion.cli\n"
+            "tasks = '/proc/self/task'\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
+def test_cli_import_keeps_a_blas_thread_count_already_set():
+    code = "import os, gridmotion.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**_child_env(), "OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

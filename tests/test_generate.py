@@ -61,6 +61,16 @@ def test_params_validation():
             GeneratorParams(map_width=5, map_height=5, density=0.5, **bad)
 
 
+def test_params_integer_fields_must_be_ints():
+    # a non-int would pass the range checks, then fail in generate or numpy,
+    # or (a bool) be taken as 0 or 1
+    for name in ("map_width", "map_height", "obstacle_count", "cluster_count", "seed"):
+        for bad in (6.5, 6.0, True, "6", np.int64(6)):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+                GeneratorParams(**{"map_width": 6, "map_height": 6, "density": 0.2,
+                                   name: bad})
+
+
 def test_truncated_normal_respects_bounds():
     rng = np.random.default_rng(0)
     draws = [truncated_normal_int(rng, 3.0, 2.5, 1, 8) for _ in range(3000)]

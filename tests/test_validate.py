@@ -328,6 +328,37 @@ def test_validate_schedule_replays_in_one_call(monkeypatch):
     assert calls == {"_replay": 1}
 
 
+class _CountedStep(tuple):
+    """A step that counts how often its entries are read as a whole."""
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        self.reads = 0
+        return self
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def count(self, value):
+        self.reads += 1
+        return super().count(value)
+
+
+@pytest.mark.parametrize("rows", [
+    ("..", "..", "E.", "..", "..", ".N", "..", ".."),   # feasible, two idle runs
+    ("..", "E.", "..", "..", ".W", "..", ".."),         # robot 1 enters robot 0's pixel
+])
+def test_a_repeated_all_wait_step_is_read_once(rows):
+    # parse_solution shares one all-WAIT tuple across a file's empty steps;
+    # the replay and the objectives read it once each, and skip every repeat
+    inst = make_instance([(0, 0), (2, 0)], [(1, 0), (2, 1)])
+    idle = _CountedStep(step(".."))
+    shared = Schedule._trusted("fixture", tuple(idle if r == ".." else step(r) for r in rows))
+    assert validate_schedule(inst, shared) == validate_schedule(inst, schedule("fixture", *rows))
+    assert idle.reads == 2
+
+
 _OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 _TURN = {"N": "E", "S": "W", "E": "N", "W": "S"}
 
