@@ -162,22 +162,9 @@ def _parse_features_csv(text: str) -> list[tuple[str, InstanceFeatures]]:
     return out
 
 
-def _manifest(names) -> str:
-    """A selection manifest: one instance name per line, and no line at all
-    when nothing is selected."""
-    return "".join(f"{name}\n" for name in names)
-
-
-def _check_select_count(k: int, candidates: int) -> None:
-    if not 0 <= k <= candidates:
-        raise FormatError(f"cannot select {k} from {candidates} candidates")
-
-
 def cmd_generate(args) -> int:
     combos = _load(args.config, parse_generator_grid, strict=args.strict,
                    default_seed=_default_seed)
-    if args.select is not None:
-        _check_select_count(args.select, len(combos))
     names = [params_slug(params) for params in combos]
     dups = [name for name, count in collections.Counter(names).items() if count > 1]
     if dups:
@@ -196,10 +183,6 @@ def cmd_generate(args) -> int:
         feature_rows.append((name, result.features))
     _write(outdir / "features.csv", _features_csv(feature_rows))
     print(f"generated {len(names)} instance(s) in {outdir}")
-    if args.select is not None:
-        picks = select_diverse([f for _, f in feature_rows], args.select)
-        _write(outdir / "selected.txt", _manifest(names[i] for i in picks))
-        print(f"selected {len(picks)} diverse instance(s) -> selected.txt")
     return 0
 
 
@@ -359,9 +342,12 @@ def cmd_features(args) -> int:
 
 def cmd_select(args) -> int:
     rows = _load(args.features, _parse_features_csv)
-    _check_select_count(args.k, len(rows))
-    picks = select_diverse([f for _, f in rows], args.k)
-    _output(args.output, _manifest(rows[i][0] for i in picks))
+    try:
+        picks = select_diverse([f for _, f in rows], args.k)
+    except ValueError as err:
+        raise FormatError(str(err)) from None
+    # one name per line, so selecting none writes no line at all
+    _output(args.output, "".join(f"{rows[i][0]}\n" for i in picks))
     return 0
 
 
@@ -389,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate an instance batch from a config")
     p.add_argument("config")
     p.add_argument("outdir")
-    p.add_argument("--select", type=int, default=None, metavar="K",
-                   help="also write a manifest of K diverse instances")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("validate", help="validate a solution against an instance")

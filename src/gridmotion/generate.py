@@ -316,7 +316,7 @@ def select_diverse(candidates: Sequence[InstanceFeatures], k: int) -> list[int]:
     candidate order up to those tie-breaks.
     """
     if not 0 <= k <= len(candidates):
-        raise ValueError(f"k must be in [0, {len(candidates)}], got {k}")
+        raise ValueError(f"cannot select {k} from {len(candidates)} candidates")
     if k == 0:
         return []
     matrix = np.array([c.vector() for c in candidates], dtype=float)

@@ -201,7 +201,8 @@ class GeneratorParams:
     cluster sizes are truncated normals; obstacle sides truncate to
     [1, map dimension], cluster sizes to [1, n_robots]. Dimensions, counts and
     the seed must be ints (not bools), and the seed >= 0, as numpy takes no
-    negative seed. Density, means and stddevs must be finite.
+    negative seed. Density, means and stddevs must be finite ints or floats
+    (not bools), and the distributions strs.
     """
 
     map_width: int
@@ -225,8 +226,11 @@ class GeneratorParams:
             raise ValueError("map dimensions must be >= 1")
         for name in ("density", "obstacle_size_mean", "obstacle_size_stddev",
                      "cluster_size_mean", "cluster_size_stddev"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (0.0 < self.density <= 1.0):
             raise ValueError("density must be in (0, 1]")
         if self.obstacle_count < 0 or self.cluster_count < 0:
@@ -239,7 +243,10 @@ class GeneratorParams:
             raise ValueError("obstacle_size_mean must be > 0")
         if self.cluster_count and self.cluster_size_mean <= 0:
             raise ValueError("cluster_size_mean must be > 0")
-        for spec in (self.start_distribution, self.target_distribution):
+        for name in ("start_distribution", "target_distribution"):
+            spec = getattr(self, name)
+            if not isinstance(spec, str):
+                raise ValueError(f"{name} must be a str, got {spec!r}")
             if spec != UNIFORM and not spec.startswith(WEIGHT_PREFIX):
                 raise ValueError(f"unknown distribution spec: {spec!r}")
 

@@ -71,7 +71,10 @@ _DIRECTIONS = tuple(Direction)   # iterating the Enum class itself is slow
 @dataclass
 class SolverConfig:
     """Solver knobs. ``time_limit`` None disables the wall clock and makes
-    the run deterministic; the iteration caps still bound the work."""
+    the run deterministic; the iteration caps still bound the work.
+    ``objective`` is an Objective or its value ("max" or "sum"); the counts
+    and the seed are ints (not bools), and ``time_limit`` an int or a float
+    (not a bool) or None."""
 
     objective: Objective = Objective.MAX
     time_limit: Optional[float] = None
@@ -80,18 +83,27 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.objective, str):
+        try:
             self.objective = Objective(self.objective)
-        for name in ("restarts", "anneal_iterations"):   # as Instance's points: no bool
+        except ValueError:
+            raise ValueError(f"objective must be 'max' or 'sum', "
+                             f"got {self.objective!r}") from None
+        # as Instance's points: no bool; a seed of None would seed from the OS
+        for name in ("restarts", "anneal_iterations", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.anneal_iterations < 0:
             raise ValueError("anneal_iterations must be >= 0")
-        # written as "not > 0" so that NaN is rejected too
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive or None")
+        if self.time_limit is not None:
+            if isinstance(self.time_limit, bool) or not isinstance(self.time_limit,
+                                                                   (int, float)):
+                raise ValueError(f"time_limit must be a number or None, "
+                                 f"got {self.time_limit!r}")
+            # written as "not > 0" so that NaN is rejected too
+            if not self.time_limit > 0:
+                raise ValueError("time_limit must be positive or None")
 
 
 @dataclass(frozen=True)

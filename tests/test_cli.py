@@ -31,7 +31,10 @@ import gridmotion.cli as cli_module
 import gridmotion.solve as solve_module
 from gridmotion import __main__ as run_module
 from gridmotion.cli import main, main_entry
-from gridmotion.formats import emit_instance, emit_solution, parse_solution
+from gridmotion.formats import (emit_instance, emit_solution, parse_generator_grid,
+                                parse_solution)
+from gridmotion.generate import generate, select_diverse
+from gridmotion.model import params_slug
 
 GRID_CONFIG = (
     "map_width = 8\n"
@@ -114,7 +117,8 @@ def test_readme_quick_start_prints_what_it_quotes(tmp_path, monkeypatch, capsys)
     monkeypatch.delenv("GRIDMOTION_SEED", raising=False)
     commands = readme_quick_start()
     assert [argv[:2] for argv, _ in commands] == [
-        ["cat", "batch.cfg"], ["gridmotion", "generate"], ["mkdir", "team_a"],
+        ["cat", "batch.cfg"], ["gridmotion", "generate"], ["gridmotion", "select"],
+        ["mkdir", "team_a"],
         ["gridmotion", "solve"], ["gridmotion", "validate"], ["gridmotion", "score"],
         ["gridmotion", "render"]]
     for argv, output in commands:
@@ -736,22 +740,11 @@ def test_solve_help_lists_one_flag_per_config_field(capsys):
 
 # -------------------------------------------------------------- generate
 
-def test_generate_select_writes_manifest(tmp_path):
-    config = write(tmp_path / "batch.cfg", GRID_CONFIG)
-    outdir = tmp_path / "instances"
-    assert main(["generate", config, str(outdir), "--select", "2"]) == 0
-    names = (outdir / "selected.txt").read_text().splitlines()
-    assert len(names) == 2
-    for name in names:
-        assert (outdir / f"{name}.instance.json").exists()
-
-
 def test_empty_selection_writes_an_empty_manifest(tmp_path, capsys):
     # one name per line, so selecting none gives no line, not a blank one
     config = write(tmp_path / "batch.cfg", GRID_CONFIG)
     outdir = tmp_path / "instances"
-    assert main(["generate", config, str(outdir), "--select", "0"]) == 0
-    assert (outdir / "selected.txt").read_text() == ""
+    assert main(["generate", config, str(outdir)]) == 0
     capsys.readouterr()
     files = sorted(str(f) for f in outdir.glob("*.instance.json"))
     feats = str(tmp_path / "features.csv")
@@ -762,16 +755,6 @@ def test_empty_selection_writes_an_empty_manifest(tmp_path, capsys):
     capsys.readouterr()
     assert main(["select", feats, "-k", "0"]) == 0
     assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("k", ["-1", "6"])
-def test_generate_rejects_bad_select_before_writing(tmp_path, capsys, k):
-    config = write(tmp_path / "batch.cfg", GRID_CONFIG)
-    outdir = tmp_path / "instances"
-    assert main(["generate", config, str(outdir), "--select", k]) == 2
-    err = capsys.readouterr().err
-    assert f"cannot select {k} from 5 candidates" in err and "Traceback" not in err
-    assert not outdir.exists()
 
 
 def test_generate_seed_from_environment(tmp_path, monkeypatch):
@@ -928,6 +911,23 @@ def test_features_to_stdout_and_select_roundtrip(tmp_path, capsys):
     assert main(["select", feats, "-k", "-1"]) == 2
     err = capsys.readouterr().err
     assert "cannot select -1 from 5 candidates" in err and "Traceback" not in err
+
+
+def test_select_over_generated_features_matches_in_memory_selection(tmp_path, capsys):
+    # generate's own features.csv, read back, picks what its in-memory features pick
+    config = write(tmp_path / "batch.cfg", GRID_CONFIG)
+    outdir = tmp_path / "instances"
+    assert main(["generate", config, str(outdir)]) == 0
+    capsys.readouterr()
+    combos = parse_generator_grid(GRID_CONFIG)
+    features = [generate(params).features for params in combos]
+    for k in range(len(combos) + 1):
+        manifest = tmp_path / f"picks{k}.txt"
+        assert main(["select", str(outdir / "features.csv"), "-k", str(k),
+                     "-o", str(manifest)]) == 0
+        assert capsys.readouterr().out == f"wrote {manifest}\n"
+        assert manifest.read_text() == "".join(
+            f"{params_slug(combos[i])}\n" for i in select_diverse(features, k))
 
 
 @pytest.mark.parametrize("text, message", [

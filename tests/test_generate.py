@@ -71,6 +71,23 @@ def test_params_integer_fields_must_be_ints():
                                    name: bad})
 
 
+def test_params_float_and_str_fields_check_types():
+    # a bool was taken as 1.0, and a str or None failed in math.isfinite or str methods
+    for name in ("density", "obstacle_size_mean", "obstacle_size_stddev",
+                 "cluster_size_mean", "cluster_size_stddev"):
+        for bad in (True, False, "0.1", None):
+            with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+                GeneratorParams(**{"map_width": 6, "map_height": 6, "density": 0.2,
+                                   name: bad})
+    for name in ("start_distribution", "target_distribution"):
+        for bad in (3, None, b"uniform"):
+            with pytest.raises(ValueError, match=f"^{name} must be a str, got "):
+                GeneratorParams(map_width=6, map_height=6, density=0.2, **{name: bad})
+    params = GeneratorParams(map_width=6, map_height=6, density=1, obstacle_size_mean=2,
+                             cluster_size_stddev=np.float64(0.5))
+    assert (params.density, params.obstacle_size_mean) == (1, 2)
+
+
 def test_truncated_normal_respects_bounds():
     rng = np.random.default_rng(0)
     draws = [truncated_normal_int(rng, 3.0, 2.5, 1, 8) for _ in range(3000)]

@@ -896,6 +896,21 @@ def test_solver_config_counts_must_be_ints():
                 SolverConfig(**{name: bad})
 
 
+def test_solver_config_rejects_values_of_other_types():
+    # a seed of None seeds from the OS, so the run is no longer deterministic;
+    # an int objective failed mid-solve, and a bool time limit read as 1 s
+    for name, bads in (("seed", (None, 1.5, "x", True, np.int64(1))),
+                       ("objective", (3, None, True, "MAX", "min")),
+                       ("time_limit", (True, "5", np.int64(5)))):
+        for bad in bads:
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                SolverConfig(**{name: bad})
+    assert SolverConfig(seed=-3).seed == -3
+    assert SolverConfig(objective=Objective.SUM).objective is Objective.SUM
+    assert SolverConfig(objective="max").objective is Objective.MAX
+    assert SolverConfig(time_limit=2).time_limit == 2
+
+
 def test_solve_train_pair_reaches_both_lower_bounds():
     inst = make_instance([(0, 0), (1, 0)], [(1, 0), (2, 0)])
     lb_makespan, lb_total, _ = lower_bounds(inst)
