@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -189,6 +189,9 @@ def schedule_objectives(schedule: Schedule) -> tuple[int, int]:
 
 UNIFORM = "uniform"
 WEIGHT_PREFIX = "weights:"
+# GeneratorParams' float fields; an int there means the same float
+_FLOAT_FIELDS = ("density", "obstacle_size_mean", "obstacle_size_stddev",
+                 "cluster_size_mean", "cluster_size_stddev")
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,7 @@ class GeneratorParams:
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.map_width < 1 or self.map_height < 1:
             raise ValueError("map dimensions must be >= 1")
-        for name in ("density", "obstacle_size_mean", "obstacle_size_stddev",
-                     "cluster_size_mean", "cluster_size_stddev"):
+        for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -281,8 +283,12 @@ class InstanceFeatures:
 
 
 def params_slug(params: GeneratorParams) -> str:
-    """Deterministic, filesystem-friendly instance name for a parameter set."""
-    digest = hashlib.sha1(repr(astuple(params)).encode()).hexdigest()[:6]
+    """Deterministic, filesystem-friendly instance name for a parameter set.
+    Equal parameter sets get one name: float fields are hashed as floats, so
+    a density of 1 names the instance a density of 1.0 does."""
+    values = tuple(float(v) if f.name in _FLOAT_FIELDS else v
+                   for f, v in zip(fields(params), astuple(params)))
+    digest = hashlib.sha1(repr(values).encode()).hexdigest()[:6]
     return (f"g{params.map_width}x{params.map_height}"
             f"-d{params.density:g}-o{params.obstacle_count}"
             f"-c{params.cluster_count}-s{params.seed}-{digest}")

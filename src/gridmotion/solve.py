@@ -13,9 +13,12 @@ planned must vacate a pixel in the direction of any committed robot
 entering it. A robot cannot recruit not-yet-planned robots to move in
 concert; each holds its start pixel at time 0 with no departure recorded,
 so no one enters it at time 1. The search has no time horizon and ends on
-its own. Each priority order is planned in one pass. A planned path ends on
-its last move, so the table's last arrival is the makespan; it counts moves
-per robot for SUM.
+its own. A robot that finds no path is lifted to the front of its priority
+order, and the next pass keeps each path of the failed one that the table
+still admits, searching only the others; a lifted robot that fails again
+ends this reuse, and the lifts start over in passes that search every
+robot. A planned path ends on its last move, so the table's last arrival is
+the makespan; it counts moves per robot for SUM.
 
 Local search then repeatedly erases two robots, replans them in random
 order, and keeps the result when it is no worse; a worse or failed replan
@@ -166,7 +169,9 @@ class ReservationTable:
     cell), and :meth:`value` reads either objective off the table.
     :meth:`add_path`, :meth:`remove_path`, :meth:`hold` and :meth:`release`
     are the only writers, and each writes ``vertex`` and ``busy`` itself;
-    :meth:`add_path` counts the moves as it writes.
+    :meth:`add_path` counts the moves as it writes. It admits a path only when
+    it keeps every step rule against the table, and a refused path raises
+    ValueError and leaves the table as it was.
     """
 
     def __init__(self, window: tuple[int, int, int, int]):
@@ -182,9 +187,19 @@ class ReservationTable:
         vertex, busy, parked = self.vertex, self.busy, self.parked
         # check everything before the first write, so a rejected path
         # leaves the table as it was
+        p = cells[0]
         for t, c in enumerate(cells):
             if (c, t) in vertex or parked.get(c, math.inf) <= t:
                 raise ValueError(f"cell {c} already reserved at t={t}")
+            d = c - p
+            if d:   # R3, as plan_single reads it: enter behind an occupant
+                # leaving the same way (a hold never leaves), and leave a cell
+                # a committed robot enters only in its direction
+                entered_from = vertex.get((p, t))
+                if ((c, t - 1) in vertex and vertex.get((c + d, t)) != c
+                        or entered_from is not None and p - entered_from != d):
+                    raise ValueError(f"move {p} -> {c} at t={t} breaks R3")
+                p = c
         end = len(cells) - 1
         if self.last_visit(cells[end]) >= end:
             raise ValueError(f"cell {cells[end]} reserved at or after t={end}")
@@ -406,14 +421,16 @@ class _SolveContext:
 
 
 def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[int],
-                 objective: Objective) -> Optional[int]:
+                 objective: Objective, kept: Optional[dict] = None) -> Optional[int]:
     """Plan ``robots`` one at a time, in order, into ``table``; robots not
-    planned yet hold their start cells at time 0.
+    planned yet hold their start cells at time 0. With ``kept``, a map from
+    robot to path, a robot whose path there the table admits keeps it
+    unsearched.
 
     Returns None with every path committed. Otherwise the table is left
-    exactly as it was, and the result is the robot it stopped at: the one
-    that found no path or, when the deadline passed, the one it did not
-    try."""
+    exactly as it was, ``kept`` holds the paths this call had committed, and
+    the result is the robot it stopped at: the one that found no path or,
+    when the deadline passed, the one it did not try."""
     starts = ctx.start_cells
     for i in robots:
         table.hold(starts[i])
@@ -421,6 +438,12 @@ def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[i
         if ctx.out_of_time():
             break
         table.release(starts[robot])
+        if kept is not None and robot in kept:
+            try:
+                table.add_path(robot, kept[robot])
+                continue
+            except ValueError:
+                pass   # it no longer fits: search
         path = plan_single(ctx.instance, robot, table, objective, field=ctx.fields[robot])
         if path is None:
             table.hold(starts[robot])   # released below with the robots after it
@@ -428,6 +451,9 @@ def _plan_robots(ctx: _SolveContext, table: ReservationTable, robots: Sequence[i
         table.add_path(robot, path)
     else:
         return None
+    if kept is not None:
+        kept.clear()
+        kept.update((i, table.paths[i]) for i in robots[:k])
     for i in robots[:k]:
         table.remove_path(i)
     for i in robots[k:]:
@@ -555,9 +581,12 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
     Restarts run prioritized planning over several priority orders (first by
     descending individual lower bound, then seeded random permutations), then
     local search improves the best plan by replanning small robot subsets and
-    keeping each replan that is no worse. Each priority order is planned in
-    one pass into an empty table; a robot that finds no path is lifted to the
-    front of its order, once. For MAX, improvement is skipped when the
+    keeping each replan that is no worse. Each priority order is planned into
+    an empty table; a robot that finds no path is lifted to the front of its
+    order, and the next pass keeps every path of the failed pass that the
+    table still admits. A lifted robot that fails again starts a fresh phase
+    with no reuse, in which a robot is lifted at most once; failing again
+    there ends the order. For MAX, improvement is skipped when the
     incumbent meets ``lb_makespan`` or when a joint search over 2 or 3 robots
     proves that no schedule is one step shorter. The incumbent is returned
     when the time limit expires, which is checked between lifts, restarts,
@@ -591,16 +620,24 @@ def solve(instance: Instance, config: Optional[SolverConfig] = None) -> SolveRes
             rng.shuffle(order)
         # When a robot cannot plan against earlier commitments (its target has
         # been walled in by parked robots, say), lift it to the front and try
-        # again. Each robot is lifted at most once per restart so alternating
-        # failures cannot loop forever. The first pass of the first order
-        # runs in full: the deadline applies only after it.
+        # again, keeping each path of the failed pass that the table still
+        # admits. A lifted robot that fails again ends the reuse: the lifts
+        # start over and every pass searches every robot, and a robot lifted
+        # twice in this fresh phase ends the order, so neither phase can
+        # loop forever. The first pass of the first order runs in full: the
+        # deadline applies only after it.
         table = ReservationTable(ctx.window)
         lifted: set[int] = set()
+        kept: Optional[dict] = {}
         while True:
-            stopped = _plan_robots(ctx, table, order, objective)
+            stopped = _plan_robots(ctx, table, order, objective, kept)
             ctx.deadline = deadline
-            if stopped is None or stopped in lifted or ctx.out_of_time():
+            if stopped is None or ctx.out_of_time():
                 break
+            if stopped in lifted:
+                if kept is None:
+                    break
+                kept, lifted = None, set()
             lifted.add(stopped)
             order.remove(stopped)
             order.insert(0, stopped)

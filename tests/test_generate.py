@@ -509,6 +509,21 @@ def test_params_slug_is_stable_and_distinct():
         assert params_slug(params) == slug
 
 
+def test_equal_params_get_one_slug():
+    # an int in a float field is the same parameter set, so the same name
+    pairs = [(GeneratorParams(6, 6, 1), GeneratorParams(6, 6, 1.0)),
+             (GeneratorParams(8, 8, 0.5, obstacle_count=2, obstacle_size_mean=3,
+                              obstacle_size_stddev=0, cluster_size_mean=4,
+                              cluster_size_stddev=1, seed=3),
+              GeneratorParams(8, 8, 0.5, obstacle_count=2, obstacle_size_mean=3.0,
+                              obstacle_size_stddev=0.0, cluster_size_mean=4.0,
+                              cluster_size_stddev=1.0, seed=3))]
+    for a, b in pairs:
+        assert a == b
+        assert params_slug(a) == params_slug(b)
+    assert params_slug(GeneratorParams(6, 6, 1.0)) == "g6x6-d1-o0-c0-s0-f50ea5"
+
+
 # ---------------------------------------------------------------------------
 # features
 

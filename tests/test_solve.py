@@ -29,6 +29,7 @@ from gridmotion.solve import (
     solve,
 )
 from gridmotion.validate import (
+    _replay,
     cell_id,
     cell_pixel,
     distance_map,
@@ -465,11 +466,82 @@ def test_plan_single_matches_the_reference_search(monkeypatch):
         return got[0]
 
     monkeypatch.setattr(solve_module, "plan_single", checked)
-    for seed, objective in itertools.product((0, 1), Objective):
+    for seed, objective in itertools.product((0, 1, 2), Objective):
         inst = generate(GeneratorParams(12, 12, 0.4, obstacle_count=3, seed=seed)).instance
         solve(inst, SolverConfig(objective=objective, restarts=2, anneal_iterations=30,
                                  seed=seed))
     assert len(calls) >= 2000 and 0 < sum(calls) < len(calls)
+
+
+def test_add_path_admits_exactly_what_the_validator_accepts():
+    # a lifted pass keeps an old path when add_path admits it, so admission
+    # must be the validator's R1-R3 with every robot parked on its last
+    # cell: on random tables, plan_single's paths and random walks that end
+    # on a move are admitted exactly when the joint schedule replays clean,
+    # and a refused walk writes nothing
+    rng = random.Random(0)
+    planned = admitted = refused = 0
+    for seeds, shape in [(200, {}), (60, dict(side=6, n_walks=6, steps=16))]:
+        for seed in range(seeds):
+            case = random_committed_case(seed, **shape)
+            if case is None:
+                continue
+            inst, table, free, walks = case
+            before = table_state(table)
+            for objective in Objective:
+                found = plan(inst, 0, table, objective)
+                if found is not None:
+                    table.add_path(0, found)
+                    table.remove_path(0)
+                    planned += 1
+            assert table_state(table) == before
+            for _ in range(8):
+                walk = [tuple(inst.starts[0])]
+                for _ in range(rng.randint(1, 12)):
+                    x, y = walk[-1]
+                    walk.append(rng.choice([c for c in ((x, y), (x + 1, y), (x - 1, y),
+                                                        (x, y + 1), (x, y - 1)) if c in free]))
+                while len(walk) > 1 and walk[-1] == walk[-2]:
+                    walk.pop()
+                if len(walk) == 1:
+                    continue
+                robots = [walk, *walks]
+                length = max(map(len, robots))
+                steps = [tuple(Direction((r[t + 1][0] - r[t][0], r[t + 1][1] - r[t][1]))
+                               if t + 1 < len(r) else Direction.WAIT for r in robots)
+                         for t in range(length - 1)]
+                legal = _replay(inst.obstacles, [r[0] for r in robots], steps, 0) is None
+                try:
+                    table.add_path(0, ids(table.window, *walk))
+                except ValueError:
+                    assert not legal, (seed, shape, walk)
+                    assert table_state(table) == before
+                    refused += 1
+                    continue
+                assert legal, (seed, shape, walk)
+                table.remove_path(0)
+                assert table_state(table) == before
+                admitted += 1
+    assert planned >= 400 and admitted >= 800 and refused >= 800
+
+
+def test_lifted_passes_keep_the_paths_the_table_admits(monkeypatch):
+    # perfbench crowd-max's map: a lifted pass searches only the robots whose
+    # old paths no longer fit, so the first order's makespan 37, its lower
+    # bound, costs 143 plan_single calls where searching every robot again
+    # cost 357
+    calls = []
+    real_plan_single = solve_module.plan_single
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real_plan_single(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "plan_single", counting)
+    inst = generate(GeneratorParams(24, 24, 0.2, obstacle_count=8, seed=1)).instance
+    res = solve(inst, SolverConfig(objective="max", restarts=1, anneal_iterations=0))
+    assert res.value == 37 and res.bounds[0] == 37
+    assert len(calls) <= 160
 
 
 def test_plan_single_returns_none_for_walled_target():
@@ -717,11 +789,11 @@ def record_plan_robots(monkeypatch, fail=False):
     calls = []
     real_plan_robots = solve_module._plan_robots
 
-    def recording(ctx, table, robots, objective):
+    def recording(ctx, table, robots, objective, kept=None):
         if fail:
             result = robots[0]
         else:
-            result = real_plan_robots(ctx, table, robots, objective)
+            result = real_plan_robots(ctx, table, robots, objective, kept)
         calls.append((list(robots), result is None))
         return result
 
@@ -987,15 +1059,26 @@ def test_solve_reports_failure_on_corridor_swap():
 
 def test_solve_lifts_each_failed_robot_once_per_order(monkeypatch):
     # in the corridor swap the robot planned second is boxed in, so it is
-    # lifted to the front, then the other one is; a robot lifted before
-    # ends the order
+    # lifted to the front, then the other one is, each pass reusing the
+    # paths of the one before; a robot lifted before ends the reuse, the
+    # lifts start over in passes that search every robot, and a robot
+    # lifted twice there ends the order
     calls = record_plan_robots(monkeypatch)
+    recording, reusing = solve_module._plan_robots, []
+
+    def tagged(ctx, table, robots, objective, kept=None):
+        reusing.append(kept is not None)
+        return recording(ctx, table, robots, objective, kept)
+
+    monkeypatch.setattr(solve_module, "_plan_robots", tagged)
     free = [(0, 0), (1, 0), (2, 0), (1, 1)]
     inst = make_instance([(0, 0), (2, 0)], [(2, 0), (0, 0)], seal(free))
     res = solve(inst, SolverConfig(restarts=3, anneal_iterations=50, seed=0))
     assert not res.success
-    assert calls[:3] == [([0, 1], False), ([1, 0], False), ([0, 1], False)]
-    assert len(calls) == 3 * 3
+    assert calls[:5] == [([0, 1], False), ([1, 0], False), ([0, 1], False),
+                         ([1, 0], False), ([0, 1], False)]
+    assert reusing == [True, True, True, False, False] * 3
+    assert len(calls) == 5 * 3
 
 
 @pytest.mark.parametrize("objective", ["max", "sum"])
@@ -1231,8 +1314,8 @@ PINNED_SCHEDULES = {
     (10, 10, 0.3, 3, 0): {"max": (14, "6bf34f581b36473abd519bbb332a4c3c6f0cc5f3"),
                           "sum": (149, "951937909c5673e0ce19c8250684da61007c75f7")},
     (10, 10, 0.5, 3, 0): {"max": (34, "8ac99b2ecc75535da95bfac9aaacd176bfaa0f63"),
-                          "sum": (331, "fe013559261773bb05ead4de126ffd4146941172")},
-    (24, 24, 0.2, 8, 1): {"max": (37, "e8eaf893757f0ce3dc7450aaf4f4bb94c9e64f46"),
+                          "sum": (331, "bc217d1e76c1a4e5623d87de018bdd1ed160d689")},
+    (24, 24, 0.2, 8, 1): {"max": (37, "c1c1aaaf076b7a30ccf0e002909280a12803ec35"),
                           "sum": (1788, "a94fc09514c197bf3b94770697e3c35ef35f85f3")},
 }
 
